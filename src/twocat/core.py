@@ -9,6 +9,7 @@ are always table lookups, never synthesized names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 
@@ -94,19 +95,6 @@ class TwoCategory:
             raise TwoCatError(f"{self.name}: no horizontal composite {b} o {a}") from None
 
     # -- derived ---------------------------------------------------------
-    def comp1_chain(self, cells):
-        """Compose a left-to-right chain f1, f2, ... as fk o ... o f1."""
-        out = cells[0]
-        for f in cells[1:]:
-            out = self.comp1(f, out)
-        return out
-
-    def vcomp_chain(self, cells):
-        out = cells[0]
-        for a in cells[1:]:
-            out = self.vcomp(a, out)
-        return out
-
     def lwhisk(self, g, a):
         """Whisker a 2-cell a on the left by the 1-cell g: 1_g o a."""
         return self.hcomp(self.unit2(g), a)
@@ -115,15 +103,29 @@ class TwoCategory:
         """Whisker a 2-cell a on the right by the 1-cell f: a o 1_f."""
         return self.hcomp(a, self.unit2(f))
 
+    # The indexes below are built on first use and kept: the cell tables of
+    # a category are not changed once it is built.
+    @cached_property
+    def one_cells_by_ends(self) -> dict:
+        """(source, target) object pair -> tuple of the 1-cells between them."""
+        index = {}
+        for f, (s, t) in self.one_cells.items():
+            index.setdefault((s, t), []).append(f)
+        return {ends: tuple(fs) for ends, fs in index.items()}
+
+    @cached_property
+    def two_cells_by_source(self) -> dict:
+        """Source 1-cell -> tuple of (2-cell, target 1-cell) pairs."""
+        index = {}
+        for a, (s, t) in self.two_cells.items():
+            index.setdefault(s, []).append((a, t))
+        return {s: tuple(pairs) for s, pairs in index.items()}
+
     def hom_one_cells(self, a, b):
-        return tuple(f for f, (s, t) in self.one_cells.items() if s == a and t == b)
+        return self.one_cells_by_ends.get((a, b), ())
 
     def two_cells_between(self, f, g):
-        return tuple(x for x, (s, t) in self.two_cells.items() if s == f and t == g)
-
-    def two_cells_on(self, f):
-        """2-cells whose source or target 1-cell is f, grouped by source."""
-        return tuple(x for x, (s, _) in self.two_cells.items() if s == f)
+        return tuple(x for x, t in self.two_cells_by_source.get(f, ()) if t == g)
 
     def counts(self):
         return (len(self.objects), len(self.one_cells), len(self.two_cells))
@@ -216,7 +218,7 @@ def validate(C: TwoCategory) -> ValidationReport:
             r.add(f"id2[{f}] is not an identity 2-cell on {f}")
 
     # hcomp1: totality, typing, units, associativity
-    comp1_pairs = set(composable1(C))
+    comp1_pairs = dict.fromkeys(composable1(C))
     for key in C.hcomp1:
         if key not in comp1_pairs:
             r.add(f"hcomp1 declared on non-composable pair {key}")
@@ -241,7 +243,7 @@ def validate(C: TwoCategory) -> ValidationReport:
                     r.add(f"hcomp1 associativity fails at ({h}, {g}, {f})")
 
     # vcomp2: each hom a category
-    vpairs = set(vcomposable2(C))
+    vpairs = dict.fromkeys(vcomposable2(C))
     for key in C.vcomp2:
         if key not in vpairs:
             r.add(f"vcomp2 declared on non-composable pair {key}")
@@ -266,7 +268,7 @@ def validate(C: TwoCategory) -> ValidationReport:
                     r.add(f"vcomp2 associativity fails at ({c2}, {b}, {a})")
 
     # hcomp2: typing, functoriality (identities + interchange), associativity, units
-    hpairs = set(hcomposable2(C))
+    hpairs = dict.fromkeys(hcomposable2(C))
     for key in C.hcomp2:
         if key not in hpairs:
             r.add(f"hcomp2 declared on non-composable pair {key}")

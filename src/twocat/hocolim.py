@@ -20,16 +20,18 @@ re-whiskered by the bottom vertical face.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
                    DiagramModification, TwoCatError, ValidationReport,
-                   check_cell_map, coproduct, compose_functors, functor_equal,
+                   check_cell_map, coproduct, compose_functors,
+                   diagram_over_opposite, functor_equal, functor_is_bijective,
                    hom_category, identity_functor, product, discrete, validate)
 from .grothendieck import grothendieck
-from .nerves import (double_nerve, map_staircase, nerve_category,
-                     wbar_double_nerve)
+from .nerves import (_col_vdegen, _col_vface, double_nerve, hom_chains,
+                     map_dn_simplex, nerve_category, wbar_double_nerve)
 from .simplicial import (SimplicialMap, TruncatedBisimplicialSet,
                          TruncatedTrisimplicialSet, bisimplicial_from_family,
                          build_trisimplicial, diag, simplicial_map, transpose,
@@ -288,23 +290,6 @@ def hocolim_level_product_iso(S: SimplicialTwoCategory, D: TwoDiagram, p: int):
 # the auxiliary trisimplicial resolution
 # ---------------------------------------------------------------------------
 
-def _u_chains(fib: TwoCategory, a, b, n):
-    """Chains u^0 -> ... -> u^n of parallel fibre 1-cells a -> b joined by
-    2-cells, as (us, phis) pairs."""
-    from .nerves import hom_chains
-    return hom_chains(fib, a, b, n)
-
-
-def _col_chain_face(fib, col, j):
-    from .nerves import _col_vface
-    return _col_vface(fib, col, j)
-
-
-def _col_chain_degen(fib, col, j):
-    from .nerves import _col_vdegen
-    return _col_vdegen(fib, col, j)
-
-
 def build_E(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
     """Covariant auxiliary trisimplicial set: axis 0 indexes base columns,
     axis 1 the fibre chain depth, axis 2 the base 2-cell depth."""
@@ -339,7 +324,6 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
         return xs[m - 1], tgt
 
     def level(key):
-        import itertools
         p, n, q = key
         out = []
         for base in dn.level(p, q):
@@ -348,7 +332,8 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
                 cols = []
                 for m in range(1, p + 1):
                     a, b = col_endpoints(base, xs, m)
-                    cols.append(_u_chains(col_fibre(objs, m), a, b, n))
+                    # chains u^0 => ... => u^n of parallel fibre 1-cells a -> b
+                    cols.append(hom_chains(col_fibre(objs, m), a, b, n))
                 for combo in itertools.product(*cols) if p else [()]:
                     out.append((base, xs,
                                 tuple(us for us, _ in combo),
@@ -382,8 +367,8 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
                     ucols[:i - 1] + (us,) + ucols[i + 1:],
                     phicols[:i - 1] + (ph,) + phicols[i + 1:])
         if axis == 1:
-            ncols = [ _col_chain_face(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
-                      for m in range(1, p + 1) ]
+            ncols = [_col_vface(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
+                     for m in range(1, p + 1)]
             return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
         # axis 2
         nbase = dn.vface(p, q, i, base)
@@ -416,8 +401,8 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
                     ucols[:i] + (idcol[0],) + ucols[i:],
                     phicols[:i] + (idcol[1],) + phicols[i:])
         if axis == 1:
-            ncols = [ _col_chain_degen(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
-                      for m in range(1, p + 1) ]
+            ncols = [_col_vdegen(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
+                     for m in range(1, p + 1)]
             return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
         return (dn.vdegen(p, q, i, base), xs, ucols, phicols)
 
@@ -468,8 +453,8 @@ def _family_wbar_hocolim(S: SimplicialTwoCategory) -> TruncatedBisimplicialSet:
     levels = [wbar_double_nerve(S.level(p), N) for p in range(N + 1)]
     return bisimplicial_from_family(
         levels,
-        lambda p, i, s, x: map_staircase(S.face(p, i), x),
-        lambda p, i, s, x: map_staircase(S.degen(p, i), x),
+        lambda p, i, s, x: map_dn_simplex(S.face(p, i), x),
+        lambda p, i, s, x: map_dn_simplex(S.degen(p, i), x),
         name=f"[p]WbarNN{S.name}")
 
 
@@ -510,12 +495,10 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int,
     of the colimit.  For contravariant diagrams the comparison runs over the
     opposite base after the certified reversal identification."""
     if D.variance == CONTRAVARIANT:
-        from .core import ValidationReport
         rep = reversal_bridge_report(D, n_max)
         if not rep.ok:
             raise TwoCatError("hocolim_wbar_comparison: reversal bridge failed: "
                               + "; ".join(rep.violations[:3]))
-        from .core import diagram_over_opposite
         return hocolim_wbar_comparison(diagram_over_opposite(D), n_max)
     S = S if S is not None else hocolim(D, n_max)
     E = E if E is not None else build_E(D, n_max)
@@ -608,7 +591,6 @@ def reversal_bridge_report(D: TwoDiagram, n_max: int) -> ValidationReport:
     """Certify that the contravariant colimit is the order reversal of the
     covariant colimit of the same diagram over the opposite base: the
     reindexing is a levelwise isomorphism exchanging d_i with d_{p-i}."""
-    from .core import diagram_over_opposite, functor_is_bijective
     r = ValidationReport()
     if D.variance != CONTRAVARIANT:
         r.add("reversal bridge only applies to contravariant diagrams")

@@ -172,6 +172,10 @@ class ChainComplex:
     def dim(self, n):
         return len(self.basis.get(n, ()))
 
+    def __repr__(self):
+        dims = [self.dim(n) for n in range(self.n_max + 1)]
+        return f"<ChainComplex {self.name} N={self.n_max} ranks={dims}>"
+
 
 @dataclass(frozen=True)
 class HomologyResult:
@@ -185,12 +189,15 @@ class HomologyResult:
 
 
 def nondegenerate_levels(X: TruncatedSimplicialSet):
-    levels = {0: tuple(X.level(0))}
+    """Nondegenerate simplices of each level, sorted by `repr`: the basis
+    order, and so every boundary matrix, does not depend on the order in
+    which a construction enumerates its levels."""
+    levels = {0: tuple(sorted(X.level(0), key=repr))}
     for n in range(1, X.n_max + 1):
         degenerate = set()
         for i in range(n):
             degenerate.update(X.degens[(n - 1, i)].values())
-        levels[n] = tuple(x for x in X.level(n) if x not in degenerate)
+        levels[n] = tuple(sorted((x for x in X.level(n) if x not in degenerate), key=repr))
     return levels
 
 

@@ -14,11 +14,13 @@ way except column m (1-based) carries m one-cells and m-1 two-cells.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .core import TwoCategory, TwoFunctor, TwoCatError
 from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
                          TruncatedTrisimplicialSet, SimplicialMap,
                          build_simplicial, build_bisimplicial,
-                         build_trisimplicial, simplicial_map, wbar)
+                         build_trisimplicial, diag, simplicial_map, wbar)
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +88,8 @@ def _extend_chain(C, chain, q):
     if len(fs) == q + 1:
         return [chain]
     out = []
-    top = fs[-1]
-    for al, (s, t) in C.two_cells.items():
-        if s == top:
-            out.extend(_extend_chain(C, (fs + (t,), asq + (al,)), q))
+    for al, t in C.two_cells_by_source.get(fs[-1], ()):
+        out.extend(_extend_chain(C, (fs + (t,), asq + (al,)), q))
     return out
 
 
@@ -127,6 +127,10 @@ def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
     chains: horizontal faces delete an object and compose columns, vertical
     faces compose the 2-cell stacks columnwise."""
 
+    @cache
+    def hom(a, b, q):
+        return hom_chains(C, a, b, q)
+
     def level(p, q):
         if p == 0:
             return [((c,), (), ()) for c in C.objects]
@@ -137,7 +141,7 @@ def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
                 out.append((objs, tuple(f for f, _ in cols), tuple(a for _, a in cols)))
                 return
             for b in C.objects:
-                for col in hom_chains(C, objs[-1], b, q):
+                for col in hom(objs[-1], b, q):
                     grow(objs + (b,), cols + [col])
 
         for a in C.objects:
@@ -277,12 +281,7 @@ def map_dn_simplex(F: TwoFunctor, x):
             tuple(tuple(F.f2(a) for a in asq) for asq in acols))
 
 
-def map_staircase(F: TwoFunctor, x):
-    return map_dn_simplex(F, x)
-
-
 def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
-    from .simplicial import diag
     return diag(double_nerve(C, n_max))
 
 

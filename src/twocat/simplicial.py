@@ -1,14 +1,26 @@
 """Truncated simplicial, bisimplicial and trisimplicial sets.
 
-All structure maps are materialized as total dictionaries so that every
-application is a lookup and fault injection in fixtures is direct.
-Degenerate simplices are stored explicitly; the normalized chain complex
-(homology module) quotients them later.
+Every level is enumerated when a set is built, in the order its level rule
+yields the simplices (duplicates dropped), and checked against the simplex
+budget.  Each face and degeneracy table is a total dictionary, built from
+its rule the first time it is read and kept from then on, so that every
+later application is a lookup and fault injection in fixtures is direct.
+Building a table checks that every image lies in the target level.  Most
+checks read only a diagonal, so the off-diagonal tables of a nerve are
+never built.  Transposes, slices, rows and truncations share the tables of
+the set they view and build nothing themselves.
+
+Levels carry no canonical order; only the bases of chain complexes
+(homology module) are sorted, by `repr`.  Degenerate simplices are stored
+explicitly; the normalized chain complex quotients them later.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 
 from .core import TwoCatError, ValidationReport
 
@@ -30,13 +42,64 @@ def set_simplex_budget(n: int) -> None:
 
 
 def _ordered(cells) -> tuple:
-    seen = {}
-    for c in cells:
-        seen.setdefault(c, None)
-    if len(seen) > _SIMPLEX_BUDGET:
-        raise BudgetError(f"level size {len(seen)} exceeds the simplex budget "
+    level = tuple(dict.fromkeys(cells))
+    if len(level) > _SIMPLEX_BUDGET:
+        raise BudgetError(f"level size {len(level)} exceeds the simplex budget "
                           f"{_SIMPLEX_BUDGET}; raise it or lower the truncation")
-    return tuple(sorted(seen, key=repr))
+    return level
+
+
+class LazyTables(Mapping):
+    """Structure-map tables under their keys, such as (n, i) -> d_i on level
+    n.  `build(key)` makes the table the first time it is read; it is kept,
+    so every later read returns the same dictionary.  `key in tables` tells
+    whether a table exists without building it."""
+
+    def __init__(self, keys, build):
+        self._keys = dict.fromkeys(keys)
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, key):
+        try:
+            return self._built[key]
+        except KeyError:
+            if key not in self._keys:
+                raise
+        # setdefault: threads that build the same table at once all get the
+        # one stored first
+        return self._built.setdefault(key, self._build(key))
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __repr__(self):
+        return f"<tables {len(self._built)} of {len(self._keys)} built>"
+
+
+def _table(rule, source, target, where) -> dict:
+    """{x: rule(x)} over the level `source`; every image must lie in the
+    level `target`."""
+    allowed = set(target)
+    table = {}
+    for x in source:
+        y = rule(x)
+        if y not in allowed:
+            raise TwoCatError(f"{where} {x!r}")
+        table[x] = y
+    return table
+
+
+def _view(tables, keys) -> LazyTables:
+    """The tables of another set under new keys: `keys` maps each new key to
+    the key of the table it stands for."""
+    return LazyTables(keys, lambda key: tables[keys[key]])
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +110,8 @@ def _ordered(cells) -> tuple:
 class TruncatedSimplicialSet:
     n_max: int
     cells: dict          # level -> tuple of simplices
-    faces: dict          # (n, i) -> {simplex: simplex}
-    degens: dict         # (n, i) -> {simplex: simplex}
+    faces: Mapping       # (n, i) -> {simplex: simplex}
+    degens: Mapping      # (n, i) -> {simplex: simplex}
     name: str = ""
 
     def level(self, n) -> tuple:
@@ -68,29 +131,22 @@ class TruncatedSimplicialSet:
 
 
 def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSimplicialSet:
-    """Materialize a truncated simplicial set from enumeration and map rules."""
+    """A truncated simplicial set from enumeration and map rules: levels now,
+    each table on its first read."""
     cells = {n: _ordered(level_fn(n)) for n in range(n_max + 1)}
-    faces, degens = {}, {}
-    for n in range(1, n_max + 1):
-        lower = set(cells[n - 1])
-        for i in range(n + 1):
-            table = {}
-            for x in cells[n]:
-                y = face_fn(n, i, x)
-                if y not in lower:
-                    raise TwoCatError(f"{name}: face d_{i} leaves level {n - 1} at {x!r}")
-                table[x] = y
-            faces[(n, i)] = table
-    for n in range(n_max):
-        upper = set(cells[n + 1])
-        for i in range(n + 1):
-            table = {}
-            for x in cells[n]:
-                y = degen_fn(n, i, x)
-                if y not in upper:
-                    raise TwoCatError(f"{name}: degeneracy s_{i} leaves level {n + 1} at {x!r}")
-                table[x] = y
-            degens[(n, i)] = table
+
+    def face(key):
+        n, i = key
+        return _table(partial(face_fn, n, i), cells[n], cells[n - 1],
+                      f"{name}: face d_{i} leaves level {n - 1} at")
+
+    def degen(key):
+        n, i = key
+        return _table(partial(degen_fn, n, i), cells[n], cells[n + 1],
+                      f"{name}: degeneracy s_{i} leaves level {n + 1} at")
+
+    faces = LazyTables(((n, i) for n in range(1, n_max + 1) for i in range(n + 1)), face)
+    degens = LazyTables(((n, i) for n in range(n_max) for i in range(n + 1)), degen)
     return TruncatedSimplicialSet(n_max, cells, faces, degens, name=name)
 
 
@@ -146,6 +202,9 @@ class SimplicialMap:
     def at(self, n, x):
         return self.maps[n][x]
 
+    def __repr__(self):
+        return f"<SimplicialMap {self.name}: {self.source!r} -> {self.target!r}>"
+
 
 def simplicial_map(source, target, fn, name="") -> SimplicialMap:
     if source.n_max != target.n_max:
@@ -190,13 +249,6 @@ def verify_iso(f: SimplicialMap) -> bool:
     return True
 
 
-def compose_simplicial_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    return SimplicialMap(f.source, g.target,
-                         {n: {x: g.maps[n][y] for x, y in f.maps[n].items()}
-                          for n in f.maps},
-                         name=f"{g.name}o{f.name}")
-
-
 # ---------------------------------------------------------------------------
 # bisimplicial sets
 # ---------------------------------------------------------------------------
@@ -206,10 +258,10 @@ class TruncatedBisimplicialSet:
     p_max: int
     q_max: int
     cells: dict   # (p, q) -> tuple
-    hfaces: dict  # (p, q, i) -> table, source (p, q), target (p-1, q)
-    hdegens: dict
-    vfaces: dict  # (p, q, j) -> table, target (p, q-1)
-    vdegens: dict
+    hfaces: Mapping  # (p, q, i) -> table, source (p, q), target (p-1, q)
+    hdegens: Mapping
+    vfaces: Mapping  # (p, q, j) -> table, target (p, q-1)
+    vdegens: Mapping
     name: str = ""
 
     def level(self, p, q) -> tuple:
@@ -227,45 +279,40 @@ class TruncatedBisimplicialSet:
     def vdegen(self, p, q, j, x):
         return self.vdegens[(p, q, j)][x]
 
+    def __repr__(self):
+        size = sum(map(len, self.cells.values()))
+        return f"<bisSet {self.name} p,q<={self.p_max},{self.q_max} simplices={size}>"
+
 
 def build_bisimplicial(p_max, q_max, level_fn, hface_fn, hdegen_fn,
                        vface_fn, vdegen_fn, name="") -> TruncatedBisimplicialSet:
+    """A truncated bisimplicial set from enumeration and map rules: levels
+    now, each table on its first read."""
     cells = {(p, q): _ordered(level_fn(p, q))
              for p in range(p_max + 1) for q in range(q_max + 1)}
-    B = TruncatedBisimplicialSet(p_max, q_max, cells, {}, {}, {}, {}, name=name)
 
-    def fill(table, key, src, tgt, fn, i):
-        out = {}
-        allowed = set(cells[tgt])
-        for x in cells[src]:
-            y = fn(src[0], src[1], i, x)
-            if y not in allowed:
-                raise TwoCatError(f"{name}: map {key} leaves window at {x!r}")
-            out[x] = y
-        table[key] = out
+    def tables(fn, dp, dq, keys):
+        def build(key):
+            p, q, i = key
+            return _table(partial(fn, p, q, i), cells[(p, q)], cells[(p + dp, q + dq)],
+                          f"{name}: map {key} leaves window at")
+        return LazyTables(keys, build)
 
-    for p in range(p_max + 1):
-        for q in range(q_max + 1):
-            if p >= 1:
-                for i in range(p + 1):
-                    fill(B.hfaces, (p, q, i), (p, q), (p - 1, q), hface_fn, i)
-            if p < p_max:
-                for i in range(p + 1):
-                    fill(B.hdegens, (p, q, i), (p, q), (p + 1, q), hdegen_fn, i)
-            if q >= 1:
-                for j in range(q + 1):
-                    fill(B.vfaces, (p, q, j), (p, q), (p, q - 1), vface_fn, j)
-            if q < q_max:
-                for j in range(q + 1):
-                    fill(B.vdegens, (p, q, j), (p, q), (p, q + 1), vdegen_fn, j)
-    return B
+    P, Q = range(p_max + 1), range(q_max + 1)
+    return TruncatedBisimplicialSet(
+        p_max, q_max, cells,
+        tables(hface_fn, -1, 0, ((p, q, i) for p in P[1:] for q in Q for i in range(p + 1))),
+        tables(hdegen_fn, 1, 0, ((p, q, i) for p in P[:-1] for q in Q for i in range(p + 1))),
+        tables(vface_fn, 0, -1, ((p, q, j) for p in P for q in Q[1:] for j in range(q + 1))),
+        tables(vdegen_fn, 0, 1, ((p, q, j) for p in P for q in Q[:-1] for j in range(q + 1))),
+        name=name)
 
 
 def _row_as_simplicial(B: TruncatedBisimplicialSet, p) -> TruncatedSimplicialSet:
+    row = lambda tables: _view(tables, {(q, j): (pp, q, j) for pp, q, j in tables if pp == p})
     cells = {q: B.level(p, q) for q in range(B.q_max + 1)}
-    faces = {(q, j): B.vfaces[(p, q, j)] for q in range(1, B.q_max + 1) for j in range(q + 1)}
-    degens = {(q, j): B.vdegens[(p, q, j)] for q in range(B.q_max) for j in range(q + 1)}
-    return TruncatedSimplicialSet(B.q_max, cells, faces, degens, name=f"{B.name}[{p},*]")
+    return TruncatedSimplicialSet(B.q_max, cells, row(B.vfaces), row(B.vdegens),
+                                  name=f"{B.name}[{p},*]")
 
 
 def check_bisimplicial_set(B: TruncatedBisimplicialSet) -> ValidationReport:
@@ -307,7 +354,7 @@ def check_bisimplicial_set(B: TruncatedBisimplicialSet) -> ValidationReport:
 
 
 def transpose(B: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
-    swap = lambda table: {(q, p, i): v for (p, q, i), v in table.items()}
+    swap = lambda tables: _view(tables, {(q, p, i): (p, q, i) for p, q, i in tables})
     return TruncatedBisimplicialSet(B.q_max, B.p_max,
                                     {(q, p): v for (p, q), v in B.cells.items()},
                                     swap(B.vfaces), swap(B.vdegens),
@@ -414,11 +461,11 @@ def aw_map(B: TruncatedBisimplicialSet, n_max=None) -> SimplicialMap:
 def truncate(X: TruncatedSimplicialSet, n_max) -> TruncatedSimplicialSet:
     if n_max > X.n_max:
         raise ShallowWindowError("truncate: cannot extend a simplicial set")
+    keep = lambda tables, top: _view(tables, {k: k for k in tables if k[0] <= top})
     return TruncatedSimplicialSet(
         n_max,
         {n: X.cells[n] for n in range(n_max + 1)},
-        {(n, i): t for (n, i), t in X.faces.items() if n <= n_max},
-        {(n, i): t for (n, i), t in X.degens.items() if n < n_max},
+        keep(X.faces, n_max), keep(X.degens, n_max - 1),
         name=X.name)
 
 
@@ -432,8 +479,8 @@ class TruncatedTrisimplicialSet:
 
     bounds: tuple  # (b0, b1, b2)
     cells: dict    # (i0, i1, i2) -> tuple
-    faces: dict    # (axis, key, i) -> table
-    degens: dict
+    faces: Mapping  # (axis, key, i) -> table
+    degens: Mapping
     name: str = ""
 
     def level(self, key) -> tuple:
@@ -445,40 +492,38 @@ class TruncatedTrisimplicialSet:
     def degen(self, axis, key, i, x):
         return self.degens[(axis, tuple(key), i)][x]
 
+    def __repr__(self):
+        size = sum(map(len, self.cells.values()))
+        return f"<triSet {self.name} bounds={self.bounds} simplices={size}>"
+
 
 def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> TruncatedTrisimplicialSet:
-    b0, b1, b2 = bounds
-    keys = [(i, j, k) for i in range(b0 + 1) for j in range(b1 + 1) for k in range(b2 + 1)]
+    """A truncated trisimplicial set from enumeration and map rules: levels
+    now, each table on its first read."""
+    bounds = tuple(bounds)
+    keys = list(product(*(range(b + 1) for b in bounds)))
     cells = {key: _ordered(level_fn(key)) for key in keys}
-    T = TruncatedTrisimplicialSet(tuple(bounds), cells, {}, {}, name=name)
-    for key in keys:
-        for axis in range(3):
-            deg = key[axis]
-            lower = list(key)
-            lower[axis] -= 1
-            upper = list(key)
-            upper[axis] += 1
-            if deg >= 1:
-                allowed = set(cells[tuple(lower)])
-                for i in range(deg + 1):
-                    table = {}
-                    for x in cells[key]:
-                        y = face_fn(axis, key, i, x)
-                        if y not in allowed:
-                            raise TwoCatError(f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
-                        table[x] = y
-                    T.faces[(axis, key, i)] = table
-            if key[axis] < bounds[axis]:
-                allowed = set(cells[tuple(upper)])
-                for i in range(deg + 1):
-                    table = {}
-                    for x in cells[key]:
-                        y = degen_fn(axis, key, i, x)
-                        if y not in allowed:
-                            raise TwoCatError(f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
-                        table[x] = y
-                    T.degens[(axis, key, i)] = table
-    return T
+
+    def moved(key, axis, step):
+        out = list(key)
+        out[axis] += step
+        return tuple(out)
+
+    def face(k):
+        axis, key, i = k
+        return _table(partial(face_fn, axis, key, i), cells[key], cells[moved(key, axis, -1)],
+                      f"{name}: face axis{axis} d_{i} leaves window at {key}")
+
+    def degen(k):
+        axis, key, i = k
+        return _table(partial(degen_fn, axis, key, i), cells[key], cells[moved(key, axis, 1)],
+                      f"{name}: degeneracy axis{axis} s_{i} leaves window at {key}")
+
+    faces = LazyTables(((axis, key, i) for key in keys for axis in range(3)
+                        if key[axis] >= 1 for i in range(key[axis] + 1)), face)
+    degens = LazyTables(((axis, key, i) for key in keys for axis in range(3)
+                         if key[axis] < bounds[axis] for i in range(key[axis] + 1)), degen)
+    return TruncatedTrisimplicialSet(bounds, cells, faces, degens, name=name)
 
 
 def tri_slice(T: TruncatedTrisimplicialSet, axis, value) -> TruncatedBisimplicialSet:
@@ -492,17 +537,15 @@ def tri_slice(T: TruncatedTrisimplicialSet, axis, value) -> TruncatedBisimplicia
         key[axis], key[h], key[v] = value, p, q
         return tuple(key)
 
+    def along(tables, a):
+        return _view(tables, {(key[h], key[v], i): (ax, key, i) for ax, key, i in tables
+                              if ax == a and key[axis] == value})
+
     cells = {(p, q): T.level(key_of(p, q))
              for p in range(T.bounds[h] + 1) for q in range(T.bounds[v] + 1)}
-    hf = {(p, q, i): T.faces[(h, key_of(p, q), i)]
-          for (p, q) in cells if p >= 1 for i in range(p + 1)}
-    hd = {(p, q, i): T.degens[(h, key_of(p, q), i)]
-          for (p, q) in cells if p < T.bounds[h] for i in range(p + 1)}
-    vf = {(p, q, j): T.faces[(v, key_of(p, q), j)]
-          for (p, q) in cells if q >= 1 for j in range(q + 1)}
-    vd = {(p, q, j): T.degens[(v, key_of(p, q), j)]
-          for (p, q) in cells if q < T.bounds[v] for j in range(q + 1)}
-    return TruncatedBisimplicialSet(T.bounds[h], T.bounds[v], cells, hf, hd, vf, vd,
+    return TruncatedBisimplicialSet(T.bounds[h], T.bounds[v], cells,
+                                    along(T.faces, h), along(T.degens, h),
+                                    along(T.faces, v), along(T.degens, v),
                                     name=f"{T.name}|axis{axis}={value}")
 
 

@@ -8,8 +8,9 @@ and all details are plain strings.
 from __future__ import annotations
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
-                   functor_equal, functor_is_bijective, identity_functor,
-                   validate, validate_diagram, validate_diagram_morphism)
+                   constant_diagram, functor_equal, functor_is_bijective,
+                   identity_functor, same_category, validate, validate_diagram,
+                   validate_diagram_morphism)
 from .comma import (OVER, UNDER, comma, projections, retraction_R,
                     section_jz_iz)
 from .corpus import renaming_morphism
@@ -95,7 +96,6 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
 def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
     """Representative product-structure check: the constant diagram at the
     richest named fibre over the first 1-category base with two objects."""
-    from .core import constant_diagram
     bases = [C for _, C in _sorted(m.two_categories)
              if is_category(C) and len(C.objects) >= 2]
     values = sorted(m.two_categories.items(),
@@ -165,7 +165,6 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                 r.run(f"retraction[{name},{c},{y},{side}]", check)
     for fname, F in _sorted(m.two_functors):
         for dname, D in _sorted(m.diagrams):
-            from .core import same_category
             if not same_category(D.base, F.target):
                 continue
             side = OVER if D.variance == CONTRAVARIANT else UNDER
@@ -204,24 +203,64 @@ def suite_contractibility(m: Manifest, trunc: int, r: Runner):
                 r.run(f"contractible[{name},{c},{side}]", check)
 
 
+def _precondition(gates):
+    """The detail of the first gate whose report has a violation, else None.
+    `gates` yields (what, report) pairs, so a gate runs only once the gates
+    before it have passed."""
+    for what, rep in gates:
+        if not rep.ok:
+            return f"precondition: {what}: " + "; ".join(map(str, rep.violations[:3]))
+    return None
+
+
+def _category_gates(C):
+    yield "category", validate(C)
+
+
+def _diagram_gates(D):
+    yield "diagram", validate_diagram(D)
+    yield "grothendieck", validate(grothendieck(D))
+
+
+def _functor_gates(F):
+    yield "source", validate(F.source)
+    yield "target", validate(F.target)
+    yield "two_functor", check_cell_map("two_functor", F)
+
+
 def suite_invariance(m: Manifest, trunc: int, r: Runner):
+    """Homology comparisons; each check first validates its inputs and fails
+    with a `precondition` detail, before building any nerve, if they are
+    invalid."""
+    degrees = f"degrees 0..{trunc - 2}"
     for name, C in _sorted(m.two_categories):
-        r.run(f"aw_homology[{name}]", lambda C=C: (
-            is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2),
-            f"degrees 0..{trunc - 2}"))
+        def check(C=C):
+            bad = _precondition(_category_gates(C))
+            if bad:
+                return False, bad
+            return is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees
+        r.run(f"aw_homology[{name}]", check)
     for name, D in _sorted(m.diagrams):
-        r.run(f"aw_homology_groth[{name}]", lambda D=D: (
-            is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)),
-                                 trunc - 2),
-            f"degrees 0..{trunc - 2}"))
+        def check(D=D):
+            bad = _precondition(_diagram_gates(D))
+            if bad:
+                return False, bad
+            return (is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)),
+                                         trunc - 2), degrees)
+        r.run(f"aw_homology_groth[{name}]", check)
     for name, F in _sorted(m.two_functors):
         def check(F=F):
+            bad = _precondition(_functor_gates(F))
+            if bad:
+                return False, bad
             fib, G, Pi, iota, wit = projections(F, OVER)
-            return (is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2),
-                    f"degrees 0..{trunc - 2}")
+            return is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2), degrees
         r.run(f"projection_homology[{name}]", check)
     for name, D in _sorted(m.diagrams):
         def check(D=D):
+            bad = _precondition(_diagram_gates(D))
+            if bad:
+                return False, bad
             g = renaming_morphism(D)
             rep = validate_diagram_morphism(g)
             if not rep.ok:
@@ -232,7 +271,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             XE = tri_diag(nerve_simplicial_twocat(SE))
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
-            return (is_homology_iso_upto(f, trunc - 2), f"degrees 0..{trunc - 2}")
+            return is_homology_iso_upto(f, trunc - 2), degrees
         r.run(f"hocolim_invariance[{name}]", check)
 
 

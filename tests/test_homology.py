@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
@@ -50,6 +52,21 @@ def test_degree_out_of_range_rejected():
 def test_diag_nn_wtc_boundary_squares_to_zero():
     # construction itself verifies dd = 0
     normalized_chain_complex(diag_nn(walking_two_cell(), 4))
+
+
+def test_basis_in_repr_order():
+    # listing the objects in reverse changes the order of every level but
+    # neither the basis nor the boundary matrices
+    C = walking_two_cell()
+    X = diag_nn(dataclasses.replace(C, objects=C.objects[::-1]), 3)
+    assert list(X.level(1)) != sorted(X.level(1), key=repr)
+    cc = normalized_chain_complex(X)
+    for n in range(4):
+        assert list(cc.basis[n]) == sorted(cc.basis[n], key=repr)
+    same = normalized_chain_complex(diag_nn(C, 3))
+    assert (cc.basis, cc.boundary) == (same.basis, same.boundary)
+    ranks = [cc.dim(n) for n in range(4)]
+    assert repr(cc) == f"<ChainComplex Diag(NN(WTC)) N=3 ranks={ranks}>"
 
 
 def test_identity_induces_iso():

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +8,16 @@ import pytest
 
 from twocat.cli import bundled_manifest_path
 from twocat.manifest import ManifestError, parse, resolve, serialize
+from twocat.verify import run_suite
 
 DATA = Path(bundled_manifest_path())
+MUTANTS = DATA.parent / "mutants"
 
 
-def run_cli(*args):
+def run_cli(*args, hash_seed=None):
+    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     p = subprocess.run([sys.executable, "-m", "twocat.cli", *args],
-                       capture_output=True, text=True, timeout=500)
+                       capture_output=True, text=True, timeout=500, env=env)
     return p.returncode, p.stdout
 
 
@@ -95,10 +99,25 @@ def test_cli_unknown_name_is_input_error():
 
 
 def test_cli_verify_deterministic():
-    code1, out1 = run_cli("verify", "retractions")
-    code2, out2 = run_cli("verify", "retractions")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    # the same bytes under two string-hash seeds, for a passing and a
+    # failing report
+    m01 = str(MUTANTS / "m01_table_entry.manifest.json")
+    for argv, want in ((("verify", "all"), 0),
+                       (("--manifest", m01, "verify", "identities"), 1)):
+        code1, out1 = run_cli(*argv, hash_seed=0)
+        code2, out2 = run_cli(*argv, hash_seed=5)
+        assert code1 == code2 == want
+        assert out1 == out2
+
+
+def test_invariance_rejects_invalid_inputs_before_building():
+    # m10 corrupts a vertical composite of WAf, which is also a fibre of Dcov
+    rep = run_suite(parse(MUTANTS / "m10_vertical_composite.manifest.json"), "invariance")
+    failed = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    assert sorted(failed) == ["aw_homology[WAf]", "aw_homology_groth[Dcov]",
+                              "hocolim_invariance[Dcov]", "projection_homology[bang_WAf]",
+                              "projection_homology[push]"]
+    assert all(d.startswith("precondition: ") for d in failed.values()), failed
 
 
 def test_cli_report_written(tmp_path):
@@ -112,10 +131,10 @@ def test_cli_report_written(tmp_path):
 
 
 def test_mutants_all_detected():
-    idx = json.loads((DATA.parent / "mutants" / "index.json").read_text())
+    idx = json.loads((MUTANTS / "index.json").read_text())
     assert len(idx) == 10
     for item in idx:
-        path = DATA.parent / "mutants" / f"{item['name']}.manifest.json"
+        path = MUTANTS / f"{item['name']}.manifest.json"
         code, out = run_cli("--manifest", str(path), "verify", item["suite"])
         assert code != 0, f"{item['name']} not detected"
         # a named check or named input error must be present

@@ -1,11 +1,14 @@
 import pytest
 
 from twocat.builders import pt, walking_two_cell
-from twocat.nerves import double_nerve
-from twocat.simplicial import (ShallowWindowError, aw_map,
-                               check_simplicial_identities,
+from twocat.core import TwoCatError, identity_functor
+from twocat.hocolim import SimplicialTwoCategory
+from twocat.homology import normalized_chain_complex
+from twocat.nerves import double_nerve, nerve_simplicial_twocat
+from twocat.simplicial import (ShallowWindowError, aw_map, build_bisimplicial,
+                               build_simplicial, check_simplicial_identities,
                                check_simplicial_map, diag, simplicial_map,
-                               transpose, truncate, verify_iso, wbar)
+                               transpose, tri_slice, truncate, verify_iso, wbar)
 
 
 def test_wbar_point_singletons():
@@ -104,3 +107,78 @@ def test_diag_wbar_agree_at_level_zero_and_for_categories():
         assert [x for (x,) in W.level(0)] == list(D.level(0))
     B = double_nerve(walking_arrow(), 3)
     assert diag(B).sizes() == wbar(B).sizes()
+
+
+# -- tables built on first read ----------------------------------------------
+
+def _poisoned_double_nerve(C, n_max, bad):
+    """The double nerve of C rebuilt with an hface rule that raises on the
+    table key `bad`."""
+    B = double_nerve(C, n_max)
+
+    def hface(p, q, i, x):
+        if (p, q, i) == bad:
+            raise RuntimeError(f"table {bad} was built")
+        return B.hface(p, q, i, x)
+
+    return build_bisimplicial(n_max, n_max, B.level, hface, B.hdegen,
+                              B.vface, B.vdegen, name="poisoned")
+
+
+def test_unread_table_is_never_built():
+    # the diagonal reads hface only at (n, n-1): (1, 3, 0) stays unbuilt
+    X = _poisoned_double_nerve(walking_two_cell(), 3, (1, 3, 0))
+    D = diag(X)
+    assert D.sizes() == [2, 5, 10, 17]
+    assert check_simplicial_identities(D).ok
+    normalized_chain_complex(D)
+    with pytest.raises(RuntimeError, match="was built"):
+        X.hfaces[(1, 3, 0)]
+
+
+def test_table_leaving_window_raises_on_read():
+    X = build_simplicial(1, lambda n: [(n,)], lambda n, i, x: ("elsewhere",),
+                         lambda n, i, x: (1,), name="bad")
+    assert X.sizes() == [1, 1]
+    assert X.degen(0, 0, (0,)) == (1,)
+    with pytest.raises(TwoCatError, match="bad: face d_0 leaves level 0"):
+        X.faces[(1, 0)]
+
+
+def test_table_read_twice_is_the_same_object():
+    B = double_nerve(walking_two_cell(), 3)
+    assert B.hfaces[(2, 1, 0)] is B.hfaces[(2, 1, 0)]
+    # views share the tables of the set they view
+    assert transpose(B).vfaces[(1, 2, 0)] is B.hfaces[(2, 1, 0)]
+    X = diag(B)
+    assert truncate(X, 2).faces[(2, 1)] is X.faces[(2, 1)]
+    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 2))
+    assert tri_slice(T, 0, 1).vfaces[(2, 1, 0)] is T.faces[(2, (1, 2, 1), 0)]
+
+
+def test_table_membership_does_not_build():
+    X = diag(double_nerve(walking_two_cell(), 3))
+    assert (1, 0) in X.faces and (3, 3) in X.faces
+    assert (0, 0) not in X.faces and (4, 0) not in X.faces
+    assert (3, 0) not in X.degens
+    assert repr(X.faces) == "<tables 0 of 9 built>"
+    X.face(2, 1, X.level(2)[0])
+    assert repr(X.faces) == "<tables 1 of 9 built>"
+    assert (2, 0) not in truncate(X, 1).faces
+
+
+def test_short_reprs():
+    B = double_nerve(walking_two_cell(), 2)
+    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 1))
+    for obj in (B, T, B.hfaces, T.faces, transpose(B).vfaces, diag(B), aw_map(B)):
+        assert len(repr(obj)) < 200 and "0x" not in repr(obj)
+    assert repr(B).startswith("<bisSet NN(WTC) ")
+
+
+def _constant_simplicial(C, n_max):
+    """The constant simplicial 2-category at C."""
+    one = identity_functor(C)
+    return SimplicialTwoCategory(
+        n_max, [C] * (n_max + 1),
+        {(p, i): one for p in range(1, n_max + 1) for i in range(p + 1)},
+        {(p, i): one for p in range(n_max) for i in range(p + 1)}, name="const")
