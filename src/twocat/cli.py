@@ -7,6 +7,7 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -17,7 +18,7 @@ from .grothendieck import grothendieck
 from .hocolim import hocolim
 from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
-from .nerves import diag_nn, double_nerve, is_category, nerve_category, wbar_double_nerve
+from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
 from .simplicial import BudgetError, set_simplex_budget
 from .verify import SUITES, run_suite
 
@@ -160,52 +161,57 @@ def cmd_verify(args):
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="twocat",
+    # the global options go before or after the subcommand; with suppressed
+    # defaults, a subcommand that is not given one keeps the value before it
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--manifest", help="manifest path (default: bundled corpus)")
+    common.add_argument("--trunc", type=int,
+                        help="truncation bound (suite defaults: 3 for isos, 4 for homology)")
+    common.add_argument("--out", help="write the JSON report to this path")
+    common.add_argument("--budget", type=int,
+                        help="abort when any simplex level exceeds this size")
+    ap = argparse.ArgumentParser(prog="twocat", parents=[common],
                                  description="Finite strict 2-category toolkit")
-    ap.add_argument("--manifest", help="manifest path (default: bundled corpus)")
-    ap.add_argument("--trunc", type=int, default=None,
-                    help="truncation bound (suite defaults: 3 for isos, 4 for homology)")
-    ap.add_argument("--out", help="write the JSON report to this path")
-    ap.add_argument("--budget", type=int, default=None,
-                    help="abort when any simplex level exceeds this size")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("validate", help="validate named 2-categories and diagrams")
+    p = add_parser("validate", help="validate named 2-categories and diagrams")
     p.add_argument("--name")
     p.set_defaults(fn=cmd_validate, default_trunc=3)
 
     for cname, fn in (("nerve", cmd_nerve), ("wbar", cmd_wbar), ("diag", cmd_diag)):
-        p = sub.add_parser(cname, help=f"{cname} level sizes of a named 2-category")
+        p = add_parser(cname, help=f"{cname} level sizes of a named 2-category")
         p.add_argument("--name", required=True)
         p.set_defaults(fn=fn, default_trunc=3)
 
-    p = sub.add_parser("groth", help="assemble a named diagram and validate it")
+    p = add_parser("groth", help="assemble a named diagram and validate it")
     p.add_argument("--name", required=True)
     p.set_defaults(fn=cmd_groth, default_trunc=3)
 
-    p = sub.add_parser("hocolim", help="level summaries of the colimit of a named diagram")
+    p = add_parser("hocolim", help="level summaries of the colimit of a named diagram")
     p.add_argument("--name", required=True)
     p.set_defaults(fn=cmd_hocolim, default_trunc=3)
 
-    p = sub.add_parser("comma", help="homotopy fibre of a named 2-functor")
+    p = add_parser("comma", help="homotopy fibre of a named 2-functor")
     p.add_argument("--functor", required=True,
                    help="functor name, or id:CAT for an identity")
     p.add_argument("--object", required=True)
     p.add_argument("--side", choices=(OVER, UNDER), default=OVER)
     p.set_defaults(fn=cmd_comma, default_trunc=3)
 
-    p = sub.add_parser("homology", help="truncated integral homology of a diagonal nerve")
+    p = add_parser("homology", help="truncated integral homology of a diagonal nerve")
     p.add_argument("--name", help="2-category name")
     p.add_argument("--comma", help="FUNCTOR:OBJECT:SIDE (FUNCTOR may be id:CAT)")
     p.add_argument("--degree", type=int)
     p.set_defaults(fn=cmd_homology, default_trunc=4)
 
-    p = sub.add_parser("verify", help="run a bundled verification suite")
+    p = add_parser("verify", help="run a bundled verification suite")
     p.add_argument("suite_name", nargs="?", choices=SUITES)
     p.add_argument("--suite", choices=SUITES)
     p.set_defaults(fn=cmd_verify, default_trunc=None)
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, argparse.Namespace(manifest=None, trunc=None,
+                                                  out=None, budget=None))
     if args.trunc is None:
         args.trunc = getattr(args, "default_trunc", 3)
     if args.budget is not None:

@@ -247,14 +247,13 @@ def retraction_R(gamma, c, y, side: str = OVER, GD=None, GE=None, intG=None):
     Returns (K, L, R, section, witness) with K the ambient comma and L the
     fibrewise one.
     """
-    from .grothendieck import grothendieck as _g
     D, E = gamma.source, gamma.target
     C = D.base
     cov = D.variance == COVARIANT
     if (side == OVER) != cov:
         raise TwoCatError("retraction_R: side must match the diagram variance")
-    GD = GD if GD is not None else _g(D)
-    GE = GE if GE is not None else _g(E)
+    GD = GD if GD is not None else grothendieck(D)
+    GE = GE if GE is not None else grothendieck(E)
     intG = intG if intG is not None else grothendieck_morphism(gamma, GD, GE)
     Dc = D.ob[c]
     K = comma(intG, (c, y), side)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from .core import (COVARIANT, TwoCategory, TwoDiagram, TwoFunctor,
                    TwoNaturalTransformation, DiagramMorphism,
-                   DiagramModification, TwoCatError, make_two_category)
+                   DiagramModification, TwoCatError, make_two_category,
+                   same_category)
 
 
 def grothendieck(D: TwoDiagram) -> TwoCategory:
@@ -192,7 +193,6 @@ def fibre_embedding(D: TwoDiagram, c, G: TwoCategory = None) -> TwoFunctor:
 
 def pullback_diagram(F: TwoFunctor, D: TwoDiagram) -> TwoDiagram:
     """Restriction of a diagram along a 2-functor into its base."""
-    from .core import same_category
     if not same_category(F.target, D.base):
         raise TwoCatError("pullback_diagram: functor does not land in the base")
     A = F.source

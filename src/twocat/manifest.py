@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
-                   identity_functor, identity_natural)
+                   composable1, hcomposable2, identity_functor,
+                   identity_natural, natural_equal, vcomposable2)
 
 
 class ManifestError(Exception):
@@ -66,7 +67,6 @@ def _category_from_json(name, doc, errors, where):
     for a, (s, t) in C.two_cells.items():
         if s not in C.one_cells or t not in C.one_cells:
             errors.append(f"{where}.two_cells.{a}: unknown identifier")
-    from .core import composable1, vcomposable2, hcomposable2
     for g, f in composable1(C):
         if (g, f) not in C.hcomp1:
             errors.append(f"{where}.hcomp1: non-total table, missing ({g}, {f})")
@@ -275,7 +275,6 @@ def serialize(m: Manifest) -> dict:
 
 
 def _is_identity_transport(D: TwoDiagram, al) -> bool:
-    from .core import natural_equal
     if al not in set(D.base.id2.values()):
         return False
     f = D.base.dom2(al)

@@ -2,10 +2,14 @@
 
 Each check produces (name, status, detail); a suite passes iff every check
 does.  Reports are deterministic: entities are visited in sorted name order
-and all details are plain strings.
+and all details are plain strings.  A check that builds a construction
+first validates its inputs; if they are invalid it fails with a
+`precondition:` detail and builds nothing.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
                    constant_diagram, functor_equal, functor_is_bijective,
@@ -25,8 +29,8 @@ from .nerves import (diag_nn, diag_nn_map, double_nerve, is_category,
                      map_dn_simplex, nerve_category, repackage_staircase,
                      wbar_double_nerve, nerve_simplicial_twocat)
 from .simplicial import (aw_map, check_simplicial_identities,
-                         check_simplicial_map, diag, simplicial_map, tri_diag,
-                         verify_iso, wbar)
+                         check_simplicial_map, simplicial_map, tri_diag,
+                         verify_iso)
 
 SUITES = ("identities", "iso112", "iso114", "retractions", "oplax",
           "contractibility", "invariance", "all")
@@ -68,28 +72,30 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
         r.run(f"diagram_morphism[{name}]",
               lambda g=g: r.report_ok(validate_diagram_morphism(g), "naturality"))
     for name, C in _sorted(m.two_categories):
+        gate = partial(_category_gates, C)
         if is_category(C):
-            r.run(f"nerve_identities[{name}]", lambda C=C: r.report_ok(
-                check_simplicial_identities(nerve_category(C, trunc)), "identity"))
-        r.run(f"double_nerve_identities[{name}]", lambda C=C: r.report_ok(
-            check_simplicial_identities(double_nerve(C, trunc)), "identity"))
-        r.run(f"wbar_identities[{name}]", lambda C=C: r.report_ok(
-            check_simplicial_identities(wbar_double_nerve(C, trunc)), "identity"))
-        r.run(f"wbar_repackage[{name}]", lambda C=C: (
+            r.run(f"nerve_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
+                check_simplicial_identities(nerve_category(C, trunc)), "identity")))
+        r.run(f"double_nerve_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
+            check_simplicial_identities(double_nerve(C, trunc)), "identity")))
+        r.run(f"wbar_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
+            check_simplicial_identities(wbar_double_nerve(C, trunc)), "identity")))
+        r.run(f"wbar_repackage[{name}]", _gated(gate, lambda C=C: (
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f), "bijection"))(
-                repackage_staircase(C, max(trunc, 4)))))
+                repackage_staircase(C, max(trunc, 4))))))
     for name, D in _sorted(m.diagrams):
+        gate = partial(_diagram_gates, D)
         r.run(f"grothendieck_valid[{name}]",
               lambda D=D: r.report_ok(validate(grothendieck(D)), "axiom"))
-        r.run(f"hocolim_checks[{name}]", lambda D=D: r.report_ok(
-            check_simplicial_two_category(hocolim(D, trunc)), "identity"))
-        r.run(f"resolution_identities[{name}]", lambda D=D: r.report_ok(
+        r.run(f"hocolim_checks[{name}]", _gated(gate, lambda D=D: r.report_ok(
+            check_simplicial_two_category(hocolim(D, trunc)), "identity")))
+        r.run(f"resolution_identities[{name}]", _gated(gate, lambda D=D: r.report_ok(
             check_simplicial_identities(
                 build_E(D, trunc) if D.variance == COVARIANT
-                else build_E_pull(D, trunc)), "identity"))
+                else build_E_pull(D, trunc)), "identity")))
         if D.variance == CONTRAVARIANT:
-            r.run(f"reversal_bridge[{name}]", lambda D=D: r.report_ok(
-                reversal_bridge_report(D, trunc), "reversal"))
+            r.run(f"reversal_bridge[{name}]", _gated(gate, lambda D=D: r.report_ok(
+                reversal_bridge_report(D, trunc), "reversal")))
     _constant_level_checks(m, trunc, r)
 
 
@@ -103,10 +109,14 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
     if not bases or not values:
         return
     base, value = bases[0], values[0][1]
-    D = constant_diagram(base, value)
-    S = hocolim(D, trunc)
+
+    def gates():
+        yield "base", validate(base)
+        yield "value", validate(value)
 
     def check():
+        D = constant_diagram(base, value)
+        S = hocolim(D, trunc)
         for p in range(trunc + 1):
             iso = hocolim_level_product_iso(S, D, p)
             if not (check_cell_map("two_functor", iso).ok
@@ -114,7 +124,8 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
                 return False, f"level {p} not isomorphic to the product"
         return True, "ok"
 
-    r.run(f"constant_levels[{value.name} over {base.name}]", check)
+    r.run(f"constant_levels[{value.name} over {base.name}]",
+          _gated(gates, check))
 
 
 def suite_iso112(m: Manifest, trunc: int, r: Runner):
@@ -213,11 +224,25 @@ def _precondition(gates):
     return None
 
 
+def _gated(gates, check):
+    """A check that runs `check` only once every gate of `gates()` has
+    passed, and otherwise fails with the `_precondition` detail."""
+    def run():
+        bad = _precondition(gates())
+        return (False, bad) if bad else check()
+    return run
+
+
 def _category_gates(C):
     yield "category", validate(C)
 
 
 def _diagram_gates(D):
+    """Base, then fibres, then functoriality, then the assembly: each
+    validation presumes the ones before it."""
+    yield "base", validate(D.base)
+    for c in D.base.objects:
+        yield f"fibre {c}", validate(D.ob[c])
     yield "diagram", validate_diagram(D)
     yield "grothendieck", validate(grothendieck(D))
 
@@ -229,38 +254,22 @@ def _functor_gates(F):
 
 
 def suite_invariance(m: Manifest, trunc: int, r: Runner):
-    """Homology comparisons; each check first validates its inputs and fails
-    with a `precondition` detail, before building any nerve, if they are
-    invalid."""
+    """Homology comparisons of each named entity, behind its gates."""
     degrees = f"degrees 0..{trunc - 2}"
     for name, C in _sorted(m.two_categories):
-        def check(C=C):
-            bad = _precondition(_category_gates(C))
-            if bad:
-                return False, bad
-            return is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees
-        r.run(f"aw_homology[{name}]", check)
+        r.run(f"aw_homology[{name}]", _gated(partial(_category_gates, C), lambda C=C: (
+            is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees)))
     for name, D in _sorted(m.diagrams):
-        def check(D=D):
-            bad = _precondition(_diagram_gates(D))
-            if bad:
-                return False, bad
-            return (is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)),
-                                         trunc - 2), degrees)
-        r.run(f"aw_homology_groth[{name}]", check)
+        r.run(f"aw_homology_groth[{name}]", _gated(partial(_diagram_gates, D), lambda D=D: (
+            is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)), trunc - 2),
+            degrees)))
     for name, F in _sorted(m.two_functors):
         def check(F=F):
-            bad = _precondition(_functor_gates(F))
-            if bad:
-                return False, bad
             fib, G, Pi, iota, wit = projections(F, OVER)
             return is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2), degrees
-        r.run(f"projection_homology[{name}]", check)
+        r.run(f"projection_homology[{name}]", _gated(partial(_functor_gates, F), check))
     for name, D in _sorted(m.diagrams):
         def check(D=D):
-            bad = _precondition(_diagram_gates(D))
-            if bad:
-                return False, bad
             g = renaming_morphism(D)
             rep = validate_diagram_morphism(g)
             if not rep.ok:
@@ -272,7 +281,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
             return is_homology_iso_upto(f, trunc - 2), degrees
-        r.run(f"hocolim_invariance[{name}]", check)
+        r.run(f"hocolim_invariance[{name}]", _gated(partial(_diagram_gates, D), check))
 
 
 SUITE_FNS = {"identities": suite_identities,

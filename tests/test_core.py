@@ -1,10 +1,11 @@
 from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
-from twocat.core import (check_cell_map, discrete, hom_category,
-                         identity_functor, opposite, product, validate,
-                         validate_diagram, validate_diagram_morphism,
-                         TwoFunctor)
+from twocat.core import (check_cell_map, constant_diagram, discrete,
+                         hom_category, identity_functor, opposite, product,
+                         validate, validate_diagram, validate_diagram_morphism,
+                         validate_diagram_modification, DiagramModification,
+                         DiagramMorphism, TwoFunctor, TwoNaturalTransformation)
 
 
 def test_terminal_validates():
@@ -144,6 +145,33 @@ def test_modification_axiom():
     assert check_cell_map("modification", good).ok
     bad = Modification(eta_f, eta_g, {"*": "ef"})
     rep = check_cell_map("modification", bad)
+    assert not rep.ok
+
+
+def test_diagram_modification_axiom():
+    # over the arrow 0 -> 1, the constant diagram at WTC; the diagram morphism
+    # that collapses WTC to a, and the one that collapses it to b
+    C = walking_two_cell()
+    D = constant_diagram(walking_arrow(), C)
+
+    def collapse(x):
+        return TwoFunctor(C, C, {o: x for o in C.objects},
+                          {f: C.id1[x] for f in C.one_cells},
+                          {a: C.id2[C.id1[x]] for a in C.two_cells}, name=f"k{x}")
+
+    ka, kb = collapse("a"), collapse("b")
+    sigma = DiagramMorphism(D, D, {"0": ka, "1": ka})
+    tau = DiagramMorphism(D, D, {"0": kb, "1": kb})
+    assert validate_diagram_morphism(sigma).ok and validate_diagram_morphism(tau).ok
+    by_f, by_g = (TwoNaturalTransformation(ka, kb, {o: h for o in C.objects})
+                  for h in ("f", "g"))
+    assert check_cell_map("two_natural", by_f).ok and check_cell_map("two_natural", by_g).ok
+    assert validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f, "1": by_f})).ok
+    rep = validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f, "1": by_g}))
+    assert rep.violations == ["modification axiom fails at a"]
+    rep = validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f}))
+    assert rep.violations == ["component at 1 missing or wrongly typed"]
+    rep = validate_diagram_modification(DiagramModification(sigma, sigma, {"0": by_f, "1": by_f}))
     assert not rep.ok
 
 

@@ -1,13 +1,19 @@
 import dataclasses
+import importlib
+import random
 
 import pytest
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
-from twocat.core import TwoCatError
-from twocat.homology import (homology, induced_homology_map,
-                             is_homology_iso_upto, mat_mul,
+from twocat.cli import bundled_manifest_path
+from twocat.core import (TwoCatError, TwoFunctor, check_cell_map,
+                         make_two_category, product)
+from twocat.homology import (HomologyResult, chain_map, homology,
+                             induced_homology_map, invariant_factors,
+                             is_homology_iso_upto, mapping_cone, mat_mul,
                              normalized_chain_complex, smith_normal_form)
-from twocat.nerves import diag_nn, nerve_category
+from twocat.manifest import parse
+from twocat.nerves import diag_nn, diag_nn_map, nerve_category
 from twocat.simplicial import simplicial_map
 
 
@@ -26,6 +32,102 @@ def test_snf_transforms_consistent():
     n = len(V)
     prod = mat_mul(V, Vinv)
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def cyclic_group(n):
+    """B(Z/n): one object, the elements of Z/n as 1-cells composing by
+    addition, and only identity 2-cells."""
+    return make_two_category(
+        f"BZ{n}", ["*"], {f"g{i}": ("*", "*") for i in range(n)},
+        {f"e{i}": (f"g{i}", f"g{i}") for i in range(n)}, {"*": "g0"},
+        {f"g{i}": f"e{i}" for i in range(n)},
+        lambda g, f: f"g{(int(g[1:]) + int(f[1:])) % n}",
+        lambda b, a: b,
+        lambda b, a: f"e{(int(b[1:]) + int(a[1:])) % n}")
+
+
+def group_map(n, m, k):
+    """B(Z/n) -> B(Z/m) induced by g -> k g (m must divide k n)."""
+    F = TwoFunctor(cyclic_group(n), cyclic_group(m), {"*": "*"},
+                   {f"g{i}": f"g{k * i % m}" for i in range(n)},
+                   {f"e{i}": f"e{k * i % m}" for i in range(n)},
+                   name=f"x{k}: Z/{n} -> Z/{m}")
+    assert check_cell_map("two_functor", F).ok
+    return F
+
+
+def boundaries():
+    cats = parse(bundled_manifest_path()).two_categories
+    C = walking_two_cell()
+    complexes = [normalized_chain_complex(diag_nn(cats[name], 4)) for name in sorted(cats)]
+    complexes.append(normalized_chain_complex(diag_nn(product([C, C]), 3)))
+    complexes.append(normalized_chain_complex(diag_nn(cyclic_group(4), 4)))
+    return [pytest.param(cc.boundary[n], id=f"{cc.name}-d{n}") for cc in complexes
+            for n in range(1, cc.n_max + 1)]
+
+
+@pytest.mark.parametrize("M", boundaries())
+def test_invariant_factors_match_dense_snf_on_boundaries(M):
+    assert invariant_factors(M) == smith_normal_form(M)[0]
+
+
+def test_invariant_factors_match_dense_snf_on_random_matrices():
+    rng = random.Random(7)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [
+        (rng.randint(1, 8), rng.randint(1, 8)) for _ in range(400)]
+    for m, n in shapes:
+        density = rng.random()
+        M = [[rng.choice((1, -1, 2, -2, 3, 4, -6, 9)) if rng.random() < density else 0
+              for _ in range(n)] for _ in range(m)]
+        for i in rng.sample(range(m), m // 3):
+            M[i] = [0] * n
+        for j in rng.sample(range(n), n // 3):
+            for row in M:
+                row[j] = 0
+        assert invariant_factors(M) == smith_normal_form(M)[0], M
+
+
+def test_each_boundary_reduced_once(monkeypatch):
+    # the package's `homology` function hides the module of the same name
+    module = importlib.import_module("twocat.homology")
+    reduced = []
+    real = module.invariant_factors
+    monkeypatch.setattr(module, "invariant_factors",
+                        lambda M: reduced.append(id(M)) or real(M))
+    X = diag_nn(walking_two_cell(), 4)
+    cc = normalized_chain_complex(X)
+    for _ in range(2):
+        for i in range(4):
+            homology(cc, i)
+    assert sorted(reduced) == sorted(id(cc.boundary[n]) for n in range(1, 5))
+    reduced.clear()
+    assert is_homology_iso_upto(simplicial_map(X, X, lambda n, x: x), 3)
+    assert reduced and len(reduced) == len(set(reduced))
+
+
+def test_cone_detects_non_iso_with_equal_homology():
+    # g -> 2g on Z/4 is not an iso on H_1 = Z/4, though source and target
+    # have the same H_1: only the mapping cone sees it
+    f = diag_nn_map(group_map(4, 4, 2), 3)
+    assert is_homology_iso_upto(f, 0)
+    assert not is_homology_iso_upto(f, 1)
+    cone = mapping_cone(*chain_map(f), 2)
+    assert homology(cone, 0) == HomologyResult(0, 0, ())
+    assert homology(cone, 1) == HomologyResult(1, 0, (2,))
+
+
+def test_abstract_clause_detects_non_iso_with_acyclic_cone():
+    # Z/4 -> Z/2 is onto on H_1 and an iso on H_0, so the cone has no
+    # homology in degrees <= 1; H_1 = Z/4 and Z/2 differ
+    f = diag_nn_map(group_map(4, 2, 1), 3)
+    assert is_homology_iso_upto(f, 0)
+    assert not is_homology_iso_upto(f, 1)
+    cone = mapping_cone(*chain_map(f), 2)
+    assert [homology(cone, i) for i in range(2)] == [HomologyResult(i, 0, ()) for i in range(2)]
+
+
+def test_automorphism_of_cyclic_group_is_iso():
+    assert is_homology_iso_upto(diag_nn_map(group_map(4, 4, 3), 4), 2)
 
 
 def test_point_homology():

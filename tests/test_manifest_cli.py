@@ -1,24 +1,54 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import twocat
 from twocat.cli import bundled_manifest_path
 from twocat.manifest import ManifestError, parse, resolve, serialize
 from twocat.verify import run_suite
 
 DATA = Path(bundled_manifest_path())
 MUTANTS = DATA.parent / "mutants"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def run_cli(*args, hash_seed=None):
-    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+def run_cli(*args, hash_seed=None, cwd=None):
+    # the package directory goes first on the path, so that the child process
+    # imports this twocat from any working directory
+    path = os.pathsep.join(filter(None, (str(Path(twocat.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     p = subprocess.run([sys.executable, "-m", "twocat.cli", *args],
-                       capture_output=True, text=True, timeout=500, env=env)
+                       capture_output=True, text=True, timeout=500, env=env, cwd=cwd)
     return p.returncode, p.stdout
+
+
+def readme_usage_lines():
+    lines = README.read_text().split("## CLI", 1)[1].split("```")[1].splitlines()
+    return [line.split("#", 1)[0].strip() for line in lines if line.startswith("twocat ")]
+
+
+def test_readme_usage_lines_run(tmp_path):
+    lines = readme_usage_lines()
+    assert "twocat verify iso114 --out report.json" in lines
+    for line in lines:
+        code, out = run_cli(*shlex.split(line)[1:], cwd=tmp_path)
+        assert code == 0, (line, out)
+    assert json.loads((tmp_path / "report.json").read_text())["suite"] == "iso114"
+
+
+def test_global_options_after_subcommand():
+    before = run_cli("--trunc", "4", "wbar", "--name", "WTC")
+    assert before == run_cli("wbar", "--trunc", "4", "--name", "WTC")
+    assert before == run_cli("--trunc", "2", "wbar", "--name", "WTC", "--trunc", "4")
+    assert json.loads(before[1])["checks"][0]["detail"] == "[2, 4, 7, 11, 16]"
 
 
 def test_bundled_manifest_parses():
@@ -118,6 +148,39 @@ def test_invariance_rejects_invalid_inputs_before_building():
                               "hocolim_invariance[Dcov]", "projection_homology[bang_WAf]",
                               "projection_homology[push]"]
     assert all(d.startswith("precondition: ") for d in failed.values()), failed
+
+
+def test_identities_gate_constructions_on_validation():
+    # m01 corrupts one table entry of WTC; every construction check on WTC,
+    # on the diagrams with WTC as base or fibre and on the constant diagram
+    # at WTC fails at its gate instead of crashing in the construction
+    rep = run_suite(parse(MUTANTS / "m01_table_entry.manifest.json"), "identities")
+    failed = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
+    axiom = ("hcomp1 unit law fails at g; hcomp2[(eg, e1a)] has wrong boundary; "
+             "hcomp2[(phi, e1a)] has wrong boundary")
+    gated = {
+        "double_nerve_identities[WTC]": "category",
+        "wbar_identities[WTC]": "category",
+        "wbar_repackage[WTC]": "category",
+        "hocolim_checks[Dcov]": "fibre 0",
+        "resolution_identities[Dcov]": "fibre 0",
+        "hocolim_checks[Drep]": "base",
+        "resolution_identities[Drep]": "base",
+        "reversal_bridge[Drep]": "base",
+        "constant_levels[WTC over HOMab]": "value",
+    }
+    assert {name: failed[name] for name in gated} == \
+        {name: f"precondition: {gate}: {axiom}" for name, gate in gated.items()}
+    assert sorted(set(failed) - set(gated)) == [
+        "diagram[Dcov]", "diagram[Drep]", "grothendieck_valid[Dcov]",
+        "grothendieck_valid[Drep]", "validate[WTC]"]
+    assert not any(d.startswith(("TwoCatError", "KeyError")) for d in failed.values())
+    # m02 declares a composite on a non-composable pair of WTC: the only
+    # crash left is in the diagram check itself
+    rep = run_suite(parse(MUTANTS / "m02_noncomposable_pair.manifest.json"), "identities")
+    crashed = [c["name"] for c in rep["checks"] if c["status"] == "fail"
+               and not c["detail"].startswith(("precondition: ", "axiom: "))]
+    assert crashed == ["diagram[Drep]"]
 
 
 def test_cli_report_written(tmp_path):
