@@ -19,7 +19,7 @@ from .hocolim import hocolim
 from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
 from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
-from .simplicial import BudgetError, set_simplex_budget
+from .simplicial import BudgetError, simplex_budget
 from .verify import SUITES, run_suite
 
 
@@ -214,10 +214,9 @@ def main(argv=None) -> int:
                                                   out=None, budget=None))
     if args.trunc is None:
         args.trunc = getattr(args, "default_trunc", 3)
-    if args.budget is not None:
-        set_simplex_budget(args.budget)
     try:
-        return args.fn(args)
+        with simplex_budget(args.budget):
+            return args.fn(args)
     except ManifestError as exc:
         print(json.dumps({"status": "input-error", "errors": exc.errors[:20]},
                          indent=1, sort_keys=True))

@@ -719,12 +719,19 @@ class TwoDiagram:
 
 
 def validate_diagram(D: TwoDiagram) -> ValidationReport:
-    """Strict functoriality of a 2-diagram, including the 2-cell level."""
+    """Strict functoriality of a 2-diagram, including the 2-cell level.  The
+    base and the fibres are validated first: transports are composed only
+    in valid 2-categories, so the report never stops at a missing composite."""
     r = ValidationReport()
     C = D.base
     cov = D.variance == COVARIANT
     if D.variance not in (COVARIANT, CONTRAVARIANT):
         r.add(f"unknown variance {D.variance}")
+        return r
+    for where, A in (("base", C), *((f"fibre {c}", D.ob[c]) for c in C.objects)):
+        for v in validate(A).violations:
+            r.add(f"{where}: {v}")
+    if not r.ok:
         return r
     for f, (a, b) in C.one_cells.items():
         F = D.one.get(f)

@@ -148,34 +148,36 @@ def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
             grow((a,), [])
         return out
 
-    def unpack(x):
-        objs, fcols, acols = x
-        return objs, [((f), (a)) for f, a in zip(fcols, acols)]
-
-    def pack(objs, cols):
-        return (tuple(objs), tuple(f for f, _ in cols), tuple(a for _, a in cols))
-
     def hface(p, q, i, x):
-        objs, cols = unpack(x)
+        objs, fcols, acols = x
         if i == 0:
-            return pack(objs[1:], cols[1:])
+            return objs[1:], fcols[1:], acols[1:]
         if i == p:
-            return pack(objs[:-1], cols[:-1])
-        merged = _merge_cols(C, cols[i - 1], cols[i])
-        return pack(objs[:i] + objs[i + 1:], cols[:i - 1] + [merged] + cols[i + 1:])
+            return objs[:-1], fcols[:-1], acols[:-1]
+        fs, asq = _merge_cols(C, (fcols[i - 1], acols[i - 1]), (fcols[i], acols[i]))
+        return (objs[:i] + objs[i + 1:], fcols[:i - 1] + (fs,) + fcols[i + 1:],
+                acols[:i - 1] + (asq,) + acols[i + 1:])
 
     def hdegen(p, q, i, x):
-        objs, cols = unpack(x)
-        return pack(objs[:i + 1] + (objs[i],) + objs[i + 1:],
-                    cols[:i] + [_identity_col(C, objs[i], q)] + cols[i:])
+        objs, fcols, acols = x
+        fs, asq = _identity_col(C, objs[i], q)
+        return (objs[:i + 1] + (objs[i],) + objs[i + 1:], fcols[:i] + (fs,) + fcols[i:],
+                acols[:i] + (asq,) + acols[i:])
 
     def vface(p, q, j, x):
-        objs, cols = unpack(x)
-        return pack(objs, [_col_vface(C, col, j) for col in cols])
+        objs, fcols, acols = x
+        if j == 0:
+            return objs, tuple(fs[1:] for fs in fcols), tuple(asq[1:] for asq in acols)
+        if j == q:
+            return objs, tuple(fs[:-1] for fs in fcols), tuple(asq[:-1] for asq in acols)
+        return (objs, tuple(fs[:j] + fs[j + 1:] for fs in fcols),
+                tuple(asq[:j - 1] + (C.vcomp(asq[j], asq[j - 1]),) + asq[j + 1:]
+                      for asq in acols))
 
     def vdegen(p, q, j, x):
-        objs, cols = unpack(x)
-        return pack(objs, [_col_vdegen(C, col, j) for col in cols])
+        objs, fcols, acols = x
+        return (objs, tuple(fs[:j + 1] + (fs[j],) + fs[j + 1:] for fs in fcols),
+                tuple(asq[:j] + (C.id2[fs[j]],) + asq[j:] for fs, asq in zip(fcols, acols)))
 
     return build_bisimplicial(n_max, n_max, level, hface, hdegen, vface, vdegen,
                               name=f"NN({C.name})")

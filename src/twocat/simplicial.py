@@ -5,10 +5,21 @@ yields the simplices (duplicates dropped), and checked against the simplex
 budget.  Each face and degeneracy table is a total dictionary, built from
 its rule the first time it is read and kept from then on, so that every
 later application is a lookup and fault injection in fixtures is direct.
-Building a table checks that every image lies in the target level.  Most
-checks read only a diagonal, so the off-diagonal tables of a nerve are
-never built.  Transposes, slices, rows and truncations share the tables of
-the set they view and build nothing themselves.
+Building a table checks that every image lies in the target level and
+stores the target level's own simplex, not the rule's fresh copy: images
+are interned, so a table costs one slot per simplex.  Most checks read
+only a diagonal, so the off-diagonal tables of a nerve are never built.
+Transposes, slices, rows and truncations share the tables of the set they
+view and build nothing themselves.
+
+The identity checkers number every level in its stored order once per
+check and turn each table they read into the list of its images' numbers,
+once per check and shared by every view of the table.  An identity is then
+a comparison of two composed integer lists over the whole source level;
+only when they differ is the level walked simplex by simplex to name the
+violations.  A table that cannot be coded (a fault-injected image outside
+its target level, a missing entry) is checked by the plain per-simplex
+lookups instead.
 
 Levels carry no canonical order; only the bases of chain complexes
 (homology module) are sorted, by `repr`.  Degenerate simplices are stored
@@ -18,9 +29,11 @@ explicitly; the normalized chain complex quotients them later.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import is_
 
 from .core import TwoCatError, ValidationReport
 
@@ -36,9 +49,18 @@ class BudgetError(TwoCatError):
 _SIMPLEX_BUDGET = 500_000
 
 
-def set_simplex_budget(n: int) -> None:
+@contextmanager
+def simplex_budget(n):
+    """The simplex budget `n` inside the block (None keeps the current one);
+    the previous budget is back when the block ends."""
     global _SIMPLEX_BUDGET
-    _SIMPLEX_BUDGET = n
+    previous = _SIMPLEX_BUDGET
+    if n is not None:
+        _SIMPLEX_BUDGET = n
+    try:
+        yield
+    finally:
+        _SIMPLEX_BUDGET = previous
 
 
 def _ordered(cells) -> tuple:
@@ -83,15 +105,19 @@ class LazyTables(Mapping):
         return f"<tables {len(self._built)} of {len(self._keys)} built>"
 
 
-def _table(rule, source, target, where) -> dict:
-    """{x: rule(x)} over the level `source`; every image must lie in the
-    level `target`."""
-    allowed = set(target)
+_ABSENT = object()
+
+
+def _table(rule, source, target, fail) -> dict:
+    """{x: rule(x)} over the level `source`, each image replaced by the equal
+    simplex of the level `target`; an image outside `target` raises
+    TwoCatError(fail(x))."""
+    canon = {y: y for y in target}
     table = {}
     for x in source:
-        y = rule(x)
-        if y not in allowed:
-            raise TwoCatError(f"{where} {x!r}")
+        y = canon.get(rule(x), _ABSENT)
+        if y is _ABSENT:
+            raise TwoCatError(fail(x))
         table[x] = y
     return table
 
@@ -100,6 +126,105 @@ def _view(tables, keys) -> LazyTables:
     """The tables of another set under new keys: `keys` maps each new key to
     the key of the table it stands for."""
     return LazyTables(keys, lambda key: tables[keys[key]])
+
+
+# ---------------------------------------------------------------------------
+# index-coded identity checks
+# ---------------------------------------------------------------------------
+#
+# A step (tables, key, source, target) is the map tables[key] from the level
+# `source` to the level `target`; a path is a list of steps, applied first to
+# last.  A condition (head, lhs, rhs) asks that two paths agree on every
+# simplex x of a level and reports f"{head} on {x!r}" where they do not.
+
+class _Codes:
+    """Levels numbered in their stored order and tables coded as the lists
+    of their images' numbers, each made once and kept for one check."""
+
+    def __init__(self):
+        # keyed by ids; each entry keeps its objects alive, so no id is reused
+        # while the check runs
+        self._numbers = {}  # id(level) -> numbering, see _number
+        self._codes = {}    # ids of (table, source, target) -> (those three, code)
+
+    def _number(self, level):
+        """(level, {id(y): k}, {y: k}, [k of each y]) with k the first place
+        of a simplex equal to y."""
+        hit = self._numbers.get(id(level))
+        if hit is None:
+            by_value = {}
+            for k, y in enumerate(level):
+                by_value.setdefault(y, k)
+            by_id = {id(y): by_value[y] for y in level}
+            hit = self._numbers[id(level)] = (
+                level, by_id, by_value, [by_id[id(y)] for y in level])
+        return hit
+
+    def code(self, table, source, target):
+        """[number of table[x] in target for x in source], or None when an
+        entry is missing or an image is not in `target`."""
+        key = (id(table), id(source), id(target))
+        hit = self._codes.get(key)
+        if hit is not None:
+            return hit[1]
+        _, by_id, by_value, _ = self._number(target)
+        # a table built from `source` has its simplices as keys, in order
+        if len(table) == len(source) and all(map(is_, table, source)):
+            images = table.values()
+        else:
+            images = [table.get(x, _ABSENT) for x in source]
+        try:
+            code = [by_id[id(y)] for y in images]
+        except KeyError:
+            try:
+                code = [by_value[y] for y in images]
+            except (KeyError, TypeError):
+                code = None
+        self._codes[key] = ((table, source, target), code)
+        return code
+
+    def path(self, level, steps):
+        """The composite of `steps` as a list over `level`, or None."""
+        code = None
+        for tables, key, source, target in steps:
+            step = self.code(tables[key], source, target)
+            if step is None:
+                return None
+            code = step if code is None else [step[k] for k in code]
+        return self._number(level)[3] if code is None else code
+
+
+def _apply(steps, x):
+    for tables, key, _, _ in steps:
+        x = tables[key][x]
+    return x
+
+
+def _check_conditions(r: ValidationReport, codes: _Codes, groups) -> None:
+    """Report every violated condition of `groups`, pairs (level, conditions)
+    whose conditions are checked in turn on each simplex of the level."""
+    for level, conditions in groups:
+        if not level:
+            continue
+        differ = []
+        for head, lhs, rhs in conditions:
+            a = codes.path(level, lhs)
+            b = None if a is None else codes.path(level, rhs)
+            if b is None:
+                differ = None
+                break
+            if a != b:
+                differ.append((head, a, b))
+        if differ is None:
+            for x in level:
+                for head, lhs, rhs in conditions:
+                    if _apply(lhs, x) != _apply(rhs, x):
+                        r.add(f"{head} on {x!r}")
+        elif differ:
+            for k, x in enumerate(level):
+                for head, a, b in differ:
+                    if a[k] != b[k]:
+                        r.add(f"{head} on {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +263,12 @@ def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSi
     def face(key):
         n, i = key
         return _table(partial(face_fn, n, i), cells[n], cells[n - 1],
-                      f"{name}: face d_{i} leaves level {n - 1} at")
+                      lambda x: f"{name}: face d_{i} leaves level {n - 1} at {x!r}")
 
     def degen(key):
         n, i = key
         return _table(partial(degen_fn, n, i), cells[n], cells[n + 1],
-                      f"{name}: degeneracy s_{i} leaves level {n + 1} at")
+                      lambda x: f"{name}: degeneracy s_{i} leaves level {n + 1} at {x!r}")
 
     faces = LazyTables(((n, i) for n in range(1, n_max + 1) for i in range(n + 1)), face)
     degens = LazyTables(((n, i) for n in range(n_max) for i in range(n + 1)), degen)
@@ -151,6 +276,10 @@ def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSi
 
 
 def check_simplicial_set(X: TruncatedSimplicialSet) -> ValidationReport:
+    return _check_simplicial_set(X, _Codes())
+
+
+def _check_simplicial_set(X: TruncatedSimplicialSet, codes: _Codes) -> ValidationReport:
     r = ValidationReport()
     N = X.n_max
     for n in range(1, N + 1):
@@ -163,32 +292,37 @@ def check_simplicial_set(X: TruncatedSimplicialSet) -> ValidationReport:
                 r.add(f"missing degeneracy table s_{i} at level {n}")
     if not r.ok:
         return r
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                for x in X.level(n):
-                    if X.face(n - 1, i, X.face(n, j, x)) != X.face(n - 1, j - 1, X.face(n, i, x)):
-                        r.add(f"d_{i} d_{j} identity fails at level {n} on {x!r}")
-    for n in range(N - 1):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                for x in X.level(n):
-                    if X.degen(n + 1, i, X.degen(n, j, x)) != X.degen(n + 1, j + 1, X.degen(n, i, x)):
-                        r.add(f"s_{i} s_{j} identity fails at level {n} on {x!r}")
-    for n in range(N):
-        for j in range(n + 1):
-            for i in range(n + 2):
-                for x in X.level(n):
-                    y = X.degen(n, j, x)
-                    got = X.face(n + 1, i, y)
+
+    def d(n, i):
+        return (X.faces, (n, i), X.level(n), X.level(n - 1))
+
+    def s(n, i):
+        return (X.degens, (n, i), X.level(n), X.level(n + 1))
+
+    def identities():
+        for n in range(2, N + 1):
+            for j in range(n + 1):
+                for i in range(j):
+                    yield X.level(n), [(f"d_{i} d_{j} identity fails at level {n}",
+                                        [d(n, j), d(n - 1, i)], [d(n, i), d(n - 1, j - 1)])]
+        for n in range(N - 1):
+            for j in range(n + 1):
+                for i in range(j + 1):
+                    yield X.level(n), [(f"s_{i} s_{j} identity fails at level {n}",
+                                        [s(n, j), s(n + 1, i)], [s(n, i), s(n + 1, j + 1)])]
+        for n in range(N):
+            for j in range(n + 1):
+                for i in range(n + 2):
                     if i < j:
-                        want = X.degen(n - 1, j - 1, X.face(n, i, x)) if n >= 1 else None
+                        want = [d(n, i), s(n - 1, j - 1)]
                     elif i in (j, j + 1):
-                        want = x
+                        want = []
                     else:
-                        want = X.degen(n - 1, j, X.face(n, i - 1, x)) if n >= 1 else None
-                    if want is not None and got != want:
-                        r.add(f"d_{i} s_{j} identity fails at level {n} on {x!r}")
+                        want = [d(n, i - 1), s(n - 1, j)]
+                    yield X.level(n), [(f"d_{i} s_{j} identity fails at level {n}",
+                                        [s(n, j), d(n + 1, i)], want)]
+
+    _check_conditions(r, codes, identities())
     return r
 
 
@@ -207,34 +341,36 @@ class SimplicialMap:
 
 
 def simplicial_map(source, target, fn, name="") -> SimplicialMap:
+    """{x: fn(n, x)} on every level, each image replaced by the equal
+    simplex of the target level; every image must lie in that level."""
     if source.n_max != target.n_max:
         raise ShallowWindowError(f"{name}: source and target bounds differ")
-    maps = {}
-    for n in range(source.n_max + 1):
-        tgt_level = set(target.level(n))
-        table = {}
-        for x in source.level(n):
-            y = fn(n, x)
-            if y not in tgt_level:
-                raise TwoCatError(f"{name}: image of level-{n} simplex {x!r} not in target")
-            table[x] = y
-        maps[n] = table
+    maps = {n: _table(partial(fn, n), source.level(n), target.level(n),
+                      lambda x: f"{name}: image of level-{n} simplex {x!r} not in target")
+            for n in range(source.n_max + 1)}
     return SimplicialMap(source, target, maps, name=name)
 
 
 def check_simplicial_map(f: SimplicialMap) -> ValidationReport:
     r = ValidationReport()
     X, Y = f.source, f.target
-    for n in range(1, X.n_max + 1):
-        for i in range(n + 1):
-            for x in X.level(n):
-                if f.at(n - 1, X.face(n, i, x)) != Y.face(n, i, f.at(n, x)):
-                    r.add(f"map does not commute with d_{i} at level {n} on {x!r}")
-    for n in range(X.n_max):
-        for i in range(n + 1):
-            for x in X.level(n):
-                if f.at(n + 1, X.degen(n, i, x)) != Y.degen(n, i, f.at(n, x)):
-                    r.add(f"map does not commute with s_{i} at level {n} on {x!r}")
+
+    def at(n):
+        return (f.maps, n, X.level(n), Y.level(n))
+
+    def conditions():
+        for n in range(1, X.n_max + 1):
+            for i in range(n + 1):
+                yield X.level(n), [(f"map does not commute with d_{i} at level {n}",
+                                    [(X.faces, (n, i), X.level(n), X.level(n - 1)), at(n - 1)],
+                                    [at(n), (Y.faces, (n, i), Y.level(n), Y.level(n - 1))])]
+        for n in range(X.n_max):
+            for i in range(n + 1):
+                yield X.level(n), [(f"map does not commute with s_{i} at level {n}",
+                                    [(X.degens, (n, i), X.level(n), X.level(n + 1)), at(n + 1)],
+                                    [at(n), (Y.degens, (n, i), Y.level(n), Y.level(n + 1))])]
+
+    _check_conditions(r, _Codes(), conditions())
     return r
 
 
@@ -295,7 +431,7 @@ def build_bisimplicial(p_max, q_max, level_fn, hface_fn, hdegen_fn,
         def build(key):
             p, q, i = key
             return _table(partial(fn, p, q, i), cells[(p, q)], cells[(p + dp, q + dq)],
-                          f"{name}: map {key} leaves window at")
+                          lambda x: f"{name}: map {key} leaves window at {x!r}")
         return LazyTables(keys, build)
 
     P, Q = range(p_max + 1), range(q_max + 1)
@@ -316,40 +452,62 @@ def _row_as_simplicial(B: TruncatedBisimplicialSet, p) -> TruncatedSimplicialSet
 
 
 def check_bisimplicial_set(B: TruncatedBisimplicialSet) -> ValidationReport:
+    return _check_bisimplicial_set(B, _Codes())
+
+
+def _check_bisimplicial_set(B: TruncatedBisimplicialSet, codes: _Codes) -> ValidationReport:
     r = ValidationReport()
     # identities in each direction, via the simplicial checker on rows/columns
     for p in range(B.p_max + 1):
-        row = _row_as_simplicial(B, p)
-        rep = check_simplicial_set(row)
+        rep = _check_simplicial_set(_row_as_simplicial(B, p), codes)
         for v in rep.violations:
             r.add(f"vertical (p={p}): {v}")
     T = transpose(B)
     for q in range(T.p_max + 1):
-        row = _row_as_simplicial(T, q)
-        rep = check_simplicial_set(row)
+        rep = _check_simplicial_set(_row_as_simplicial(T, q), codes)
         for v in rep.violations:
             r.add(f"horizontal (q={q}): {v}")
+
     # horizontal/vertical commutation
-    for (p, q), xs in B.cells.items():
-        for i in range(p + 1):
-            for j in range(q + 1):
-                for x in xs:
+    def step(tables, p, q, i, dp, dq):
+        return (tables, (p, q, i), B.level(p, q), B.level(p + dp, q + dq))
+
+    def hd(p, q, i):
+        return step(B.hfaces, p, q, i, -1, 0)
+
+    def hs(p, q, i):
+        return step(B.hdegens, p, q, i, 1, 0)
+
+    def vd(p, q, j):
+        return step(B.vfaces, p, q, j, 0, -1)
+
+    def vs(p, q, j):
+        return step(B.vdegens, p, q, j, 0, 1)
+
+    def commutations():
+        for (p, q), xs in B.cells.items():
+            for i in range(p + 1):
+                for j in range(q + 1):
+                    conditions = []
                     if p >= 1 and q >= 1:
-                        if B.vface(p - 1, q, j, B.hface(p, q, i, x)) != \
-                           B.hface(p, q - 1, i, B.vface(p, q, j, x)):
-                            r.add(f"dh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
+                        conditions.append((f"dh_{i} dv_{j} do not commute at ({p},{q})",
+                                           [hd(p, q, i), vd(p - 1, q, j)],
+                                           [vd(p, q, j), hd(p, q - 1, i)]))
                     if p >= 1 and q < B.q_max:
-                        if B.vdegen(p - 1, q, j, B.hface(p, q, i, x)) != \
-                           B.hface(p, q + 1, i, B.vdegen(p, q, j, x)):
-                            r.add(f"dh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
+                        conditions.append((f"dh_{i} sv_{j} do not commute at ({p},{q})",
+                                           [hd(p, q, i), vs(p - 1, q, j)],
+                                           [vs(p, q, j), hd(p, q + 1, i)]))
                     if p < B.p_max and q >= 1:
-                        if B.vface(p + 1, q, j, B.hdegen(p, q, i, x)) != \
-                           B.hdegen(p, q - 1, i, B.vface(p, q, j, x)):
-                            r.add(f"sh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
+                        conditions.append((f"sh_{i} dv_{j} do not commute at ({p},{q})",
+                                           [hs(p, q, i), vd(p + 1, q, j)],
+                                           [vd(p, q, j), hs(p, q - 1, i)]))
                     if p < B.p_max and q < B.q_max:
-                        if B.vdegen(p + 1, q, j, B.hdegen(p, q, i, x)) != \
-                           B.hdegen(p, q + 1, i, B.vdegen(p, q, j, x)):
-                            r.add(f"sh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
+                        conditions.append((f"sh_{i} sv_{j} do not commute at ({p},{q})",
+                                           [hs(p, q, i), vs(p + 1, q, j)],
+                                           [vs(p, q, j), hs(p, q + 1, i)]))
+                    yield xs, conditions
+
+    _check_conditions(r, codes, commutations())
     return r
 
 
@@ -512,12 +670,12 @@ def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> Truncat
     def face(k):
         axis, key, i = k
         return _table(partial(face_fn, axis, key, i), cells[key], cells[moved(key, axis, -1)],
-                      f"{name}: face axis{axis} d_{i} leaves window at {key}")
+                      lambda x: f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
 
     def degen(k):
         axis, key, i = k
         return _table(partial(degen_fn, axis, key, i), cells[key], cells[moved(key, axis, 1)],
-                      f"{name}: degeneracy axis{axis} s_{i} leaves window at {key}")
+                      lambda x: f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
 
     faces = LazyTables(((axis, key, i) for key in keys for axis in range(3)
                         if key[axis] >= 1 for i in range(key[axis] + 1)), face)
@@ -565,10 +723,10 @@ def tri_diag(T: TruncatedTrisimplicialSet) -> TruncatedSimplicialSet:
 
 def check_trisimplicial_set(T: TruncatedTrisimplicialSet) -> ValidationReport:
     r = ValidationReport()
+    codes = _Codes()
     for axis in range(3):
         for value in range(T.bounds[axis] + 1):
-            B = tri_slice(T, axis, value)
-            rep = check_bisimplicial_set(B)
+            rep = _check_bisimplicial_set(tri_slice(T, axis, value), codes)
             for v in rep.violations:
                 r.add(f"slice axis{axis}={value}: {v}")
     return r

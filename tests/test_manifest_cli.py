@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import twocat
-from twocat.cli import bundled_manifest_path
+from twocat.cli import bundled_manifest_path, main
 from twocat.manifest import ManifestError, parse, resolve, serialize
 from twocat.verify import run_suite
 
@@ -175,12 +175,17 @@ def test_identities_gate_constructions_on_validation():
         "diagram[Dcov]", "diagram[Drep]", "grothendieck_valid[Dcov]",
         "grothendieck_valid[Drep]", "validate[WTC]"]
     assert not any(d.startswith(("TwoCatError", "KeyError")) for d in failed.values())
-    # m02 declares a composite on a non-composable pair of WTC: the only
-    # crash left is in the diagram check itself
+    # m02 declares a composite on a non-composable pair of WTC: no check
+    # crashes; the diagrams with WTC as base or fibre report it
     rep = run_suite(parse(MUTANTS / "m02_noncomposable_pair.manifest.json"), "identities")
     crashed = [c["name"] for c in rep["checks"] if c["status"] == "fail"
-               and not c["detail"].startswith(("precondition: ", "axiom: "))]
-    assert crashed == ["diagram[Drep]"]
+               and not c["detail"].startswith(("precondition: ", "axiom: ",
+                                               "TwoDiagram invariant: "))]
+    assert crashed == []
+    details = {c["name"]: c["detail"] for c in rep["checks"]}
+    bad_pair = "vcomp2 declared on non-composable pair ('phi', 'phi')"
+    assert details["diagram[Drep]"] == f"TwoDiagram invariant: base: {bad_pair}"
+    assert details["diagram[Dcov]"] == f"TwoDiagram invariant: fibre 0: {bad_pair}"
 
 
 def test_cli_report_written(tmp_path):
@@ -212,3 +217,11 @@ def test_cli_budget_aborts_cleanly():
     code, out = run_cli("--budget", "3", "--trunc", "3", "wbar", "--name", "WTC")
     assert code == 2
     assert "budget" in out
+
+
+def test_cli_budget_does_not_outlive_its_call(capsys):
+    # the budget of one in-process call must not apply to the next call
+    assert main(["--budget", "3", "--trunc", "3", "wbar", "--name", "WTC"]) == 2
+    assert "budget" in capsys.readouterr().out
+    assert main(["--trunc", "3", "wbar", "--name", "WTC"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == "[2, 4, 7, 11]"

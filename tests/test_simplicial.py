@@ -1,13 +1,17 @@
+import random
+import re
+
 import pytest
 
 from twocat.builders import pt, walking_two_cell
-from twocat.core import TwoCatError, identity_functor
+from twocat.core import TwoCatError, ValidationReport, identity_functor
 from twocat.hocolim import SimplicialTwoCategory
 from twocat.homology import normalized_chain_complex
-from twocat.nerves import double_nerve, nerve_simplicial_twocat
-from twocat.simplicial import (ShallowWindowError, aw_map, build_bisimplicial,
-                               build_simplicial, check_simplicial_identities,
-                               check_simplicial_map, diag, simplicial_map,
+from twocat.nerves import diag_nn, double_nerve, nerve_simplicial_twocat
+from twocat.simplicial import (ShallowWindowError, TruncatedSimplicialSet, aw_map,
+                               build_bisimplicial, build_simplicial, check_bisimplicial_set,
+                               check_simplicial_identities, check_simplicial_map,
+                               check_simplicial_set, diag, simplicial_map,
                                transpose, tri_slice, truncate, verify_iso, wbar)
 
 
@@ -182,3 +186,237 @@ def _constant_simplicial(C, n_max):
         n_max, [C] * (n_max + 1),
         {(p, i): one for p in range(1, n_max + 1) for i in range(p + 1)},
         {(p, i): one for p in range(n_max) for i in range(p + 1)}, name="const")
+
+
+# -- index-coded checkers against the per-simplex reference loops ------------
+#
+# The reference checkers below look up every face and degeneracy of every
+# simplex, one at a time; the library's checkers must return exactly their
+# violation lists, in the same order, on tables corrupted at random.
+
+def _ref_simplicial_set(X):
+    r = ValidationReport()
+    N = X.n_max
+    for n in range(2, N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                for x in X.level(n):
+                    if X.face(n - 1, i, X.face(n, j, x)) != X.face(n - 1, j - 1, X.face(n, i, x)):
+                        r.add(f"d_{i} d_{j} identity fails at level {n} on {x!r}")
+    for n in range(N - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                for x in X.level(n):
+                    if X.degen(n + 1, i, X.degen(n, j, x)) != X.degen(n + 1, j + 1, X.degen(n, i, x)):
+                        r.add(f"s_{i} s_{j} identity fails at level {n} on {x!r}")
+    for n in range(N):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                for x in X.level(n):
+                    y = X.degen(n, j, x)
+                    got = X.face(n + 1, i, y)
+                    if i < j:
+                        want = X.degen(n - 1, j - 1, X.face(n, i, x)) if n >= 1 else None
+                    elif i in (j, j + 1):
+                        want = x
+                    else:
+                        want = X.degen(n - 1, j, X.face(n, i - 1, x)) if n >= 1 else None
+                    if want is not None and got != want:
+                        r.add(f"d_{i} s_{j} identity fails at level {n} on {x!r}")
+    return r
+
+
+def _ref_row(B, p):
+    cells = {q: B.level(p, q) for q in range(B.q_max + 1)}
+    faces = {(q, j): B.vfaces[(pp, q, j)] for pp, q, j in B.vfaces if pp == p}
+    degens = {(q, j): B.vdegens[(pp, q, j)] for pp, q, j in B.vdegens if pp == p}
+    return TruncatedSimplicialSet(B.q_max, cells, faces, degens)
+
+
+def _ref_bisimplicial_set(B):
+    r = ValidationReport()
+    for p in range(B.p_max + 1):
+        for v in _ref_simplicial_set(_ref_row(B, p)).violations:
+            r.add(f"vertical (p={p}): {v}")
+    T = transpose(B)
+    for q in range(T.p_max + 1):
+        for v in _ref_simplicial_set(_ref_row(T, q)).violations:
+            r.add(f"horizontal (q={q}): {v}")
+    for (p, q), xs in B.cells.items():
+        for i in range(p + 1):
+            for j in range(q + 1):
+                for x in xs:
+                    if p >= 1 and q >= 1:
+                        if B.vface(p - 1, q, j, B.hface(p, q, i, x)) != \
+                           B.hface(p, q - 1, i, B.vface(p, q, j, x)):
+                            r.add(f"dh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
+                    if p >= 1 and q < B.q_max:
+                        if B.vdegen(p - 1, q, j, B.hface(p, q, i, x)) != \
+                           B.hface(p, q + 1, i, B.vdegen(p, q, j, x)):
+                            r.add(f"dh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
+                    if p < B.p_max and q >= 1:
+                        if B.vface(p + 1, q, j, B.hdegen(p, q, i, x)) != \
+                           B.hdegen(p, q - 1, i, B.vface(p, q, j, x)):
+                            r.add(f"sh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
+                    if p < B.p_max and q < B.q_max:
+                        if B.vdegen(p + 1, q, j, B.hdegen(p, q, i, x)) != \
+                           B.hdegen(p, q + 1, i, B.vdegen(p, q, j, x)):
+                            r.add(f"sh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
+    return r
+
+
+def _ref_trisimplicial_set(T):
+    r = ValidationReport()
+    for axis in range(3):
+        for value in range(T.bounds[axis] + 1):
+            for v in _ref_bisimplicial_set(tri_slice(T, axis, value)).violations:
+                r.add(f"slice axis{axis}={value}: {v}")
+    return r
+
+
+def _ref_simplicial_map(f):
+    r = ValidationReport()
+    X, Y = f.source, f.target
+    for n in range(1, X.n_max + 1):
+        for i in range(n + 1):
+            for x in X.level(n):
+                if f.at(n - 1, X.face(n, i, x)) != Y.face(n, i, f.at(n, x)):
+                    r.add(f"map does not commute with d_{i} at level {n} on {x!r}")
+    for n in range(X.n_max):
+        for i in range(n + 1):
+            for x in X.level(n):
+                if f.at(n + 1, X.degen(n, i, x)) != Y.degen(n, i, f.at(n, x)):
+                    r.add(f"map does not commute with s_{i} at level {n} on {x!r}")
+    return r
+
+
+def _corrupt(rng, tables, target_of, count):
+    """Replace `count` seeded table entries by other simplices of the same
+    target level."""
+    keys = [key for key in tables if len(target_of(key)) >= 2 and tables[key]]
+    for _ in range(count):
+        key = rng.choice(keys)
+        table = tables[key]
+        victim = rng.choice(list(table))
+        table[victim] = rng.choice([y for y in target_of(key) if y != table[victim]])
+
+
+def _moved(key, axis, step):
+    out = list(key)
+    out[axis] += step
+    return tuple(out)
+
+
+def _simplicial_targets(X):
+    return (lambda k: X.level(k[0] - 1)), (lambda k: X.level(k[0] + 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_simplicial_checker_matches_reference(seed):
+    rng = random.Random(seed)
+    for X in (diag_nn(walking_two_cell(), 3), wbar(double_nerve(walking_two_cell(), 3))):
+        assert check_simplicial_set(X).violations == []
+        face_target, degen_target = _simplicial_targets(X)
+        _corrupt(rng, X.faces, face_target, 3)
+        _corrupt(rng, X.degens, degen_target, 3)
+        got = check_simplicial_set(X).violations
+        assert got and got == _ref_simplicial_set(X).violations
+
+
+def test_bisimplicial_checker_matches_reference():
+    kinds = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        B = double_nerve(walking_two_cell(), 3)
+        for tables, dp, dq in ((B.hfaces, -1, 0), (B.hdegens, 1, 0),
+                               (B.vfaces, 0, -1), (B.vdegens, 0, 1)):
+            _corrupt(rng, tables, lambda k, dp=dp, dq=dq: B.level(k[0] + dp, k[1] + dq), 2)
+        got = check_bisimplicial_set(B).violations
+        assert got and got == _ref_bisimplicial_set(B).violations
+        for v in got:
+            m = re.match(r"(..)_\d+ (..)_\d+ do not commute", v)
+            if m:
+                kinds.add(m[1] + m[2])
+    # every commutation condition was violated at least once
+    assert kinds == {"dhdv", "dhsv", "shdv", "shsv"}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_trisimplicial_checker_matches_reference(seed):
+    rng = random.Random(seed)
+    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 2))
+    _corrupt(rng, T.faces, lambda k: T.level(_moved(k[1], k[0], -1)), 3)
+    _corrupt(rng, T.degens, lambda k: T.level(_moved(k[1], k[0], 1)), 3)
+    got = check_simplicial_identities(T).violations
+    assert got and got == _ref_trisimplicial_set(T).violations
+    S = tri_slice(T, 1, 1)
+    assert check_bisimplicial_set(S).violations == _ref_bisimplicial_set(S).violations
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_map_checker_matches_reference(seed):
+    rng = random.Random(seed)
+    f = aw_map(double_nerve(walking_two_cell(), 3))
+    _corrupt(rng, f.maps, f.target.level, 4)
+    got = check_simplicial_map(f).violations
+    assert got and got == _ref_simplicial_map(f).violations
+
+
+def _outcome(check, X):
+    try:
+        return "report", check(X).violations
+    except Exception as exc:  # noqa: BLE001 - compared with the reference
+        return type(exc).__name__, str(exc)
+
+
+def test_uncodable_tables_checked_like_reference():
+    # images that are not the level's own simplices: equal copies are
+    # numbered by value; an image outside the level, or a missing entry, is
+    # checked by lookups (a violation at the last step, a KeyError before)
+    outcomes = []
+    for n_max, key, image in ((3, (2, 0), "same"), (3, (3, 1), "other"),
+                              (3, (2, 0), "stray"), (3, (3, 0), "missing"),
+                              (1, (1, 0), "stray")):
+        X = truncate(diag_nn(walking_two_cell(), 3), n_max)
+        table = X.faces[key]
+        victim = X.degen(0, 0, X.level(0)[0]) if n_max == 1 else X.level(key[0])[1]
+        if image == "same":
+            table[victim] = tuple(list(table[victim]))
+        elif image == "other":
+            y = next(y for y in X.level(key[0] - 1) if y != table[victim])
+            table[victim] = tuple(list(y))
+        elif image == "stray":
+            table[victim] = ("stray",)
+        else:
+            del table[victim]
+        outcomes.append(_outcome(check_simplicial_set, X))
+        assert outcomes[-1] == _outcome(_ref_simplicial_set, X)
+    assert [kind for kind, _ in outcomes] == ["report"] * 2 + ["KeyError"] * 2 + ["report"]
+    assert outcomes[0][1] == [] and outcomes[1][1] and outcomes[4][1]
+    f = aw_map(double_nerve(walking_two_cell(), 3))
+    f.maps[2][f.source.level(2)[0]] = ("stray",)
+    assert _outcome(check_simplicial_map, f) == _outcome(_ref_simplicial_map, f)
+
+
+# -- interned images ---------------------------------------------------------
+
+def test_table_images_are_the_target_levels_own_simplices():
+    for X in (diag_nn(walking_two_cell(), 3), wbar(double_nerve(walking_two_cell(), 3))):
+        own = {n: {id(y) for y in X.level(n)} for n in range(X.n_max + 1)}
+        for (n, _), table in X.faces.items():
+            assert all(id(y) in own[n - 1] for y in table.values())
+        for (n, _), table in X.degens.items():
+            assert all(id(y) in own[n + 1] for y in table.values())
+    f = aw_map(double_nerve(walking_two_cell(), 3))
+    for n, table in f.maps.items():
+        own = {id(y) for y in f.target.level(n)}
+        assert all(id(y) in own for y in table.values())
+    # a rule whose image leaves the window still raises the same text
+    X = build_simplicial(1, lambda n: [(n,)], lambda n, i, x: ("elsewhere",),
+                         lambda n, i, x: (1,), name="bad")
+    with pytest.raises(TwoCatError) as exc:
+        X.faces[(1, 1)]
+    assert str(exc.value) == "bad: face d_1 leaves level 0 at (1,)"
+    with pytest.raises(TwoCatError) as exc:
+        simplicial_map(X, X, lambda n, x: ("elsewhere",), name="m")
+    assert str(exc.value) == "m: image of level-0 simplex (0,) not in target"
