@@ -29,8 +29,8 @@ from .comma import (OVER, UNDER, comma, comma_projection, fibre_diagram,
                     projections, representable_diagram, retraction_R,
                     section_jz_iz, comma_base_change)
 from .homology import (ChainComplex, HomologyResult, normalized_chain_complex,
-                       homology, induced_homology_map, invariant_factors,
-                       is_homology_iso_upto, smith_normal_form)
+                       homology, invariant_factors, is_homology_iso_upto,
+                       smith_normal_form)
 from .corpus import corpus
 
 __all__ = [n for n in dir() if not n.startswith("_")]

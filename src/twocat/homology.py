@@ -4,14 +4,16 @@ Coefficients are exact (Python integers).  Homology is reported only in
 degrees <= N-1 for a complex truncated at level N; degrees at and above
 the truncation are undefined, not zero.
 
-H_i needs only the invariant factors of the boundaries d_i and d_{i+1}.
-`invariant_factors` finds them by sparse elimination on +-1 pivots and
-hands the small non-unit remainder to the dense `smith_normal_form`; a
-`ChainComplex` computes the factors of each boundary once, on first read.
-`is_homology_iso_upto` reads the homology of the mapping cone, so it also
-needs nothing but invariant factors.  The dense `smith_normal_form`, with
-its column transformation, remains for `induced_homology_map` and as the
-oracle the sparse path is tested against.
+Every matrix is a list of sparse columns, one `{row index: coefficient}`
+dict per basis simplex: boundaries, chain maps and mapping cones are
+built in that form, and dd = 0 and the chain-map identity are checked on
+it.  H_i needs only the invariant factors of the boundaries d_i and
+d_{i+1}.  `invariant_factors` finds them by sparse elimination on +-1
+pivots and hands the small non-unit remainder to the dense
+`smith_normal_form`; a `ChainComplex` computes the factors of each
+boundary once, on first read.  `is_homology_iso_upto` reads the homology
+of the mapping cone, so it also needs nothing but invariant factors.  No
+transformation matrix is tracked anywhere.
 """
 
 from __future__ import annotations
@@ -24,45 +26,16 @@ from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 
 # ---------------------------------------------------------------------------
-# integer matrices as lists of rows
+# integer matrices
 # ---------------------------------------------------------------------------
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(A, B, cols=None):
-    n = len(A)
-    k = len(B[0]) if B else (cols if cols is not None else 0)
-    out = zeros(n, k)
-    for i in range(n):
-        Ai = A[i]
-        for j, a in enumerate(Ai):
-            if a:
-                Bj = B[j]
-                Oi = out[i]
-                for c in range(k):
-                    Oi[c] += a * Bj[c]
-    return out
-
-
-def is_zero(A):
-    return all(all(v == 0 for v in row) for row in A)
-
-
 def smith_normal_form(A):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (diag, V, Vinv) where diag is the list of nonzero invariant
-    factors d_1 | d_2 | ... and V, Vinv are the column transformation and
-    its inverse: A . V has the diagonal in its leading block, and Vinv
-    expresses original coordinates in the transformed basis.
-    """
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix
+    given as a list of rows, found by unimodular row and column operations
+    on a dense copy."""
     m = len(A)
     n = len(A[0]) if m else 0
     S = [row[:] for row in A]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vinv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
@@ -78,25 +51,14 @@ def smith_normal_form(A):
     def swap_cols(i, j):
         for row in S:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
-    def add_col(i, j, k):  # col_i += k * col_j ; Vinv: row_j -= k * row_i
+    def add_col(i, j, k):  # col_i += k * col_j
         for row in S:
             row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-        Ri, Rj = Vinv[i], Vinv[j]
-        for c in range(n):
-            Rj[c] -= k * Ri[c]
 
     def neg_col(i):
         for row in S:
             row[i] = -row[i]
-        for row in V:
-            row[i] = -row[i]
-        Vinv[i] = [-v for v in Vinv[i]]
 
     t = 0
     while True:
@@ -154,15 +116,16 @@ def smith_normal_form(A):
             if t >= min(m, n):
                 break
 
-    diag = [S[k][k] for k in range(min(m, n)) if S[k][k]]
-    return diag, V, Vinv
+    return [S[k][k] for k in range(min(m, n)) if S[k][k]]
 
 
-def invariant_factors(M):
-    """The nonzero invariant factors of an integer matrix: equal to
-    `smith_normal_form(M)[0]`, with no transformation matrices.
+def invariant_factors(columns):
+    """The nonzero invariant factors of an integer matrix given by its
+    columns, one `{row: coefficient}` dict each: equal to
+    `smith_normal_form` of the matrix.
 
-    The nonzeros are held as one dict per row.  While a +-1 entry is left,
+    Invariant factors do not change under transposition, so the columns
+    are taken as the rows of the transpose.  While a +-1 entry is left,
     the one of least Markowitz cost (row nonzeros - 1) * (column nonzeros
     - 1) is cleared out of its column by row operations; its row and column
     then split off as an invariant factor 1.  Costs wait in a heap and are
@@ -170,11 +133,10 @@ def invariant_factors(M):
     goes to the dense `smith_normal_form`.
     """
     rows, cols = {}, {}
-    for i, row in enumerate(M):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
+    for i, col in enumerate(columns):
+        if col:
+            rows[i] = dict(col)
+            for j in col:
                 cols.setdefault(j, set()).add(i)
 
     def cost(i, j):
@@ -222,28 +184,31 @@ def invariant_factors(M):
         return [1] * units
     live = sorted(j for j, rs in cols.items() if rs)
     rest = [[r.get(j, 0) for j in live] for r in rows.values()]
-    return [1] * units + smith_normal_form(rest)[0]
-
-
-def solve_in_lattice(Vinv, rank, B, cols):
-    """Express columns of B (which must lie in the kernel lattice) in the
-    kernel basis given by the trailing columns of V."""
-    coords = mat_mul(Vinv, B, cols=cols)
-    for i in range(rank):
-        if any(v != 0 for v in coords[i]):
-            raise TwoCatError("solve_in_lattice: column not in kernel lattice")
-    return coords[rank:]
+    return [1] * units + smith_normal_form(rest)
 
 
 # ---------------------------------------------------------------------------
 # chain complexes
 # ---------------------------------------------------------------------------
 
+def _compose(A, B):
+    """The columns of the product A B, without zero entries."""
+    out = []
+    for col in B:
+        acc = {}
+        for j, v in col.items():
+            for i, w in A[j].items():
+                acc[i] = acc.get(i, 0) + v * w
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
 @dataclass(eq=False)
 class ChainComplex:
     n_max: int
     basis: dict       # degree -> tuple of nondegenerate simplices
-    boundary: dict    # degree n (1..n_max) -> matrix C_n -> C_{n-1}
+    boundary: dict    # degree n (1..n_max) -> d_n: C_n -> C_{n-1}, one
+                      # {row: coefficient} column per basis simplex of degree n
     name: str = ""
     _factors: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -289,22 +254,26 @@ def normalized_chain_complex(X: TruncatedSimplicialSet) -> ChainComplex:
     """Bases are the nondegenerate simplices; the boundary is the alternating
     face sum projected to the nondegenerate quotient.  Verifies dd = 0."""
     basis = nondegenerate_levels(X)
-    index = {n: {x: k for k, x in enumerate(basis[n])} for n in basis}
     boundary = {}
     for n in range(1, X.n_max + 1):
-        M = zeros(len(basis[n - 1]), len(basis[n]))
-        for col, x in enumerate(basis[n]):
+        index = {y: k for k, y in enumerate(basis[n - 1])}
+        cols = []
+        for x in basis[n]:
+            col = {}
             for i in range(n + 1):
-                y = X.face(n, i, x)
-                row = index[n - 1].get(y)
+                row = index.get(X.face(n, i, x))
                 if row is not None:
-                    M[row][col] += (-1) ** i
-        boundary[n] = M
-    cc = ChainComplex(X.n_max, basis, boundary, name=X.name)
+                    v = col.get(row, 0) + (-1) ** i
+                    if v:
+                        col[row] = v
+                    else:
+                        del col[row]
+            cols.append(col)
+        boundary[n] = cols
     for n in range(2, X.n_max + 1):
-        if not is_zero(mat_mul(boundary[n - 1], boundary[n])):
+        if any(_compose(boundary[n - 1], boundary[n])):
             raise TwoCatError(f"normalized complex of {X.name}: dd != 0 at degree {n}")
-    return cc
+    return ChainComplex(X.n_max, basis, boundary, name=X.name)
 
 
 def homology(cc: ChainComplex, degree: int) -> HomologyResult:
@@ -323,59 +292,19 @@ def homology(cc: ChainComplex, degree: int) -> HomologyResult:
 # ---------------------------------------------------------------------------
 
 def chain_map(f: SimplicialMap):
-    """Matrices of the induced map on normalized complexes; degenerate images
+    """Columns of the induced map on normalized complexes; degenerate images
     project to zero.  The chain-map identity is asserted."""
     src = normalized_chain_complex(f.source)
     tgt = normalized_chain_complex(f.target)
-    index = {n: {x: k for k, x in enumerate(tgt.basis[n])} for n in tgt.basis}
     mats = {}
     for n in range(f.source.n_max + 1):
-        M = zeros(tgt.dim(n), src.dim(n))
-        for col, x in enumerate(src.basis[n]):
-            row = index[n].get(f.at(n, x))
-            if row is not None:
-                M[row][col] += 1
-        mats[n] = M
+        index = {y: k for k, y in enumerate(tgt.basis[n])}
+        rows = (index.get(f.at(n, x)) for x in src.basis[n])
+        mats[n] = [{} if row is None else {row: 1} for row in rows]
     for n in range(1, f.source.n_max + 1):
-        lhs = mat_mul(tgt.boundary[n], mats[n], cols=src.dim(n))
-        rhs = mat_mul(mats[n - 1], src.boundary[n], cols=src.dim(n))
-        if lhs != rhs:
+        if _compose(tgt.boundary[n], mats[n]) != _compose(mats[n - 1], src.boundary[n]):
             raise TwoCatError(f"chain_map: not a chain map at degree {n}")
     return src, tgt, mats
-
-
-def _presentation(cc: ChainComplex, degree: int):
-    """H_degree presented as coker(R) on the kernel lattice: returns
-    (kernel basis K, relation matrix R, cycle-coordinate data (Vinv, rank))."""
-    dim = cc.dim(degree)
-    if degree == 0:
-        K = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        return K, cc.boundary[1], (None, 0)
-    diag, V, Vinv = smith_normal_form(cc.boundary[degree])
-    r = len(diag)
-    K = [[V[i][j] for j in range(r, dim)] for i in range(dim)]
-    R = solve_in_lattice(Vinv, r, cc.boundary[degree + 1], cols=cc.dim(degree + 1))
-    return K, R, (Vinv, r)
-
-
-def _cycle_coords(coord_data, cycles, dim, n_cols):
-    Vinv, r = coord_data
-    if Vinv is None:
-        return cycles
-    return solve_in_lattice(Vinv, r, cycles, cols=n_cols)
-
-
-def induced_homology_map(f: SimplicialMap, degree: int):
-    """Matrix of the induced chain-level map on homology generators, written
-    in kernel-basis coordinates of source and target."""
-    src, tgt, mats = chain_map(f)
-    if degree > f.source.n_max - 1:
-        raise TwoCatError("induced_homology_map: degree outside validated range")
-    K_s, _, _ = _presentation(src, degree)
-    _, _, coords_t = _presentation(tgt, degree)
-    k_s = len(K_s[0]) if K_s else 0
-    fK = mat_mul(mats[degree], K_s, cols=k_s)
-    return _cycle_coords(coords_t, fK, tgt.dim(degree), k_s)
 
 
 def mapping_cone(src: ChainComplex, tgt: ChainComplex, mats, top: int) -> ChainComplex:
@@ -385,11 +314,12 @@ def mapping_cone(src: ChainComplex, tgt: ChainComplex, mats, top: int) -> ChainC
              + tuple(("t", y) for y in tgt.basis[n]) for n in range(top + 1)}
     boundary = {}
     for n in range(1, top + 1):
-        ds = src.boundary.get(n - 1, ())
-        M = [[-v for v in row] + [0] * tgt.dim(n) for row in ds]
-        f, dt = mats[n - 1], tgt.boundary[n]
-        M += [f[i] + dt[i] for i in range(tgt.dim(n - 1))]
-        boundary[n] = M
+        shift = src.dim(n - 2)
+        ds = src.boundary.get(n - 1, [{}] * src.dim(n - 1))
+        cols = [{**{i: -v for i, v in dx.items()}, **{shift + i: v for i, v in fx.items()}}
+                for dx, fx in zip(ds, mats[n - 1])]
+        cols += [{shift + i: v for i, v in dy.items()} for dy in tgt.boundary[n]]
+        boundary[n] = cols
     return ChainComplex(top, basis, boundary, name=f"Cone({src.name} -> {tgt.name})")
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -46,28 +47,28 @@ class BudgetError(TwoCatError):
     """A level grew past the configured simplex budget."""
 
 
-_SIMPLEX_BUDGET = 500_000
+_SIMPLEX_BUDGET = ContextVar("simplex_budget", default=500_000)
 
 
 @contextmanager
 def simplex_budget(n):
     """The simplex budget `n` inside the block (None keeps the current one);
-    the previous budget is back when the block ends."""
-    global _SIMPLEX_BUDGET
-    previous = _SIMPLEX_BUDGET
-    if n is not None:
-        _SIMPLEX_BUDGET = n
+    the previous budget is back when the block ends.  The budget lives in
+    the current context, so other threads keep their own (a new thread
+    starts with the default)."""
+    token = _SIMPLEX_BUDGET.set(_SIMPLEX_BUDGET.get() if n is None else n)
     try:
         yield
     finally:
-        _SIMPLEX_BUDGET = previous
+        _SIMPLEX_BUDGET.reset(token)
 
 
 def _ordered(cells) -> tuple:
     level = tuple(dict.fromkeys(cells))
-    if len(level) > _SIMPLEX_BUDGET:
+    budget = _SIMPLEX_BUDGET.get()
+    if len(level) > budget:
         raise BudgetError(f"level size {len(level)} exceeds the simplex budget "
-                          f"{_SIMPLEX_BUDGET}; raise it or lower the truncation")
+                          f"{budget}; raise it or lower the truncation")
     return level
 
 

@@ -4,12 +4,13 @@ Each check produces (name, status, detail); a suite passes iff every check
 does.  Reports are deterministic: entities are visited in sorted name order
 and all details are plain strings.  A check that builds a construction
 first validates its inputs; if they are invalid it fails with a
-`precondition:` detail and builds nothing.
+`precondition:` detail and builds nothing.  The checks of one entity in a
+suite share the validation of its inputs.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
                    constant_diagram, functor_equal, functor_is_bijective,
@@ -72,7 +73,7 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
         r.run(f"diagram_morphism[{name}]",
               lambda g=g: r.report_ok(validate_diagram_morphism(g), "naturality"))
     for name, C in _sorted(m.two_categories):
-        gate = partial(_category_gates, C)
+        gate = _gate(_category_gates, C)
         if is_category(C):
             r.run(f"nerve_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
                 check_simplicial_identities(nerve_category(C, trunc)), "identity")))
@@ -84,7 +85,7 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f), "bijection"))(
                 repackage_staircase(C, max(trunc, 4))))))
     for name, D in _sorted(m.diagrams):
-        gate = partial(_diagram_gates, D)
+        gate = _gate(_diagram_gates, D)
         r.run(f"grothendieck_valid[{name}]",
               lambda D=D: r.report_ok(validate(grothendieck(D)), "axiom"))
         r.run(f"hocolim_checks[{name}]", _gated(gate, lambda D=D: r.report_ok(
@@ -125,30 +126,32 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
         return True, "ok"
 
     r.run(f"constant_levels[{value.name} over {base.name}]",
-          _gated(gates, check))
+          _gated(_gate(gates), check))
 
 
 def suite_iso112(m: Manifest, trunc: int, r: Runner):
     for name, D in _sorted(m.diagrams):
         r.run(f"validate_diagram[{name}]",
               lambda D=D: r.report_ok(validate_diagram(D), "TwoDiagram invariant"))
-        r.run(f"iso112[{name}]", lambda D=D: (
+        r.run(f"iso112[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
                         f"levels {f.source.sizes()}"))(
-                hocolim_wbar_comparison(D, trunc))))
+                hocolim_wbar_comparison(D, trunc)))))
 
 
 def suite_iso114(m: Manifest, trunc: int, r: Runner):
     for name, D in _sorted(m.diagrams):
         r.run(f"validate_diagram[{name}]",
               lambda D=D: r.report_ok(validate_diagram(D), "TwoDiagram invariant"))
-        r.run(f"iso114[{name}]", lambda D=D: (
+        r.run(f"iso114[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
                         f"levels {f.source.sizes()}"))(
-                grothendieck_wbar_comparison(D, trunc))))
+                grothendieck_wbar_comparison(D, trunc)))))
 
 
 def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
+    functor_gate = {name: _gate(_functor_gates, F) for name, F in m.two_functors.items()}
+    diagram_gate = {name: _gate(_diagram_gates, D) for name, D in m.diagrams.items()}
     for name, F in _sorted(m.two_functors):
         for side in (OVER, UNDER):
             def check(F=F, side=side):
@@ -160,9 +163,10 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                     return ok and rep.ok, "Pi iota = 1 and witness axioms" if ok and rep.ok \
                         else "; ".join(map(str, rep.violations[:3])) or "Pi iota != 1"
                 return ok, "Pi iota = 1" if ok else "Pi iota != 1"
-            r.run(f"projection[{name},{side}]", check)
+            r.run(f"projection[{name},{side}]", _gated(functor_gate[name], check))
     for name, g in _sorted(m.diagram_morphisms):
         side = OVER if g.source.variance == COVARIANT else UNDER
+        gate = _gate(_morphism_gates, g)
         for c in sorted(g.source.base.objects, key=repr):
             for y in sorted(g.target.ob[c].objects, key=repr):
                 def check(g=g, c=c, y=y, side=side):
@@ -173,7 +177,7 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                         return ok and rep.ok, ("R section = 1 and witness axioms"
                                                if ok and rep.ok else "violation")
                     return ok, "R section = 1" if ok else "R section != 1"
-                r.run(f"retraction[{name},{c},{y},{side}]", check)
+                r.run(f"retraction[{name},{c},{y},{side}]", _gated(gate, check))
     for fname, F in _sorted(m.two_functors):
         for dname, D in _sorted(m.diagrams):
             if not same_category(D.base, F.target):
@@ -192,7 +196,9 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                                 ("pibar i_z = 1 and witness axioms"
                                  if ok and rep.ok and jrep.ok else "violation")
                         return ok, "pibar i_z = 1" if ok else "pibar i_z != 1"
-                    r.run(f"section[{fname},{dname},{c},{z}]", check)
+                    r.run(f"section[{fname},{dname},{c},{z}]", _gated(
+                        lambda f=functor_gate[fname], d=diagram_gate[dname]: f() or d(),
+                        check))
 
 
 def suite_oplax(m: Manifest, trunc: int, r: Runner):
@@ -224,11 +230,18 @@ def _precondition(gates):
     return None
 
 
-def _gated(gates, check):
-    """A check that runs `check` only once every gate of `gates()` has
-    passed, and otherwise fails with the `_precondition` detail."""
+def _gate(gates, *args):
+    """The `_precondition` detail of `gates(*args)`, worked out on the first
+    call and then shared by every check gated on it.  An exception is not
+    kept, so each check that meets it reports it."""
+    return cache(lambda: _precondition(gates(*args)))
+
+
+def _gated(gate, check):
+    """A check that runs `check` only if `gate()` finds that every gate has
+    passed, and otherwise fails with that detail."""
     def run():
-        bad = _precondition(gates())
+        bad = gate()
         return (False, bad) if bad else check()
     return run
 
@@ -238,11 +251,9 @@ def _category_gates(C):
 
 
 def _diagram_gates(D):
-    """Base, then fibres, then functoriality, then the assembly: each
-    validation presumes the ones before it."""
-    yield "base", validate(D.base)
-    for c in D.base.objects:
-        yield f"fibre {c}", validate(D.ob[c])
+    """The diagram, then its assembly.  `validate_diagram` validates the
+    base and each fibre before functoriality and reports them as `base: …`
+    and `fibre c: …`."""
     yield "diagram", validate_diagram(D)
     yield "grothendieck", validate(grothendieck(D))
 
@@ -253,21 +264,27 @@ def _functor_gates(F):
     yield "two_functor", check_cell_map("two_functor", F)
 
 
+def _morphism_gates(g):
+    yield from _diagram_gates(g.source)
+    yield from _diagram_gates(g.target)
+    yield "diagram_morphism", validate_diagram_morphism(g)
+
+
 def suite_invariance(m: Manifest, trunc: int, r: Runner):
     """Homology comparisons of each named entity, behind its gates."""
     degrees = f"degrees 0..{trunc - 2}"
     for name, C in _sorted(m.two_categories):
-        r.run(f"aw_homology[{name}]", _gated(partial(_category_gates, C), lambda C=C: (
+        r.run(f"aw_homology[{name}]", _gated(_gate(_category_gates, C), lambda C=C: (
             is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees)))
     for name, D in _sorted(m.diagrams):
-        r.run(f"aw_homology_groth[{name}]", _gated(partial(_diagram_gates, D), lambda D=D: (
+        r.run(f"aw_homology_groth[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
             is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)), trunc - 2),
             degrees)))
     for name, F in _sorted(m.two_functors):
         def check(F=F):
             fib, G, Pi, iota, wit = projections(F, OVER)
             return is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2), degrees
-        r.run(f"projection_homology[{name}]", _gated(partial(_functor_gates, F), check))
+        r.run(f"projection_homology[{name}]", _gated(_gate(_functor_gates, F), check))
     for name, D in _sorted(m.diagrams):
         def check(D=D):
             g = renaming_morphism(D)
@@ -281,7 +298,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
             return is_homology_iso_upto(f, trunc - 2), degrees
-        r.run(f"hocolim_invariance[{name}]", _gated(partial(_diagram_gates, D), check))
+        r.run(f"hocolim_invariance[{name}]", _gated(_gate(_diagram_gates, D), check))
 
 
 SUITE_FNS = {"identities": suite_identities,

@@ -10,7 +10,7 @@ import pytest
 import twocat
 from twocat.cli import bundled_manifest_path, main
 from twocat.manifest import ManifestError, parse, resolve, serialize
-from twocat.verify import run_suite
+from twocat.verify import Runner, run_suite
 
 DATA = Path(bundled_manifest_path())
 MUTANTS = DATA.parent / "mutants"
@@ -156,21 +156,26 @@ def test_identities_gate_constructions_on_validation():
     # at WTC fails at its gate instead of crashing in the construction
     rep = run_suite(parse(MUTANTS / "m01_table_entry.manifest.json"), "identities")
     failed = {c["name"]: c["detail"] for c in rep["checks"] if c["status"] == "fail"}
-    axiom = ("hcomp1 unit law fails at g; hcomp2[(eg, e1a)] has wrong boundary; "
-             "hcomp2[(phi, e1a)] has wrong boundary")
+    axiom = ["hcomp1 unit law fails at g", "hcomp2[(eg, e1a)] has wrong boundary",
+             "hcomp2[(phi, e1a)] has wrong boundary"]
+
+    def detail(gate, where=None):
+        # validate_diagram names the invalid base or fibre in each violation
+        return f"precondition: {gate}: " + "; ".join(
+            v if where is None else f"{where}: {v}" for v in axiom)
+
     gated = {
-        "double_nerve_identities[WTC]": "category",
-        "wbar_identities[WTC]": "category",
-        "wbar_repackage[WTC]": "category",
-        "hocolim_checks[Dcov]": "fibre 0",
-        "resolution_identities[Dcov]": "fibre 0",
-        "hocolim_checks[Drep]": "base",
-        "resolution_identities[Drep]": "base",
-        "reversal_bridge[Drep]": "base",
-        "constant_levels[WTC over HOMab]": "value",
+        "double_nerve_identities[WTC]": detail("category"),
+        "wbar_identities[WTC]": detail("category"),
+        "wbar_repackage[WTC]": detail("category"),
+        "hocolim_checks[Dcov]": detail("diagram", "fibre 0"),
+        "resolution_identities[Dcov]": detail("diagram", "fibre 0"),
+        "hocolim_checks[Drep]": detail("diagram", "base"),
+        "resolution_identities[Drep]": detail("diagram", "base"),
+        "reversal_bridge[Drep]": detail("diagram", "base"),
+        "constant_levels[WTC over HOMab]": detail("value"),
     }
-    assert {name: failed[name] for name in gated} == \
-        {name: f"precondition: {gate}: {axiom}" for name, gate in gated.items()}
+    assert {name: failed[name] for name in gated} == gated
     assert sorted(set(failed) - set(gated)) == [
         "diagram[Dcov]", "diagram[Drep]", "grothendieck_valid[Dcov]",
         "grothendieck_valid[Drep]", "validate[WTC]"]
@@ -186,6 +191,48 @@ def test_identities_gate_constructions_on_validation():
     bad_pair = "vcomp2 declared on non-composable pair ('phi', 'phi')"
     assert details["diagram[Drep]"] == f"TwoDiagram invariant: base: {bad_pair}"
     assert details["diagram[Dcov]"] == f"TwoDiagram invariant: fibre 0: {bad_pair}"
+
+
+def test_mutant_suites_fail_without_crashes(monkeypatch):
+    # every mutant that parses fails its suite, and no failing check failed
+    # by an exception: each invalid input is stopped by a validation or a gate
+    crashes = []
+    run = Runner.run
+
+    def run_recording_crashes(self, name, fn):
+        def checked():
+            try:
+                return fn()
+            except Exception as exc:
+                crashes.append(f"{name}: {type(exc).__name__}: {exc}")
+                raise
+        run(self, name, checked)
+
+    monkeypatch.setattr(Runner, "run", run_recording_crashes)
+    failed = {}
+    for item in json.loads((MUTANTS / "index.json").read_text()):
+        try:
+            m = parse(MUTANTS / f"{item['name']}.manifest.json")
+        except ManifestError:
+            continue
+        rep = run_suite(m, item["suite"])
+        assert rep["status"] == "fail", item["name"]
+        failed[item["name"]] = {c["name"]: c["detail"] for c in rep["checks"]
+                                if c["status"] == "fail"}
+    assert sorted(failed) == ["m01_table_entry", "m02_noncomposable_pair",
+                              "m05_functor_two_cells", "m06_diagram_transport",
+                              "m07_transformation_component", "m09_functor_objects",
+                              "m10_vertical_composite"]
+    assert crashes == []
+    # the checks that used to crash now fail at their gates
+    sections = ["section[F,Drep,a,f]", "section[F,Drep,a,g]", "section[F,Drep,b,1b]"]
+    gated = {"m05_functor_two_cells": ["projection[F,over]", "projection[F,under]", *sections],
+             "m06_diagram_transport": ["iso114[Dcov]"],
+             "m07_transformation_component": ["iso112[Drep]"],
+             "m09_functor_objects": ["projection[F,over]", "projection[F,under]", *sections]}
+    for name, checks in gated.items():
+        for check in checks:
+            assert failed[name][check].startswith("precondition: "), (name, check)
 
 
 def test_cli_report_written(tmp_path):

@@ -1,5 +1,6 @@
 import random
 import re
+import threading
 
 import pytest
 
@@ -8,11 +9,12 @@ from twocat.core import TwoCatError, ValidationReport, identity_functor
 from twocat.hocolim import SimplicialTwoCategory
 from twocat.homology import normalized_chain_complex
 from twocat.nerves import diag_nn, double_nerve, nerve_simplicial_twocat
-from twocat.simplicial import (ShallowWindowError, TruncatedSimplicialSet, aw_map,
+from twocat.simplicial import (BudgetError, ShallowWindowError, TruncatedSimplicialSet, aw_map,
                                build_bisimplicial, build_simplicial, check_bisimplicial_set,
                                check_simplicial_identities, check_simplicial_map,
-                               check_simplicial_set, diag, simplicial_map,
-                               transpose, tri_slice, truncate, verify_iso, wbar)
+                               check_simplicial_set, diag, simplex_budget,
+                               simplicial_map, transpose, tri_slice, truncate,
+                               verify_iso, wbar)
 
 
 def test_wbar_point_singletons():
@@ -420,3 +422,35 @@ def test_table_images_are_the_target_levels_own_simplices():
     with pytest.raises(TwoCatError) as exc:
         simplicial_map(X, X, lambda n, x: ("elsewhere",), name="m")
     assert str(exc.value) == "m: image of level-0 simplex (0,) not in target"
+
+
+def test_simplex_budget_is_local_to_its_thread():
+    # one thread holds a budget of 3 while another builds diag_nn(WTC, 3),
+    # whose levels are larger: only the holder's own builds hit the budget
+    held, built = threading.Event(), threading.Event()
+    outcome = {}
+
+    def build(who):
+        try:
+            diag_nn(walking_two_cell(), 3)
+            outcome[who] = "built"
+        except BudgetError:
+            outcome[who] = "budget"
+
+    def holder():
+        with simplex_budget(3):
+            held.set()
+            built.wait(timeout=60)
+            build("holder")
+
+    def other():
+        held.wait(timeout=60)
+        build("other")
+        built.set()
+
+    threads = [threading.Thread(target=holder), threading.Thread(target=other)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert outcome == {"other": "built", "holder": "budget"}
