@@ -16,7 +16,7 @@ from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
                          diag, tri_diag, wbar, aw_map, verify_iso, transpose)
 from .nerves import (nerve_category, double_nerve, wbar_double_nerve,
                      nerve_simplicial_twocat, repackage_staircase, diag_nn,
-                     diag_nn_map)
+                     diag_nn_map, tri_diag_nn)
 from .grothendieck import (grothendieck, grothendieck_morphism,
                            grothendieck_modification, fibre_embedding,
                            base_change, pullback_diagram, projection_functor)

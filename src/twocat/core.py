@@ -646,7 +646,7 @@ def product(Cs) -> TwoCategory:
         lambda b, a: tuple(C.hcomp(x, y) for C, x, y in zip(Cs, b, a)))
 
 
-def coproduct(tagged) -> TwoCategory:
+def coproduct(tagged, name="coprod") -> TwoCategory:
     """Disjoint union of a {tag: TwoCategory} family; cells are (tag, cell)."""
     objects, one, two, id1, id2, h1, v2, h2 = [], {}, {}, {}, {}, {}, {}, {}
     for tag, C in tagged.items():
@@ -658,7 +658,7 @@ def coproduct(tagged) -> TwoCategory:
         h1.update({((tag, g), (tag, f)): (tag, v) for (g, f), v in C.hcomp1.items()})
         v2.update({((tag, b), (tag, a)): (tag, v) for (b, a), v in C.vcomp2.items()})
         h2.update({((tag, b), (tag, a)): (tag, v) for (b, a), v in C.hcomp2.items()})
-    return TwoCategory(tuple(objects), one, two, id1, id2, h1, v2, h2, name="coprod")
+    return TwoCategory(tuple(objects), one, two, id1, id2, h1, v2, h2, name=name)
 
 
 def hom_category(C: TwoCategory, a, b) -> TwoCategory:

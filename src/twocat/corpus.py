@@ -27,13 +27,6 @@ def functor_wa_to_wtc() -> TwoFunctor:
     return TwoFunctor(wa, wtc, on_obj, on_one, on_two, name="F")
 
 
-def collapse_functor(C: TwoCategory) -> TwoFunctor:
-    P = pt()
-    return TwoFunctor(C, P, {c: "*" for c in C.objects},
-                      {f: "1" for f in C.one_cells},
-                      {a: "11" for a in C.two_cells}, name=f"!{C.name}")
-
-
 def wtc_to_wa_collapse() -> TwoFunctor:
     """Collapse WTC onto WA: both parallel 1-cells land on the arrow and the
     2-cell becomes an identity."""

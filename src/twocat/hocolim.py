@@ -144,9 +144,7 @@ def hocolim(D: TwoDiagram, n_max: int) -> SimplicialTwoCategory:
             if not cov:
                 factors += [D.ob[ch[-1]]]
             comps[ch] = _tuple_product(factors)
-        L = coproduct(comps)
-        L.name = f"hocolim({D.name})_{p}"
-        return L
+        return coproduct(comps, name=f"hocolim({D.name})_{p}")
 
     levels = [level_cat(p) for p in range(n_max + 1)]
     off = 1 if cov else 0  # index of the first hom slot in the data tuple

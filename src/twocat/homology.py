@@ -126,11 +126,17 @@ def invariant_factors(columns):
 
     Invariant factors do not change under transposition, so the columns
     are taken as the rows of the transpose.  While a +-1 entry is left,
-    the one of least Markowitz cost (row nonzeros - 1) * (column nonzeros
-    - 1) is cleared out of its column by row operations; its row and column
-    then split off as an invariant factor 1.  Costs wait in a heap and are
-    brought up to date when popped.  What remains has no unit entry and
-    goes to the dense `smith_normal_form`.
+    one of low Markowitz cost (row nonzeros - 1) * (column nonzeros - 1) is
+    cleared out of its column by row operations; its row and column then
+    split off as an invariant factor 1.  Costs wait in a heap.  A pivot
+    changes only the entries of the touched rows in the columns of its own
+    row, so only those that are now +-1 are pushed; every other unit keeps
+    the heap entry it has.  A key is the cost when the entry was pushed: a
+    popped entry whose cost has grown since is pushed again with the new
+    cost, but one whose cost has shrunk is taken at its older, higher key,
+    so the pivot order is only approximately least-cost.  The factors do
+    not depend on the order.  What remains has no unit entry and goes to
+    the dense `smith_normal_form`.
     """
     rows, cols = {}, {}
     for i, col in enumerate(columns):
@@ -176,8 +182,8 @@ def invariant_factors(columns):
             if not r:
                 del rows[i]
                 continue
-            for j, v in r.items():
-                if v == 1 or v == -1:
+            for j in prow:
+                if r.get(j) in (1, -1):
                     heapq.heappush(heap, (cost(i, j), i, j))
         units += 1
     if not rows:

@@ -10,6 +10,14 @@ fcols[m][k] to fcols[m][k+1]).
 
 Staircase simplices (the codiagonal model) at level n are encoded the same
 way except column m (1-based) carries m one-cells and m-1 two-cells.
+
+The double nerve's rules are kept apart from the set they build, so the
+diagonals `diag_nn` and `tri_diag_nn` are built straight from them: only
+the (n, n) and (n, n, n) levels are enumerated, and a diagonal face or
+degeneracy composes the rules per simplex.  The intermediate off-diagonal
+simplex is never looked up; the final image is interned into, and checked
+against, its diagonal level.  `simplicial.diag` and `tri_diag` remain for
+sets that are materialized anyway.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .core import TwoCategory, TwoFunctor, TwoCatError
 from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
                          TruncatedTrisimplicialSet, SimplicialMap,
                          build_simplicial, build_bisimplicial,
-                         build_trisimplicial, diag, simplicial_map, wbar)
+                         build_trisimplicial, simplicial_map, wbar)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +130,9 @@ def _col_vdegen(C, col, j):
             asq[:j] + (C.id2[fs[j]],) + asq[j:])
 
 
-def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
-    """Bisimplicial set with (p, q)-simplices the p-columns of q-deep 2-cell
-    chains: horizontal faces delete an object and compose columns, vertical
-    faces compose the 2-cell stacks columnwise."""
+def _double_nerve_rules(C: TwoCategory):
+    """The rules of `double_nerve(C, ·)` as (level, hface, hdegen, vface,
+    vdegen), in the signatures `build_bisimplicial` takes."""
 
     @cache
     def hom(a, b, q):
@@ -179,8 +186,27 @@ def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
         return (objs, tuple(fs[:j + 1] + (fs[j],) + fs[j + 1:] for fs in fcols),
                 tuple(asq[:j] + (C.id2[fs[j]],) + asq[j:] for fs, asq in zip(fcols, acols)))
 
-    return build_bisimplicial(n_max, n_max, level, hface, hdegen, vface, vdegen,
+    return level, hface, hdegen, vface, vdegen
+
+
+def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
+    """Bisimplicial set with (p, q)-simplices the p-columns of q-deep 2-cell
+    chains: horizontal faces delete an object and compose columns, vertical
+    faces compose the 2-cell stacks columnwise."""
+    return build_bisimplicial(n_max, n_max, *_double_nerve_rules(C),
                               name=f"NN({C.name})")
+
+
+def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
+    """Diag of the double nerve, built from its rules: level n is the (n, n)
+    level, d_i = dh_i dv_i and s_i = sh_i sv_i applied per simplex.  Equal to
+    `diag(double_nerve(C, n_max))`, but no off-diagonal level or table is
+    made."""
+    level, hface, hdegen, vface, vdegen = _double_nerve_rules(C)
+    return build_simplicial(n_max, lambda n: level(n, n),
+                            lambda n, i, x: hface(n, n - 1, i, vface(n, n, i, x)),
+                            lambda n, i, x: hdegen(n, n + 1, i, vdegen(n, n, i, x)),
+                            name=f"Diag(NN({C.name}))")
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +309,6 @@ def map_dn_simplex(F: TwoFunctor, x):
             tuple(tuple(F.f2(a) for a in asq) for asq in acols))
 
 
-def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
-    return diag(double_nerve(C, n_max))
-
-
 def diag_nn_map(F: TwoFunctor, n_max: int) -> SimplicialMap:
     """Induced map on the diagonals of the double nerves."""
     src = diag_nn(F.source, n_max)
@@ -329,3 +351,24 @@ def nerve_simplicial_twocat(S, n_max=None) -> TruncatedTrisimplicialSet:
 
     return build_trisimplicial((n_max, n_max, n_max), level, face, degen,
                                name=f"NN({S.name})")
+
+
+def tri_diag_nn(S) -> TruncatedSimplicialSet:
+    """Diagonal of `nerve_simplicial_twocat(S)`, built from the double-nerve
+    rules of each level of S: level n is the (n, n) level of the double
+    nerve of S_n; d_i applies dh_i, then dv_i, then the face 2-functor
+    S.face(n, i) to every cell, and s_i likewise with degeneracies.  Equal
+    to `tri_diag(nerve_simplicial_twocat(S))`, but only the (n, n, n)
+    levels are enumerated."""
+    rules = [_double_nerve_rules(S.level(p)) for p in range(S.n_max + 1)]
+
+    def face(n, i, x):
+        _, hface, _, vface, _ = rules[n]
+        return map_dn_simplex(S.face(n, i), vface(n - 1, n, i, hface(n, n, i, x)))
+
+    def degen(n, i, x):
+        _, _, hdegen, _, vdegen = rules[n]
+        return map_dn_simplex(S.degen(n, i), vdegen(n + 1, n, i, hdegen(n, n, i, x)))
+
+    return build_simplicial(S.n_max, lambda n: rules[n][0](n, n), face, degen,
+                            name=f"Diag(NN({S.name}))")

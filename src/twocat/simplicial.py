@@ -7,8 +7,11 @@ its rule the first time it is read and kept from then on, so that every
 later application is a lookup and fault injection in fixtures is direct.
 Building a table checks that every image lies in the target level and
 stores the target level's own simplex, not the rule's fresh copy: images
-are interned, so a table costs one slot per simplex.  Most checks read
-only a diagonal, so the off-diagonal tables of a nerve are never built.
+are interned, so a table costs one slot per simplex.  `diag` and
+`tri_diag` read the diagonal of a set that is already materialized, so
+its off-diagonal tables are built only as far as the diagonal's faces pass
+through them; the nerves module builds the diagonals of its nerves from
+their rules instead, without enumerating any off-diagonal level.
 Transposes, slices, rows and truncations share the tables of the set they
 view and build nothing themselves.
 

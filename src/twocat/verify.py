@@ -1,8 +1,9 @@
 """Bundled verification suites over a resolved manifest.
 
-Each check produces (name, status, detail); a suite passes iff every check
-does.  Reports are deterministic: entities are visited in sorted name order
-and all details are plain strings.  A check that builds a construction
+Each check produces (name, status, detail) with status "pass", "fail" or
+"error" (the check raised); a suite passes iff every check passes.
+Reports are deterministic: entities are visited in sorted name order and
+all details are plain strings.  A check that builds a construction
 first validates its inputs; if they are invalid it fails with a
 `precondition:` detail and builds nothing.  The checks of one entity in a
 suite share the validation of its inputs.
@@ -28,10 +29,9 @@ from .homology import homology, is_homology_iso_upto, normalized_chain_complex
 from .manifest import Manifest
 from .nerves import (diag_nn, diag_nn_map, double_nerve, is_category,
                      map_dn_simplex, nerve_category, repackage_staircase,
-                     wbar_double_nerve, nerve_simplicial_twocat)
+                     tri_diag_nn, wbar_double_nerve)
 from .simplicial import (aw_map, check_simplicial_identities,
-                         check_simplicial_map, simplicial_map, tri_diag,
-                         verify_iso)
+                         check_simplicial_map, simplicial_map, verify_iso)
 
 SUITES = ("identities", "iso112", "iso114", "retractions", "oplax",
           "contractibility", "invariance", "all")
@@ -42,12 +42,15 @@ class Runner:
         self.checks = []
 
     def run(self, name, fn):
+        """Record fn's (ok, detail) as a pass or a fail; an exception out of
+        fn is a crash of the library, not a false claim, and is recorded as
+        an error with the exception as its detail."""
         try:
             ok, detail = fn()
-        except Exception as exc:  # noqa: BLE001 - any failure marks the check
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        self.checks.append({"name": name, "status": "pass" if ok else "fail",
-                            "detail": detail})
+            status = "pass" if ok else "fail"
+        except Exception as exc:  # noqa: BLE001 - any crash marks the check
+            status, detail = "error", f"{type(exc).__name__}: {exc}"
+        self.checks.append({"name": name, "status": status, "detail": detail})
 
     def report_ok(self, rep, what):
         return rep.ok, ("ok" if rep.ok else f"{what}: " + "; ".join(map(str, rep.violations[:3])))
@@ -293,8 +296,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
                 return False, "; ".join(map(str, rep.violations[:3]))
             SD, SE = hocolim(D, trunc), hocolim(g.target, trunc)
             maps = hocolim_map(g, SD, SE)
-            XD = tri_diag(nerve_simplicial_twocat(SD))
-            XE = tri_diag(nerve_simplicial_twocat(SE))
+            XD, XE = tri_diag_nn(SD), tri_diag_nn(SE)
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
             return is_homology_iso_upto(f, trunc - 2), degrees

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from conftest import cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import (TwoCatError, TwoFunctor, check_cell_map,
-                         make_two_category, product)
+from twocat.core import TwoCatError, TwoFunctor, check_cell_map, product
 from twocat.homology import (HomologyResult, chain_map, homology,
                              invariant_factors, is_homology_iso_upto,
                              mapping_cone, nondegenerate_levels,
@@ -38,18 +38,6 @@ def test_snf_known_matrices():
     assert smith_normal_form([[6, 0], [0, 10]]) == [2, 30]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
     assert smith_normal_form([[2]]) == [2]
-
-
-def cyclic_group(n):
-    """B(Z/n): one object, the elements of Z/n as 1-cells composing by
-    addition, and only identity 2-cells."""
-    return make_two_category(
-        f"BZ{n}", ["*"], {f"g{i}": ("*", "*") for i in range(n)},
-        {f"e{i}": (f"g{i}", f"g{i}") for i in range(n)}, {"*": "g0"},
-        {f"g{i}": f"e{i}" for i in range(n)},
-        lambda g, f: f"g{(int(g[1:]) + int(f[1:])) % n}",
-        lambda b, a: b,
-        lambda b, a: f"e{(int(b[1:]) + int(a[1:])) % n}")
 
 
 def group_map(n, m, k):
@@ -91,6 +79,19 @@ def test_invariant_factors_match_dense_snf_on_random_matrices():
             for row in M:
                 row[j] = 0
         assert invariant_factors(sparse(M)) == smith_normal_form(M), M
+
+
+def test_unit_made_by_fill_in_is_pivoted(monkeypatch):
+    # clearing the first unit turns the entry 3 into 3 - 2 * 1 = 1; a pivot
+    # pushes the units it makes, so this one is eliminated too and nothing
+    # is left for the dense Smith normal form
+    module = importlib.import_module("twocat.homology")
+
+    def refuse(A):
+        raise AssertionError(f"dense Smith normal form called on {A}")
+
+    monkeypatch.setattr(module, "smith_normal_form", refuse)
+    assert invariant_factors(sparse([[1, 2], [1, 3]])) == [1, 1]
 
 
 def test_each_boundary_reduced_once(monkeypatch):

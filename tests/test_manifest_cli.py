@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import twocat
+from twocat import verify
 from twocat.cli import bundled_manifest_path, main
 from twocat.manifest import ManifestError, parse, resolve, serialize
 from twocat.verify import Runner, run_suite
@@ -148,6 +149,7 @@ def test_invariance_rejects_invalid_inputs_before_building():
                               "hocolim_invariance[Dcov]", "projection_homology[bang_WAf]",
                               "projection_homology[push]"]
     assert all(d.startswith("precondition: ") for d in failed.values()), failed
+    assert not any(c["status"] == "error" for c in rep["checks"])
 
 
 def test_identities_gate_constructions_on_validation():
@@ -180,10 +182,12 @@ def test_identities_gate_constructions_on_validation():
         "diagram[Dcov]", "diagram[Drep]", "grothendieck_valid[Dcov]",
         "grothendieck_valid[Drep]", "validate[WTC]"]
     assert not any(d.startswith(("TwoCatError", "KeyError")) for d in failed.values())
+    assert not any(c["status"] == "error" for c in rep["checks"])
     # m02 declares a composite on a non-composable pair of WTC: no check
     # crashes; the diagrams with WTC as base or fibre report it
     rep = run_suite(parse(MUTANTS / "m02_noncomposable_pair.manifest.json"), "identities")
-    crashed = [c["name"] for c in rep["checks"] if c["status"] == "fail"
+    crashed = [c["name"] for c in rep["checks"] if c["status"] == "error"
+               or c["status"] == "fail"
                and not c["detail"].startswith(("precondition: ", "axiom: ",
                                                "TwoDiagram invariant: "))]
     assert crashed == []
@@ -233,6 +237,24 @@ def test_mutant_suites_fail_without_crashes(monkeypatch):
     for name, checks in gated.items():
         for check in checks:
             assert failed[name][check].startswith("precondition: "), (name, check)
+
+
+def test_raising_check_is_an_error(monkeypatch, capsys):
+    # a crash in the library is reported apart from a false claim, and still
+    # fails the suite with exit code 1
+    def suite(m, trunc, r):
+        r.run("holds", lambda: (True, "ok"))
+        r.run("false", lambda: (False, "counterexample"))
+        r.run("crashes", lambda: {}["missing"])
+
+    monkeypatch.setitem(verify.SUITE_FNS, "identities", suite)
+    assert main(["verify", "identities"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "fail"
+    assert rep["checks"] == [
+        {"name": "holds", "status": "pass", "detail": "ok"},
+        {"name": "false", "status": "fail", "detail": "counterexample"},
+        {"name": "crashes", "status": "error", "detail": "KeyError: 'missing'"}]
 
 
 def test_cli_report_written(tmp_path):

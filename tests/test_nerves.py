@@ -1,10 +1,22 @@
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
+from twocat.cli import bundled_manifest_path
+from twocat.core import TwoCatError, product
+from twocat.hocolim import hocolim
+from twocat.manifest import parse
 from twocat.nerves import (diag_nn, double_nerve, nerve_category,
-                           repackage_staircase, wbar_double_nerve)
+                           nerve_simplicial_twocat, repackage_staircase,
+                           tri_diag_nn, wbar_double_nerve)
 from twocat.simplicial import (check_simplicial_identities,
-                               check_simplicial_map, diag, verify_iso, wbar)
+                               check_simplicial_map, diag, tri_diag,
+                               verify_iso, wbar)
+
+MANIFEST = parse(bundled_manifest_path())
 
 
 def monotone_maps(p, q):
@@ -128,3 +140,42 @@ def test_diag_wtc_level_one_is_five():
 
 def test_diag_inherits_identities():
     assert check_simplicial_identities(diag_nn(walking_two_cell(), 3)).ok
+
+
+def assert_same_simplicial_set(X, Y):
+    """The same levels in the same order and equal structure-map tables."""
+    assert (X.name, X.n_max) == (Y.name, Y.n_max)
+    assert X.cells == Y.cells
+    for mine, theirs in ((X.faces, Y.faces), (X.degens, Y.degens)):
+        assert list(mine) == list(theirs)
+        for key in mine:
+            assert mine[key] == theirs[key], key
+
+
+def direct_diag_cases():
+    C = walking_two_cell()
+    cases = [pytest.param(K, 4, id=name) for name, K in sorted(MANIFEST.two_categories.items())]
+    return cases + [pytest.param(product([C, C]), 3, id="WTC^2"),
+                    pytest.param(product([cyclic_group(3), C]), 3, id="BZ3xWTC")]
+
+
+@pytest.mark.parametrize("C,N", direct_diag_cases())
+def test_direct_diag_nn_equals_diag_of_double_nerve(C, N):
+    assert_same_simplicial_set(diag_nn(C, N), diag(double_nerve(C, N)))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("name", sorted(MANIFEST.diagrams))
+def test_direct_tri_diag_nn_equals_tri_diag_of_nerve(name, N):
+    S = hocolim(MANIFEST.diagrams[name], N)
+    assert_same_simplicial_set(tri_diag_nn(S), tri_diag(nerve_simplicial_twocat(S)))
+
+
+def test_direct_diag_rule_leaving_window_raises_on_read():
+    # 1b o f = 1a sends the composite of the columns f and 1b of an (a, b, b)
+    # simplex out of the hom from a to b, so d_1 leaves level 1
+    C = walking_two_cell()
+    X = diag_nn(dataclasses.replace(C, hcomp1={**C.hcomp1, ("1b", "f"): "1a"}), 2)
+    assert X.sizes() == diag_nn(C, 2).sizes()
+    with pytest.raises(TwoCatError, match=r"^Diag\(NN\(WTC\)\): face d_1 leaves level 1 at "):
+        X.face(2, 1, next(x for x in X.level(2) if x[0] == ("a", "b", "b")))
