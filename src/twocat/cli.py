@@ -41,6 +41,11 @@ def emit(args, report: dict) -> int:
     return 0 if report.get("status", "pass") == "pass" else 1
 
 
+def _input_error(message: str) -> int:
+    print(json.dumps({"status": "input-error", "errors": [message]}))
+    return 2
+
+
 def _require(m: Manifest, kind: str, name: str):
     pool = getattr(m, kind)
     if name not in pool:
@@ -214,6 +219,11 @@ def main(argv=None) -> int:
                                                   out=None, budget=None))
     if args.trunc is None:
         args.trunc = getattr(args, "default_trunc", 3)
+    if args.trunc is not None and args.trunc < 0:
+        return _input_error(f"--trunc {args.trunc} is negative")
+    degree = getattr(args, "degree", None)
+    if degree is not None and not 0 <= degree < args.trunc:
+        return _input_error(f"--degree {degree} outside 0..{args.trunc - 1}")
     try:
         with simplex_budget(args.budget):
             return args.fn(args)
@@ -221,12 +231,8 @@ def main(argv=None) -> int:
         print(json.dumps({"status": "input-error", "errors": exc.errors[:20]},
                          indent=1, sort_keys=True))
         return 2
-    except BudgetError as exc:
-        print(json.dumps({"status": "input-error", "errors": [str(exc)]}))
-        return 2
-    except FileNotFoundError as exc:
-        print(json.dumps({"status": "input-error", "errors": [str(exc)]}))
-        return 2
+    except (BudgetError, FileNotFoundError) as exc:
+        return _input_error(str(exc))
     except TwoCatError as exc:
         print(json.dumps({"status": "fail", "errors": [str(exc)]}))
         return 1

@@ -417,8 +417,8 @@ def _family_diag_E(E: TruncatedTrisimplicialSet) -> TruncatedBisimplicialSet:
     levels = [diag(tri_slice(E, 0, p)) for p in range(N + 1)]
     return bisimplicial_from_family(
         levels,
-        lambda p, i, s, x: E.faces[(0, (p, s, s), i)][x],
-        lambda p, i, s, x: E.degens[(0, (p, s, s), i)][x],
+        lambda p, i, s, x: E.face(0, (p, s, s), i, x),
+        lambda p, i, s, x: E.degen(0, (p, s, s), i, x),
         name=f"[p]Diag{E.name}")
 
 
@@ -435,14 +435,13 @@ def _family_wbar_E(E: TruncatedTrisimplicialSet, transposed: bool) -> TruncatedB
             return (p, pos, s - pos)
         return (p, s - pos, pos)
 
-    def hmap(table_of, p, i, s, tup):
-        return tuple(table_of((0, component_key(p, s, pos), i))[t]
-                     for pos, t in enumerate(tup))
+    def hmap(move, p, i, s, tup):
+        return tuple(move(0, component_key(p, s, pos), i, t) for pos, t in enumerate(tup))
 
     return bisimplicial_from_family(
         levels,
-        lambda p, i, s, x: hmap(E.faces.__getitem__, p, i, s, x),
-        lambda p, i, s, x: hmap(E.degens.__getitem__, p, i, s, x),
+        lambda p, i, s, x: hmap(E.face, p, i, s, x),
+        lambda p, i, s, x: hmap(E.degen, p, i, s, x),
         name=f"[p]Wbar{E.name}")
 
 

@@ -251,9 +251,18 @@ def nondegenerate_levels(X: TruncatedSimplicialSet):
     for n in range(1, X.n_max + 1):
         degenerate = set()
         for i in range(n):
-            degenerate.update(X.degens[(n - 1, i)].values())
-        levels[n] = tuple(sorted((x for x in X.level(n) if x not in degenerate), key=repr))
+            degenerate.update(X.degens[(n - 1, i)])
+        levels[n] = tuple(sorted((x for k, x in enumerate(X.level(n)) if k not in degenerate),
+                                 key=repr))
     return levels
+
+
+def _rows(level, basis) -> list:
+    """The row of each simplex of `level` in `basis`, None off the basis."""
+    rows = [None] * len(level)
+    for k, y in enumerate(basis):
+        rows[level.index[y]] = k
+    return rows
 
 
 def normalized_chain_complex(X: TruncatedSimplicialSet) -> ChainComplex:
@@ -262,12 +271,15 @@ def normalized_chain_complex(X: TruncatedSimplicialSet) -> ChainComplex:
     basis = nondegenerate_levels(X)
     boundary = {}
     for n in range(1, X.n_max + 1):
-        index = {y: k for k, y in enumerate(basis[n - 1])}
+        rows = _rows(X.level(n - 1), basis[n - 1])
+        faces = [X.faces[(n, i)] for i in range(n + 1)] if basis[n] else []
+        where = X.level(n).index
         cols = []
         for x in basis[n]:
+            k = where[x]
             col = {}
-            for i in range(n + 1):
-                row = index.get(X.face(n, i, x))
+            for i, face in enumerate(faces):
+                row = rows[face[k]]
                 if row is not None:
                     v = col.get(row, 0) + (-1) ** i
                     if v:
@@ -304,9 +316,10 @@ def chain_map(f: SimplicialMap):
     tgt = normalized_chain_complex(f.target)
     mats = {}
     for n in range(f.source.n_max + 1):
-        index = {y: k for k, y in enumerate(tgt.basis[n])}
-        rows = (index.get(f.at(n, x)) for x in src.basis[n])
-        mats[n] = [{} if row is None else {row: 1} for row in rows]
+        rows = _rows(f.target.level(n), tgt.basis[n])
+        where, image = f.source.level(n).index, f.maps[n]
+        mats[n] = [{} if row is None else {row: 1}
+                   for row in (rows[image[where[x]]] for x in src.basis[n])]
     for n in range(1, f.source.n_max + 1):
         if _compose(tgt.boundary[n], mats[n]) != _compose(mats[n - 1], src.boundary[n]):
             raise TwoCatError(f"chain_map: not a chain map at degree {n}")

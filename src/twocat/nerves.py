@@ -321,12 +321,11 @@ def diag_nn_map(F: TwoFunctor, n_max: int) -> SimplicialMap:
 # nerve of a simplicial 2-category
 # ---------------------------------------------------------------------------
 
-def nerve_simplicial_twocat(S, n_max=None) -> TruncatedTrisimplicialSet:
+def nerve_simplicial_twocat(S) -> TruncatedTrisimplicialSet:
     """Trisimplicial nerve of a simplicial 2-category: axis 0 is the outer
     simplicial direction, axis 1 the 2-cell depth, axis 2 the 1-cell chain
     length of the levelwise double nerves."""
-    if n_max is None:
-        n_max = S.n_max
+    n_max = S.n_max
     dns = {p: double_nerve(S.level(p), n_max) for p in range(n_max + 1)}
 
     def level(key):

@@ -2,27 +2,26 @@
 
 Every level is enumerated when a set is built, in the order its level rule
 yields the simplices (duplicates dropped), and checked against the simplex
-budget.  Each face and degeneracy table is a total dictionary, built from
-its rule the first time it is read and kept from then on, so that every
-later application is a lookup and fault injection in fixtures is direct.
-Building a table checks that every image lies in the target level and
-stores the target level's own simplex, not the rule's fresh copy: images
-are interned, so a table costs one slot per simplex.  `diag` and
-`tri_diag` read the diagonal of a set that is already materialized, so
-its off-diagonal tables are built only as far as the diagonal's faces pass
-through them; the nerves module builds the diagonals of its nerves from
-their rules instead, without enumerating any off-diagonal level.
-Transposes, slices, rows and truncations share the tables of the set they
+budget.  A level is a `Level`: the tuple of its simplices with `index`,
+the position of each simplex, made once as the level is enumerated.
+
+Each face and degeneracy table, and each level of a simplicial map, is a
+list of positions: entry k is the position in the target level of the
+image of the source level's k-th simplex.  A table is built from its rule
+the first time it is read and kept from then on; building it checks that
+every image lies in the target level, so every entry is in range.
+`X.face(n, i, x)`, `f.at(n, x)` and the other lookups go through the
+source level's index and return the target level's own simplex.  `diag`
+and `tri_diag` read the diagonal of a set that is already materialized,
+so its off-diagonal tables are built only as far as the diagonal's faces
+pass through them; the nerves module builds the diagonals of its nerves
+from their rules instead, without enumerating any off-diagonal level.
+Transposes, slices and rows share the levels and tables of the set they
 view and build nothing themselves.
 
-The identity checkers number every level in its stored order once per
-check and turn each table they read into the list of its images' numbers,
-once per check and shared by every view of the table.  An identity is then
-a comparison of two composed integer lists over the whole source level;
-only when they differ is the level walked simplex by simplex to name the
-violations.  A table that cannot be coded (a fault-injected image outside
-its target level, a missing entry) is checked by the plain per-simplex
-lookups instead.
+An identity is checked by composing position lists: two composed lists
+over the whole source level are compared, and only where they differ does
+the level's own simplex name the violation.
 
 Levels carry no canonical order; only the bases of chain complexes
 (homology module) are sorted, by `repr`.  Degenerate simplices are stored
@@ -37,7 +36,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from operator import is_
 
 from .core import TwoCatError, ValidationReport
 
@@ -66,19 +64,31 @@ def simplex_budget(n):
         _SIMPLEX_BUDGET.reset(token)
 
 
-def _ordered(cells) -> tuple:
-    level = tuple(dict.fromkeys(cells))
+class Level(tuple):
+    """The simplices of one level in their stored order; `index` maps each
+    simplex to its position."""
+
+    index: dict
+
+
+def _ordered(cells) -> Level:
+    """The distinct simplices of `cells` in the order first seen."""
+    index = dict.fromkeys(cells)
     budget = _SIMPLEX_BUDGET.get()
-    if len(level) > budget:
-        raise BudgetError(f"level size {len(level)} exceeds the simplex budget "
+    if len(index) > budget:
+        raise BudgetError(f"level size {len(index)} exceeds the simplex budget "
                           f"{budget}; raise it or lower the truncation")
+    level = Level(index)
+    for k, x in enumerate(level):
+        index[x] = k
+    level.index = index
     return level
 
 
 class LazyTables(Mapping):
     """Structure-map tables under their keys, such as (n, i) -> d_i on level
     n.  `build(key)` makes the table the first time it is read; it is kept,
-    so every later read returns the same dictionary.  `key in tables` tells
+    so every later read returns the same list.  `key in tables` tells
     whether a table exists without building it."""
 
     def __init__(self, keys, build):
@@ -109,20 +119,17 @@ class LazyTables(Mapping):
         return f"<tables {len(self._built)} of {len(self._keys)} built>"
 
 
-_ABSENT = object()
-
-
-def _table(rule, source, target, fail) -> dict:
-    """{x: rule(x)} over the level `source`, each image replaced by the equal
-    simplex of the level `target`; an image outside `target` raises
+def _table(rule, source, target, fail) -> list:
+    """The position in the level `target` of rule(x), for each x of the
+    level `source` in order; an image outside `target` raises
     TwoCatError(fail(x))."""
-    canon = {y: y for y in target}
-    table = {}
+    where = target.index
+    table = []
     for x in source:
-        y = canon.get(rule(x), _ABSENT)
-        if y is _ABSENT:
+        k = where.get(rule(x))
+        if k is None:
             raise TwoCatError(fail(x))
-        table[x] = y
+        table.append(k)
     return table
 
 
@@ -133,78 +140,24 @@ def _view(tables, keys) -> LazyTables:
 
 
 # ---------------------------------------------------------------------------
-# index-coded identity checks
+# identity checks on position lists
 # ---------------------------------------------------------------------------
 #
-# A step (tables, key, source, target) is the map tables[key] from the level
-# `source` to the level `target`; a path is a list of steps, applied first to
-# last.  A condition (head, lhs, rhs) asks that two paths agree on every
-# simplex x of a level and reports f"{head} on {x!r}" where they do not.
+# A step (tables, key) is the table tables[key]; a path is a list of steps,
+# applied first to last.  A condition (head, lhs, rhs) asks that two paths
+# agree on every simplex x of a level and reports f"{head} on {x!r}" where
+# they do not.
 
-class _Codes:
-    """Levels numbered in their stored order and tables coded as the lists
-    of their images' numbers, each made once and kept for one check."""
-
-    def __init__(self):
-        # keyed by ids; each entry keeps its objects alive, so no id is reused
-        # while the check runs
-        self._numbers = {}  # id(level) -> numbering, see _number
-        self._codes = {}    # ids of (table, source, target) -> (those three, code)
-
-    def _number(self, level):
-        """(level, {id(y): k}, {y: k}, [k of each y]) with k the first place
-        of a simplex equal to y."""
-        hit = self._numbers.get(id(level))
-        if hit is None:
-            by_value = {}
-            for k, y in enumerate(level):
-                by_value.setdefault(y, k)
-            by_id = {id(y): by_value[y] for y in level}
-            hit = self._numbers[id(level)] = (
-                level, by_id, by_value, [by_id[id(y)] for y in level])
-        return hit
-
-    def code(self, table, source, target):
-        """[number of table[x] in target for x in source], or None when an
-        entry is missing or an image is not in `target`."""
-        key = (id(table), id(source), id(target))
-        hit = self._codes.get(key)
-        if hit is not None:
-            return hit[1]
-        _, by_id, by_value, _ = self._number(target)
-        # a table built from `source` has its simplices as keys, in order
-        if len(table) == len(source) and all(map(is_, table, source)):
-            images = table.values()
-        else:
-            images = [table.get(x, _ABSENT) for x in source]
-        try:
-            code = [by_id[id(y)] for y in images]
-        except KeyError:
-            try:
-                code = [by_value[y] for y in images]
-            except (KeyError, TypeError):
-                code = None
-        self._codes[key] = ((table, source, target), code)
-        return code
-
-    def path(self, level, steps):
-        """The composite of `steps` as a list over `level`, or None."""
-        code = None
-        for tables, key, source, target in steps:
-            step = self.code(tables[key], source, target)
-            if step is None:
-                return None
-            code = step if code is None else [step[k] for k in code]
-        return self._number(level)[3] if code is None else code
+def _path(level, steps) -> list:
+    """The composite of `steps` as a list of positions over `level`."""
+    path = None
+    for tables, key in steps:
+        table = tables[key]
+        path = table if path is None else [table[k] for k in path]
+    return list(range(len(level))) if path is None else path
 
 
-def _apply(steps, x):
-    for tables, key, _, _ in steps:
-        x = tables[key][x]
-    return x
-
-
-def _check_conditions(r: ValidationReport, codes: _Codes, groups) -> None:
+def _check_conditions(r: ValidationReport, groups) -> None:
     """Report every violated condition of `groups`, pairs (level, conditions)
     whose conditions are checked in turn on each simplex of the level."""
     for level, conditions in groups:
@@ -212,19 +165,11 @@ def _check_conditions(r: ValidationReport, codes: _Codes, groups) -> None:
             continue
         differ = []
         for head, lhs, rhs in conditions:
-            a = codes.path(level, lhs)
-            b = None if a is None else codes.path(level, rhs)
-            if b is None:
-                differ = None
-                break
+            a = _path(level, lhs)
+            b = _path(level, rhs)
             if a != b:
                 differ.append((head, a, b))
-        if differ is None:
-            for x in level:
-                for head, lhs, rhs in conditions:
-                    if _apply(lhs, x) != _apply(rhs, x):
-                        r.add(f"{head} on {x!r}")
-        elif differ:
+        if differ:
             for k, x in enumerate(level):
                 for head, a, b in differ:
                     if a[k] != b[k]:
@@ -238,19 +183,21 @@ def _check_conditions(r: ValidationReport, codes: _Codes, groups) -> None:
 @dataclass(eq=False)
 class TruncatedSimplicialSet:
     n_max: int
-    cells: dict          # level -> tuple of simplices
-    faces: Mapping       # (n, i) -> {simplex: simplex}
-    degens: Mapping      # (n, i) -> {simplex: simplex}
+    cells: dict          # n -> Level
+    faces: Mapping       # (n, i) -> positions in level n - 1
+    degens: Mapping      # (n, i) -> positions in level n + 1
     name: str = ""
 
     def level(self, n) -> tuple:
         return self.cells.get(n, ())
 
     def face(self, n, i, x):
-        return self.faces[(n, i)][x]
+        k = self.faces[(n, i)][self.cells[n].index[x]]
+        return self.cells[n - 1][k]
 
     def degen(self, n, i, x):
-        return self.degens[(n, i)][x]
+        k = self.degens[(n, i)][self.cells[n].index[x]]
+        return self.cells[n + 1][k]
 
     def sizes(self):
         return [len(self.level(n)) for n in range(self.n_max + 1)]
@@ -280,10 +227,6 @@ def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSi
 
 
 def check_simplicial_set(X: TruncatedSimplicialSet) -> ValidationReport:
-    return _check_simplicial_set(X, _Codes())
-
-
-def _check_simplicial_set(X: TruncatedSimplicialSet, codes: _Codes) -> ValidationReport:
     r = ValidationReport()
     N = X.n_max
     for n in range(1, N + 1):
@@ -298,10 +241,10 @@ def _check_simplicial_set(X: TruncatedSimplicialSet, codes: _Codes) -> Validatio
         return r
 
     def d(n, i):
-        return (X.faces, (n, i), X.level(n), X.level(n - 1))
+        return (X.faces, (n, i))
 
     def s(n, i):
-        return (X.degens, (n, i), X.level(n), X.level(n + 1))
+        return (X.degens, (n, i))
 
     def identities():
         for n in range(2, N + 1):
@@ -326,7 +269,7 @@ def _check_simplicial_set(X: TruncatedSimplicialSet, codes: _Codes) -> Validatio
                     yield X.level(n), [(f"d_{i} s_{j} identity fails at level {n}",
                                         [s(n, j), d(n + 1, i)], want)]
 
-    _check_conditions(r, codes, identities())
+    _check_conditions(r, identities())
     return r
 
 
@@ -334,19 +277,20 @@ def _check_simplicial_set(X: TruncatedSimplicialSet, codes: _Codes) -> Validatio
 class SimplicialMap:
     source: TruncatedSimplicialSet
     target: TruncatedSimplicialSet
-    maps: dict  # level -> {simplex: simplex}
+    maps: dict  # n -> positions in the target's level n
     name: str = ""
 
     def at(self, n, x):
-        return self.maps[n][x]
+        k = self.maps[n][self.source.cells[n].index[x]]
+        return self.target.cells[n][k]
 
     def __repr__(self):
         return f"<SimplicialMap {self.name}: {self.source!r} -> {self.target!r}>"
 
 
 def simplicial_map(source, target, fn, name="") -> SimplicialMap:
-    """{x: fn(n, x)} on every level, each image replaced by the equal
-    simplex of the target level; every image must lie in that level."""
+    """fn(n, x) on every level, as positions in the target level; every
+    image must lie in that level."""
     if source.n_max != target.n_max:
         raise ShallowWindowError(f"{name}: source and target bounds differ")
     maps = {n: _table(partial(fn, n), source.level(n), target.level(n),
@@ -359,34 +303,27 @@ def check_simplicial_map(f: SimplicialMap) -> ValidationReport:
     r = ValidationReport()
     X, Y = f.source, f.target
 
-    def at(n):
-        return (f.maps, n, X.level(n), Y.level(n))
-
     def conditions():
         for n in range(1, X.n_max + 1):
             for i in range(n + 1):
                 yield X.level(n), [(f"map does not commute with d_{i} at level {n}",
-                                    [(X.faces, (n, i), X.level(n), X.level(n - 1)), at(n - 1)],
-                                    [at(n), (Y.faces, (n, i), Y.level(n), Y.level(n - 1))])]
+                                    [(X.faces, (n, i)), (f.maps, n - 1)],
+                                    [(f.maps, n), (Y.faces, (n, i))])]
         for n in range(X.n_max):
             for i in range(n + 1):
                 yield X.level(n), [(f"map does not commute with s_{i} at level {n}",
-                                    [(X.degens, (n, i), X.level(n), X.level(n + 1)), at(n + 1)],
-                                    [at(n), (Y.degens, (n, i), Y.level(n), Y.level(n + 1))])]
+                                    [(X.degens, (n, i)), (f.maps, n + 1)],
+                                    [(f.maps, n), (Y.degens, (n, i))])]
 
-    _check_conditions(r, _Codes(), conditions())
+    _check_conditions(r, conditions())
     return r
 
 
 def verify_iso(f: SimplicialMap) -> bool:
-    """True iff the map is a levelwise bijection up to the truncation bound."""
-    for n in range(f.source.n_max + 1):
-        values = list(f.maps[n].values())
-        if len(set(values)) != len(values):
-            return False
-        if set(values) != set(f.target.level(n)):
-            return False
-    return True
+    """True iff the map is a levelwise bijection up to the truncation bound:
+    each level's positions are a permutation of the target level's."""
+    return all(sorted(f.maps[n]) == list(range(len(f.target.level(n))))
+               for n in range(f.source.n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +334,10 @@ def verify_iso(f: SimplicialMap) -> bool:
 class TruncatedBisimplicialSet:
     p_max: int
     q_max: int
-    cells: dict   # (p, q) -> tuple
-    hfaces: Mapping  # (p, q, i) -> table, source (p, q), target (p-1, q)
+    cells: dict      # (p, q) -> Level
+    hfaces: Mapping  # (p, q, i) -> positions in level (p-1, q)
     hdegens: Mapping
-    vfaces: Mapping  # (p, q, j) -> table, target (p, q-1)
+    vfaces: Mapping  # (p, q, j) -> positions in level (p, q-1)
     vdegens: Mapping
     name: str = ""
 
@@ -408,16 +345,20 @@ class TruncatedBisimplicialSet:
         return self.cells.get((p, q), ())
 
     def hface(self, p, q, i, x):
-        return self.hfaces[(p, q, i)][x]
+        k = self.hfaces[(p, q, i)][self.cells[(p, q)].index[x]]
+        return self.cells[(p - 1, q)][k]
 
     def vface(self, p, q, j, x):
-        return self.vfaces[(p, q, j)][x]
+        k = self.vfaces[(p, q, j)][self.cells[(p, q)].index[x]]
+        return self.cells[(p, q - 1)][k]
 
     def hdegen(self, p, q, i, x):
-        return self.hdegens[(p, q, i)][x]
+        k = self.hdegens[(p, q, i)][self.cells[(p, q)].index[x]]
+        return self.cells[(p + 1, q)][k]
 
     def vdegen(self, p, q, j, x):
-        return self.vdegens[(p, q, j)][x]
+        k = self.vdegens[(p, q, j)][self.cells[(p, q)].index[x]]
+        return self.cells[(p, q + 1)][k]
 
     def __repr__(self):
         size = sum(map(len, self.cells.values()))
@@ -456,37 +397,30 @@ def _row_as_simplicial(B: TruncatedBisimplicialSet, p) -> TruncatedSimplicialSet
 
 
 def check_bisimplicial_set(B: TruncatedBisimplicialSet) -> ValidationReport:
-    return _check_bisimplicial_set(B, _Codes())
-
-
-def _check_bisimplicial_set(B: TruncatedBisimplicialSet, codes: _Codes) -> ValidationReport:
     r = ValidationReport()
     # identities in each direction, via the simplicial checker on rows/columns
     for p in range(B.p_max + 1):
-        rep = _check_simplicial_set(_row_as_simplicial(B, p), codes)
+        rep = check_simplicial_set(_row_as_simplicial(B, p))
         for v in rep.violations:
             r.add(f"vertical (p={p}): {v}")
     T = transpose(B)
     for q in range(T.p_max + 1):
-        rep = _check_simplicial_set(_row_as_simplicial(T, q), codes)
+        rep = check_simplicial_set(_row_as_simplicial(T, q))
         for v in rep.violations:
             r.add(f"horizontal (q={q}): {v}")
 
     # horizontal/vertical commutation
-    def step(tables, p, q, i, dp, dq):
-        return (tables, (p, q, i), B.level(p, q), B.level(p + dp, q + dq))
-
     def hd(p, q, i):
-        return step(B.hfaces, p, q, i, -1, 0)
+        return (B.hfaces, (p, q, i))
 
     def hs(p, q, i):
-        return step(B.hdegens, p, q, i, 1, 0)
+        return (B.hdegens, (p, q, i))
 
     def vd(p, q, j):
-        return step(B.vfaces, p, q, j, 0, -1)
+        return (B.vfaces, (p, q, j))
 
     def vs(p, q, j):
-        return step(B.vdegens, p, q, j, 0, 1)
+        return (B.vdegens, (p, q, j))
 
     def commutations():
         for (p, q), xs in B.cells.items():
@@ -511,7 +445,7 @@ def _check_bisimplicial_set(B: TruncatedBisimplicialSet, codes: _Codes) -> Valid
                                            [vs(p, q, j), hs(p, q + 1, i)]))
                     yield xs, conditions
 
-    _check_conditions(r, codes, commutations())
+    _check_conditions(r, commutations())
     return r
 
 
@@ -540,35 +474,29 @@ def diag(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
 # codiagonal (total complex)
 # ---------------------------------------------------------------------------
 
-def wbar(B: TruncatedBisimplicialSet, n_max=None) -> TruncatedSimplicialSet:
+def wbar(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     """Codiagonal: level n is the set of staircase tuples (t_{n,0},...,t_{0,n})
     with dh_0 t_{p,q} = dv_{q+1} t_{p-1,q+1}; faces and degeneracies mix the
     two directions positionwise."""
-    limit = min(B.p_max, B.q_max)
-    if n_max is None:
-        n_max = limit
-    if n_max > limit:
-        raise ShallowWindowError(f"wbar: bound {n_max} exceeds window {limit}")
 
     def level(n):
         if n == 0:
             return [(t,) for t in B.level(0, 0)]
         # index cells at (p-1, q+1) by their top vertical face
-        out = []
-        partial = [(t,) for t in B.level(n, 0)]
+        stairs = [(t,) for t in B.level(n, 0)]
         for k in range(1, n + 1):
             p, q = n - k, k
             index = {}
             for t in B.level(p, q):
                 index.setdefault(B.vface(p, q, q, t), []).append(t)
             nxt = []
-            for tup in partial:
+            for tup in stairs:
                 prev = tup[-1]
                 key = B.hface(n - k + 1, k - 1, 0, prev)
                 for t in index.get(key, ()):
                     nxt.append(tup + (t,))
-            partial = nxt
-        return partial
+            stairs = nxt
+        return stairs
 
     def face(n, i, tup):
         out = []
@@ -591,16 +519,15 @@ def wbar(B: TruncatedBisimplicialSet, n_max=None) -> TruncatedSimplicialSet:
                 out.append(B.vdegen(p, q, i, tup[pos - 1]))
         return tuple(out)
 
-    return build_simplicial(n_max, level, face, degen, name=f"Wbar({B.name})")
+    return build_simplicial(min(B.p_max, B.q_max), level, face, degen,
+                            name=f"Wbar({B.name})")
 
 
-def aw_map(B: TruncatedBisimplicialSet, n_max=None) -> SimplicialMap:
+def aw_map(B: TruncatedBisimplicialSet) -> SimplicialMap:
     """Alexander-Whitney-style comparison Diag B -> Wbar B, sending a diagonal
     simplex t to the tuple of its iterated extreme faces."""
     D = diag(B)
-    W = wbar(B, n_max)
-    if n_max is not None and n_max != D.n_max:
-        D = truncate(D, n_max)
+    W = wbar(B)
 
     def fn(n, t):
         # position q holds (dv_{q+1})^(n-q) (dh_0)^q t
@@ -620,39 +547,39 @@ def aw_map(B: TruncatedBisimplicialSet, n_max=None) -> SimplicialMap:
     return simplicial_map(D, W, fn, name=f"aw({B.name})")
 
 
-def truncate(X: TruncatedSimplicialSet, n_max) -> TruncatedSimplicialSet:
-    if n_max > X.n_max:
-        raise ShallowWindowError("truncate: cannot extend a simplicial set")
-    keep = lambda tables, top: _view(tables, {k: k for k in tables if k[0] <= top})
-    return TruncatedSimplicialSet(
-        n_max,
-        {n: X.cells[n] for n in range(n_max + 1)},
-        keep(X.faces, n_max), keep(X.degens, n_max - 1),
-        name=X.name)
-
-
 # ---------------------------------------------------------------------------
 # trisimplicial sets
 # ---------------------------------------------------------------------------
+
+def _moved(key, axis, step) -> tuple:
+    """`key` with `step` added at `axis`."""
+    out = list(key)
+    out[axis] += step
+    return tuple(out)
+
 
 @dataclass(eq=False)
 class TruncatedTrisimplicialSet:
     """Three simplicial directions labelled 0, 1, 2, each with its own bound."""
 
-    bounds: tuple  # (b0, b1, b2)
-    cells: dict    # (i0, i1, i2) -> tuple
-    faces: Mapping  # (axis, key, i) -> table
-    degens: Mapping
+    bounds: tuple   # (b0, b1, b2)
+    cells: dict     # (i0, i1, i2) -> Level
+    faces: Mapping  # (axis, key, i) -> positions in level key - e_axis
+    degens: Mapping  # (axis, key, i) -> positions in level key + e_axis
     name: str = ""
 
     def level(self, key) -> tuple:
         return self.cells.get(tuple(key), ())
 
     def face(self, axis, key, i, x):
-        return self.faces[(axis, tuple(key), i)][x]
+        key = tuple(key)
+        k = self.faces[(axis, key, i)][self.cells[key].index[x]]
+        return self.cells[_moved(key, axis, -1)][k]
 
     def degen(self, axis, key, i, x):
-        return self.degens[(axis, tuple(key), i)][x]
+        key = tuple(key)
+        k = self.degens[(axis, key, i)][self.cells[key].index[x]]
+        return self.cells[_moved(key, axis, 1)][k]
 
     def __repr__(self):
         size = sum(map(len, self.cells.values()))
@@ -666,19 +593,14 @@ def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> Truncat
     keys = list(product(*(range(b + 1) for b in bounds)))
     cells = {key: _ordered(level_fn(key)) for key in keys}
 
-    def moved(key, axis, step):
-        out = list(key)
-        out[axis] += step
-        return tuple(out)
-
     def face(k):
         axis, key, i = k
-        return _table(partial(face_fn, axis, key, i), cells[key], cells[moved(key, axis, -1)],
+        return _table(partial(face_fn, axis, key, i), cells[key], cells[_moved(key, axis, -1)],
                       lambda x: f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
 
     def degen(k):
         axis, key, i = k
-        return _table(partial(degen_fn, axis, key, i), cells[key], cells[moved(key, axis, 1)],
+        return _table(partial(degen_fn, axis, key, i), cells[key], cells[_moved(key, axis, 1)],
                       lambda x: f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
 
     faces = LazyTables(((axis, key, i) for key in keys for axis in range(3)
@@ -727,10 +649,9 @@ def tri_diag(T: TruncatedTrisimplicialSet) -> TruncatedSimplicialSet:
 
 def check_trisimplicial_set(T: TruncatedTrisimplicialSet) -> ValidationReport:
     r = ValidationReport()
-    codes = _Codes()
     for axis in range(3):
         for value in range(T.bounds[axis] + 1):
-            rep = _check_bisimplicial_set(tri_slice(T, axis, value), codes)
+            rep = check_bisimplicial_set(tri_slice(T, axis, value))
             for v in rep.violations:
                 r.add(f"slice axis{axis}={value}: {v}")
     return r
@@ -747,16 +668,15 @@ def check_simplicial_identities(X) -> ValidationReport:
     raise TwoCatError(f"check_simplicial_identities: unsupported {type(X)!r}")
 
 
-def bisimplicial_from_family(levels, hface_fn, hdegen_fn, p_max=None, name="") -> TruncatedBisimplicialSet:
+def bisimplicial_from_family(levels, hface_fn, hdegen_fn, name="") -> TruncatedBisimplicialSet:
     """Assemble a bisimplicial set from a family of simplicial sets indexed by
     the horizontal degree, with supplied horizontal structure maps.
 
     levels[p] provides the column (p, *); hface_fn(p, i, q, x) maps a cell of
     levels[p] at vertical level q into levels[p-1]; hdegen_fn likewise upward.
     """
-    if p_max is None:
-        p_max = len(levels) - 1
-    q_max = min(X.n_max for X in levels[:p_max + 1])
+    p_max = len(levels) - 1
+    q_max = min(X.n_max for X in levels)
 
     def level(p, q):
         return levels[p].level(q)

@@ -117,7 +117,7 @@ def test_resolution_twisted_face_oracle(cx):
         x = rng.choice(E.cells[key])
         base, xs, ucols, phicols = x
         objs, fcols, acols = base
-        got = E.faces[(2, key, q)][x]
+        got = E.face(2, key, q, x)
         for m in range(1, p + 1):
             fib = D.ob[objs[m]]
             whisk = D.two[acols[m - 1][q - 1]].at(xs[m - 1])

@@ -163,19 +163,19 @@ def test_diag_nn_wtc_boundary_squares_to_zero():
     normalized_chain_complex(diag_nn(walking_two_cell(), 4))
 
 
-def _collapse_edge(X, table, x):
-    """Point `table` at x to the degenerate edge on the source vertex of
-    its image: the normalized complex projects that edge to zero, where the
-    image had the boundary target - source."""
-    table[x] = X.degens[(0, 0)][X.face(1, 1, table[x])]
+def _collapse_edge(X, table, k):
+    """Point entry k of `table` (into level 1) at the degenerate edge on the
+    source vertex of its image: the normalized complex projects that edge to
+    zero, where the image had the boundary target - source."""
+    vertex = X.face(1, 1, X.level(1)[table[k]])
+    table[k] = X.degens[(0, 0)][X.level(0).index[vertex]]
 
 
 def test_corrupted_face_table_fails_dd():
     X = diag_nn(walking_two_cell(), 3)
     basis = nondegenerate_levels(X)
-    table = X.faces[(2, 0)]
-    x = next(x for x in basis[2] if table[x] in basis[1])
-    _collapse_edge(X, table, x)
+    k = next(X.level(2).index[x] for x in basis[2] if X.face(2, 0, x) in basis[1])
+    _collapse_edge(X, X.faces[(2, 0)], k)
     with pytest.raises(TwoCatError, match=r"^normalized complex of Diag\(NN\(WTC\)\): "
                                           r"dd != 0 at degree 2$"):
         normalized_chain_complex(X)
@@ -184,7 +184,7 @@ def test_corrupted_face_table_fails_dd():
 def test_corrupted_map_level_fails_chain_map():
     X = diag_nn(walking_two_cell(), 3)
     f = simplicial_map(X, X, lambda n, x: x)
-    _collapse_edge(X, f.maps[1], nondegenerate_levels(X)[1][0])
+    _collapse_edge(X, f.maps[1], X.level(1).index[nondegenerate_levels(X)[1][0]])
     with pytest.raises(TwoCatError, match=r"^chain_map: not a chain map at degree 1$"):
         chain_map(f)
 

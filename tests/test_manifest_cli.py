@@ -15,6 +15,7 @@ from twocat.verify import Runner, run_suite
 
 DATA = Path(bundled_manifest_path())
 MUTANTS = DATA.parent / "mutants"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -139,6 +140,14 @@ def test_cli_verify_deterministic():
         code2, out2 = run_cli(*argv, hash_seed=5)
         assert code1 == code2 == want
         assert out1 == out2
+
+
+def test_verify_all_report_matches_golden():
+    # the deterministic report of the bundled corpus, pinned byte for byte:
+    # a change of representation must not change a single answer
+    code, out = run_cli("verify", "all", hash_seed=0)
+    assert code == 0
+    assert out == (GOLDEN / "verify_all.json").read_text()
 
 
 def test_invariance_rejects_invalid_inputs_before_building():
@@ -294,3 +303,32 @@ def test_cli_budget_does_not_outlive_its_call(capsys):
     assert "budget" in capsys.readouterr().out
     assert main(["--trunc", "3", "wbar", "--name", "WTC"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == "[2, 4, 7, 11]"
+
+
+def _refuse_to_load(args):
+    raise AssertionError("the manifest was loaded")
+
+
+def test_negative_trunc_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("twocat.cli.load_manifest", _refuse_to_load)
+    for argv in (["--trunc", "-1", "diag", "--name", "WTC"],
+                 ["wbar", "--name", "WTC", "--trunc", "-1"],
+                 ["--trunc", "-2", "verify", "all"]):
+        assert main(argv) == 2, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"status": "input-error",
+                          "errors": [f"--trunc {argv[argv.index('--trunc') + 1]} is negative"]}
+
+
+def test_degree_outside_truncation_is_input_error(monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr("twocat.cli.load_manifest", _refuse_to_load)
+        for degree, trunc in (("5", 4), ("-1", 4), ("4", 4), ("0", 0)):
+            argv = ["--trunc", str(trunc), "homology", "--comma", "id:WTC:b:over",
+                    "--degree", degree]
+            assert main(argv) == 2, argv
+            assert json.loads(capsys.readouterr().out) == {
+                "status": "input-error", "errors": [f"--degree {degree} outside 0..{trunc - 1}"]}
+    # the top degree of the range is accepted
+    assert main(["--trunc", "2", "homology", "--name", "WTC", "--degree", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == "H_1 = 0"
