@@ -20,7 +20,7 @@ from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
 from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
 from .simplicial import BudgetError, simplex_budget
-from .verify import SUITES, run_suite
+from .verify import LEAST_TRUNC, SUITES, run_suite
 
 
 def bundled_manifest_path():
@@ -158,11 +158,23 @@ def cmd_homology(args):
                        "checks": checks, "status": "pass"})
 
 
+def _suite(args) -> str:
+    return args.suite_name or args.suite or "all"
+
+
 def cmd_verify(args):
     m = load_manifest(args)
-    suite = args.suite_name or args.suite or "all"
-    report = run_suite(m, suite, args.trunc)
-    return emit(args, report)
+    return emit(args, run_suite(m, _suite(args), args.trunc))
+
+
+def _least_trunc(args) -> tuple:
+    """(least truncation, what needs it) for the homology the command
+    claims; (0, None) when it claims none."""
+    if args.command == "homology":
+        return 1, "homology"
+    if args.command == "verify" and _suite(args) in LEAST_TRUNC:
+        return LEAST_TRUNC[_suite(args)], f"verify {_suite(args)}"
+    return 0, None
 
 
 def main(argv=None) -> int:
@@ -224,6 +236,10 @@ def main(argv=None) -> int:
     degree = getattr(args, "degree", None)
     if degree is not None and not 0 <= degree < args.trunc:
         return _input_error(f"--degree {degree} outside 0..{args.trunc - 1}")
+    least, what = _least_trunc(args)
+    if args.trunc is not None and args.trunc < least:
+        return _input_error(f"--trunc {args.trunc} is below {least}, the least "
+                            f"truncation for {what}")
     try:
         with simplex_budget(args.budget):
             return args.fn(args)

@@ -34,8 +34,8 @@ from .nerves import (_col_vdegen, _col_vface, double_nerve, hom_chains,
                      map_dn_simplex, nerve_category, wbar_double_nerve)
 from .simplicial import (SimplicialMap, TruncatedBisimplicialSet,
                          TruncatedTrisimplicialSet, bisimplicial_from_family,
-                         build_trisimplicial, diag, simplicial_map, transpose,
-                         tri_slice, wbar)
+                         build_trisimplicial, diag, pointwise, simplicial_map,
+                         transpose, tri_slice, wbar)
 
 
 @dataclass(eq=False)
@@ -404,8 +404,8 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
             return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
         return (dn.vdegen(p, q, i, base), xs, ucols, phicols)
 
-    return build_trisimplicial((n_max, n_max, n_max), level, face, degen,
-                               name=f"E({D.name})")
+    return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
+                               pointwise(degen), name=f"E({D.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,24 +11,32 @@ fcols[m][k] to fcols[m][k+1]).
 Staircase simplices (the codiagonal model) at level n are encoded the same
 way except column m (1-based) carries m one-cells and m-1 two-cells.
 
-The double nerve's rules are kept apart from the set they build, so the
-diagonals `diag_nn` and `tri_diag_nn` are built straight from them: only
-the (n, n) and (n, n, n) levels are enumerated, and a diagonal face or
-degeneracy composes the rules per simplex.  The intermediate off-diagonal
-simplex is never looked up; the final image is interned into, and checked
-against, its diagonal level.  `simplicial.diag` and `tri_diag` remain for
-sets that are materialized anyway.
+The tables of `double_nerve` and of the diagonals `diag_nn` and
+`tri_diag_nn` are filled from column codes.  A (p, q)-simplex is a string of
+p composable depth-q columns, and each level lists its strings in
+lexicographic order of their columns' positions in the list of all depth-q
+columns (`_Columns`).  So a face or degeneracy maps each column through a
+small column table (vertical face or degeneracy, identity column, merge of
+two columns, a 2-functor's image), and the image's position is a sum of
+per-column counts; no simplex is rebuilt or looked up.  A column image that
+is not a column across the right objects puts the simplex's image outside
+its level, which raises with the set's usual window text.  The diagonals
+enumerate only the (n, n) levels (of the double nerve of S_n for
+`tri_diag_nn`); `simplicial.diag` and `tri_diag` remain for sets that are
+materialized anyway.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
+from itertools import accumulate
+from math import inf
 
 from .core import TwoCategory, TwoFunctor, TwoCatError
 from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
                          TruncatedTrisimplicialSet, SimplicialMap,
                          build_simplicial, build_bisimplicial,
-                         build_trisimplicial, simplicial_map, wbar)
+                         build_trisimplicial, pointwise, simplicial_map, wbar)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +83,8 @@ def nerve_category(A: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
         obj = A.dom1(x[0]) if i == 0 else A.cod1(x[i - 1])
         return x[:i] + (A.id1[obj],) + x[i:]
 
-    return build_simplicial(n_max, level, face, degen, name=f"N({A.name})")
+    return build_simplicial(n_max, level, pointwise(face), pointwise(degen),
+                            name=f"N({A.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -130,82 +139,265 @@ def _col_vdegen(C, col, j):
             asq[:j] + (C.id2[fs[j]],) + asq[j:])
 
 
-def _double_nerve_rules(C: TwoCategory):
-    """The rules of `double_nerve(C, ·)` as (level, hface, hdegen, vface,
-    vdegen), in the signatures `build_bisimplicial` takes."""
+# A weight that puts every image it enters past the end of its level.
+_MISSING = inf
 
-    @cache
-    def hom(a, b, q):
-        return hom_chains(C, a, b, q)
 
-    def level(p, q):
-        if p == 0:
-            return [((c,), (), ()) for c in C.objects]
-        out = []
+class _Columns:
+    """The depth-q columns of C (`hom_chains`), listed by source object, then
+    target object, then hom, with what it takes to rank strings of them.
 
-        def grow(objs, cols):
-            if len(cols) == p:
-                out.append((objs, tuple(f for f, _ in cols), tuple(a for _, a in cols)))
-                return
-            for b in C.objects:
-                for col in hom(objs[-1], b, q):
-                    grow(objs + (b,), cols + [col])
+    Level (r, q) of the double nerve lists the strings of r composable
+    columns (for r = 0, the objects) in lexicographic order of their
+    columns' positions here.  So the string from object o through columns
+    c_1, ..., c_r is at position
+        start[r][o] + before[r][c_1] + before[r - 1][c_2] + ... + before[1][c_r]:
+    start[r][o] counts the r-strings from earlier objects, and before[k][c]
+    the k-strings from c's source whose first column comes before c.  A
+    table is filled from these sums; no simplex is built or looked up."""
 
-        for a in C.objects:
-            grow((a,), [])
-        return out
+    def __init__(self, C: TwoCategory, q, r_max):
+        self.C, self.q = C, q
+        self.objects = list(dict.fromkeys(C.objects))
+        self.where = {x: a for a, x in enumerate(self.objects)}
+        self.cells, self.dom, self.cod = [], [], []
+        for a, x in enumerate(self.objects):
+            for b, y in enumerate(self.objects):
+                for col in hom_chains(C, x, y, q):
+                    self.cells.append(col)
+                    self.dom.append(a)
+                    self.cod.append(b)
+        self.index = {col: c for c, col in enumerate(self.cells)}
+        self.out = [[] for _ in self.objects]
+        for c, a in enumerate(self.dom):
+            self.out[a].append(c)
+        count = [1] * len(self.objects)
+        self.start, self.before = [list(range(len(count)))], [None]
+        for _ in range(r_max):
+            before, nxt = [0] * len(self.cells), []
+            for cs in self.out:
+                run = 0
+                for c in cs:
+                    before[c] = run
+                    run += count[self.cod[c]]
+                nxt.append(run)
+            count = nxt
+            self.before.append(before)
+            self.start.append(list(accumulate(count, initial=0))[:-1])
+        self._merged = {}
 
-    def hface(p, q, i, x):
-        objs, fcols, acols = x
-        if i == 0:
-            return objs[1:], fcols[1:], acols[1:]
-        if i == p:
-            return objs[:-1], fcols[:-1], acols[:-1]
-        fs, asq = _merge_cols(C, (fcols[i - 1], acols[i - 1]), (fcols[i], acols[i]))
-        return (objs[:i] + objs[i + 1:], fcols[:i - 1] + (fs,) + fcols[i + 1:],
-                acols[:i - 1] + (asq,) + acols[i + 1:])
+    def code(self, col, a, b):
+        """The position of `col` as a column from object a to object b, or
+        None if it is not one."""
+        c = self.index.get(col)
+        return c if c is not None and self.dom[c] == a and self.cod[c] == b else None
 
-    def hdegen(p, q, i, x):
-        objs, fcols, acols = x
-        fs, asq = _identity_col(C, objs[i], q)
-        return (objs[:i + 1] + (objs[i],) + objs[i + 1:], fcols[:i] + (fs,) + fcols[i:],
-                acols[:i] + (asq,) + acols[i:])
+    def level(self, r):
+        """Level (r, q) of the double nerve, in order."""
+        obj, cells, cod, out = self.objects, self.cells, self.cod, self.out
+        if r == 0:
+            return [((x,), (), ()) for x in obj]
+        level = []
 
-    def vface(p, q, j, x):
-        objs, fcols, acols = x
-        if j == 0:
-            return objs, tuple(fs[1:] for fs in fcols), tuple(asq[1:] for asq in acols)
-        if j == q:
-            return objs, tuple(fs[:-1] for fs in fcols), tuple(asq[:-1] for asq in acols)
-        return (objs, tuple(fs[:j] + fs[j + 1:] for fs in fcols),
-                tuple(asq[:j - 1] + (C.vcomp(asq[j], asq[j - 1]),) + asq[j + 1:]
-                      for asq in acols))
+        def grow(objs, fcols, acols, c):
+            fs, asq = cells[c]
+            objs, fcols, acols = objs + (obj[cod[c]],), fcols + (fs,), acols + (asq,)
+            if len(fcols) == r:
+                level.append((objs, fcols, acols))
+            else:
+                for d in out[cod[c]]:
+                    grow(objs, fcols, acols, d)
 
-    def vdegen(p, q, j, x):
-        objs, fcols, acols = x
-        return (objs, tuple(fs[:j + 1] + (fs[j],) + fs[j + 1:] for fs in fcols),
-                tuple(asq[:j] + (C.id2[fs[j]],) + asq[j:] for fs, asq in zip(fcols, acols)))
+        for c, a in enumerate(self.dom):
+            grow((obj[a],), (), (), c)
+        return level
 
-    return level, hface, hdegen, vface, vdegen
+    def fill(self, ow, first, steps) -> list:
+        """ow[o] + first[c_1] + steps[0][c_1][k_2] + ... for each string of
+        level (1 + len(steps), q) in order (ow[o] alone for level 0 when
+        `first` is None): steps[m][c][k] weighs the k-th column that may
+        follow c."""
+        if first is None:
+            return list(ow)
+        sums = [ow[a] + w for a, w in zip(self.dom, first)]
+        last = range(len(first))
+        follow = [self.out[b] for b in self.cod]
+        for step in steps:
+            sums = [s + w for s, c in zip(sums, last) for w in step[c]]
+            last = [d for c in last for d in follow[c]]
+        return sums
+
+    def follow(self, weights) -> list:
+        """weights[d] for each column d that may follow each column c."""
+        return [[weights[d] for d in self.out[b]] for b in self.cod]
+
+    def merge(self, c, d):
+        """The position of the horizontal composite of columns c then d, or
+        None if either is None or it is not a column across their ends."""
+        if c is None or d is None:
+            return None
+        try:
+            return self._merged[c, d]
+        except KeyError:
+            col = _merge_cols(self.C, self.cells[c], self.cells[d])
+            return self._merged.setdefault((c, d), self.code(col, self.dom[c], self.cod[d]))
+
+    @cached_property
+    def identities(self) -> list:
+        """The position of each object's identity column, or None."""
+        return [self.code(_identity_col(self.C, x, self.q), a, a)
+                for a, x in enumerate(self.objects)]
+
+    def vertical(self, target, rule) -> list:
+        """The position in `target` of rule(col) for each column, or None
+        where that is not a column across the same objects."""
+        return [target.code(rule(col), a, b)
+                for col, a, b in zip(self.cells, self.dom, self.cod)]
+
+    def image(self, target, F: TwoFunctor):
+        """The positions in `target` of F's images of the objects and of the
+        columns, or None where an image is not one."""
+        h = [target.where.get(F.o(x)) for x in self.objects]
+        g = [None if h[a] is None or h[b] is None else
+             target.code((tuple(map(F.f1, fs)), tuple(map(F.f2, asq))), h[a], h[b])
+             for (fs, asq), a, b in zip(self.cells, self.dom, self.cod)]
+        return h, g
+
+    @property
+    def unmoved(self):
+        """The column and object maps that leave each where it is."""
+        return range(len(self.cells)), range(len(self.objects))
+
+
+def _columns(C: TwoCategory, n_max):
+    """cols(q): the depth-q columns of C, made on first use."""
+    return cache(lambda q: _Columns(C, q, n_max))
+
+
+def _weights(table, codes) -> list:
+    """table[c] for each c of `codes`, and _MISSING where c is None."""
+    return [_MISSING if c is None else table[c] for c in codes]
+
+
+# Each of the three fills below takes the columns S of the source strings
+# and T of their images, the string length r, and the images g[c] of the
+# columns and h[o] of the objects as positions in T (None where there is
+# none), and returns the positions in level (·, T.q) of the images of level
+# (r, S.q) in order.
+
+def _face_positions(S, T, r, i, g, h, merged) -> list:
+    """The i-th horizontal face: the first or last column dropped, or
+    columns i and i + 1 replaced by merged(c_i, c_{i+1})."""
+    start = _weights(T.start[r - 1], h)
+    if i == 0:
+        later = [_weights(T.before[r - m + 1], g) for m in range(2, r + 1)]
+        return S.fill([0] * len(h), [start[b] for b in S.cod], list(map(S.follow, later)))
+    weights = [_weights(T.before[r - m], g) for m in range(1, i)] + [[0] * len(g)]
+    steps = list(map(S.follow, weights[1:]))
+    if i < r:
+        before = T.before[r - i]
+        steps.append([[_MISSING if (k := merged(c, d)) is None else before[k]
+                       for d in S.out[b]] for c, b in enumerate(S.cod)])
+        steps += [S.follow(_weights(T.before[r - m + 1], g)) for m in range(i + 2, r + 1)]
+    return S.fill(start, weights[0], steps)
+
+
+def _degen_positions(S, T, r, i, g, h, ident) -> list:
+    """The i-th horizontal degeneracy: the column ident[o] inserted after
+    the i-th object o."""
+    idw = _weights(T.before[r + 1 - i], ident)
+    ow = _weights(T.start[r + 1], h)
+    weights = ([_weights(T.before[r + 2 - m], g) for m in range(1, i + 1)]
+               + [_weights(T.before[r + 1 - m], g) for m in range(i + 1, r + 1)])
+    if i == 0:
+        ow = [w + x for w, x in zip(ow, idw)]
+    else:
+        weights[i - 1] = [w + idw[b] for w, b in zip(weights[i - 1], S.cod)]
+    return S.fill(ow, weights[0] if r else None, list(map(S.follow, weights[1:])))
+
+
+def _map_positions(S, T, r, g, h) -> list:
+    """Every column and object mapped, none dropped or inserted."""
+    weights = [_weights(T.before[r - m + 1], g) for m in range(1, r + 1)]
+    return S.fill(_weights(T.start[r], h), weights[0] if r else None,
+                  list(map(S.follow, weights[1:])))
+
+
+def _within(sums, source, target, fail) -> list:
+    """The positions `sums` as the int objects of the level `target`'s own
+    index, so that a table costs one pointer per entry, when each lies in
+    `target`; otherwise TwoCatError(fail(x)) for the first simplex x of
+    `source` whose image does not."""
+    own = list(target.index.values())
+    try:
+        return list(map(own.__getitem__, sums))
+    except TypeError:  # an image is _MISSING
+        n = len(target)
+        raise TwoCatError(fail(source[next(k for k, v in enumerate(sums) if v >= n)])) from None
+
+
+def _compose(g1, g2) -> list:
+    """g2 after g1, position lists with None where there is no image."""
+    return [None if c is None else g2[c] for c in g1]
 
 
 def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
     """Bisimplicial set with (p, q)-simplices the p-columns of q-deep 2-cell
     chains: horizontal faces delete an object and compose columns, vertical
     faces compose the 2-cell stacks columnwise."""
-    return build_bisimplicial(n_max, n_max, *_double_nerve_rules(C),
+    cols = _columns(C, n_max)
+
+    def hface(key, source, target, fail):
+        p, q, i = key
+        S = cols(q)
+        return _within(_face_positions(S, S, p, i, *S.unmoved, S.merge), source, target, fail)
+
+    def hdegen(key, source, target, fail):
+        p, q, i = key
+        S = cols(q)
+        return _within(_degen_positions(S, S, p, i, *S.unmoved, S.identities),
+                       source, target, fail)
+
+    @cache
+    def column_table(rule, q, dq, j):
+        return cols(q).vertical(cols(q + dq), lambda col: rule(C, col, j))
+
+    def vertical(rule, dq):
+        def table(key, source, target, fail):
+            p, q, j = key
+            S, T = cols(q), cols(q + dq)
+            g = column_table(rule, q, dq, j)
+            return _within(_map_positions(S, T, p, g, S.unmoved[1]), source, target, fail)
+        return table
+
+    return build_bisimplicial(n_max, n_max, lambda p, q: cols(q).level(p), hface, hdegen,
+                              vertical(_col_vface, -1), vertical(_col_vdegen, 1),
                               name=f"NN({C.name})")
 
 
 def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
-    """Diag of the double nerve, built from its rules: level n is the (n, n)
-    level, d_i = dh_i dv_i and s_i = sh_i sv_i applied per simplex.  Equal to
-    `diag(double_nerve(C, n_max))`, but no off-diagonal level or table is
-    made."""
-    level, hface, hdegen, vface, vdegen = _double_nerve_rules(C)
-    return build_simplicial(n_max, lambda n: level(n, n),
-                            lambda n, i, x: hface(n, n - 1, i, vface(n, n, i, x)),
-                            lambda n, i, x: hdegen(n, n + 1, i, vdegen(n, n, i, x)),
+    """Diag of the double nerve, made without its off-diagonal levels: level
+    n is the (n, n) level, d_i = dh_i dv_i and s_i = sh_i sv_i, with the
+    vertical map applied to each column before the horizontal one.  Equal
+    to `diag(double_nerve(C, n_max))`."""
+    cols = _columns(C, n_max)
+
+    def face(key, source, target, fail):
+        n, i = key
+        S, T = cols(n), cols(n - 1)
+        g = S.vertical(T, lambda col: _col_vface(C, col, i))
+        return _within(_face_positions(S, T, n, i, g, S.unmoved[1],
+                                       lambda c, d: T.merge(g[c], g[d])),
+                       source, target, fail)
+
+    def degen(key, source, target, fail):
+        n, i = key
+        S, T = cols(n), cols(n + 1)
+        g = S.vertical(T, lambda col: _col_vdegen(C, col, i))
+        return _within(_degen_positions(S, T, n, i, g, S.unmoved[1], T.identities),
+                       source, target, fail)
+
+    return build_simplicial(n_max, lambda n: cols(n).level(n), face, degen,
                             name=f"Diag(NN({C.name}))")
 
 
@@ -274,8 +466,8 @@ def wbar_double_nerve(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
     identity 2-cell."""
     levels = staircase_levels(C, n_max)
     return build_simplicial(n_max, lambda n: levels[n],
-                            lambda n, i, x: _stair_face(C, n, i, x),
-                            lambda n, i, x: _stair_degen(C, n, i, x),
+                            pointwise(lambda n, i, x: _stair_face(C, n, i, x)),
+                            pointwise(lambda n, i, x: _stair_degen(C, n, i, x)),
                             name=f"WbarNN({C.name})")
 
 
@@ -348,26 +540,38 @@ def nerve_simplicial_twocat(S) -> TruncatedTrisimplicialSet:
             return dns[p].vdegen(q, n, i, x)
         return dns[p].hdegen(q, n, i, x)
 
-    return build_trisimplicial((n_max, n_max, n_max), level, face, degen,
-                               name=f"NN({S.name})")
+    return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
+                               pointwise(degen), name=f"NN({S.name})")
 
 
 def tri_diag_nn(S) -> TruncatedSimplicialSet:
-    """Diagonal of `nerve_simplicial_twocat(S)`, built from the double-nerve
-    rules of each level of S: level n is the (n, n) level of the double
-    nerve of S_n; d_i applies dh_i, then dv_i, then the face 2-functor
-    S.face(n, i) to every cell, and s_i likewise with degeneracies.  Equal
-    to `tri_diag(nerve_simplicial_twocat(S))`, but only the (n, n, n)
-    levels are enumerated."""
-    rules = [_double_nerve_rules(S.level(p)) for p in range(S.n_max + 1)]
+    """Diagonal of `nerve_simplicial_twocat(S)`, made from the double nerves
+    of the levels of S: level n is the (n, n) level of the double nerve of
+    S_n; d_i applies dh_i, then dv_i, then the face 2-functor S.face(n, i)
+    to every cell, and s_i likewise with degeneracies.  Equal to
+    `tri_diag(nerve_simplicial_twocat(S))`, but only the (n, n, n) levels
+    are enumerated."""
+    cols = [_columns(S.level(p), S.n_max) for p in range(S.n_max + 1)]
 
-    def face(n, i, x):
-        _, hface, _, vface, _ = rules[n]
-        return map_dn_simplex(S.face(n, i), vface(n - 1, n, i, hface(n, n, i, x)))
+    def face(key, source, target, fail):
+        n, i = key
+        A, V, T = cols[n](n), cols[n](n - 1), cols[n - 1](n - 1)
+        h, f = V.image(T, S.face(n, i))
+        g = _compose(A.vertical(V, lambda col: _col_vface(A.C, col, i)), f)
 
-    def degen(n, i, x):
-        _, _, hdegen, _, vdegen = rules[n]
-        return map_dn_simplex(S.degen(n, i), vdegen(n + 1, n, i, hdegen(n, n, i, x)))
+        def merged(c, d):
+            k = A.merge(c, d)
+            return None if k is None else g[k]
 
-    return build_simplicial(S.n_max, lambda n: rules[n][0](n, n), face, degen,
+        return _within(_face_positions(A, T, n, i, g, h, merged), source, target, fail)
+
+    def degen(key, source, target, fail):
+        n, i = key
+        A, V, T = cols[n](n), cols[n](n + 1), cols[n + 1](n + 1)
+        h, f = V.image(T, S.degen(n, i))
+        g = _compose(A.vertical(V, lambda col: _col_vdegen(A.C, col, i)), f)
+        return _within(_degen_positions(A, T, n, i, g, h, _compose(A.identities, g)),
+                       source, target, fail)
+
+    return build_simplicial(S.n_max, lambda n: cols[n](n).level(n), face, degen,
                             name=f"Diag(NN({S.name}))")

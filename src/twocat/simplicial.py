@@ -7,17 +7,18 @@ the position of each simplex, made once as the level is enumerated.
 
 Each face and degeneracy table, and each level of a simplicial map, is a
 list of positions: entry k is the position in the target level of the
-image of the source level's k-th simplex.  A table is built from its rule
-the first time it is read and kept from then on; building it checks that
-every image lies in the target level, so every entry is in range.
-`X.face(n, i, x)`, `f.at(n, x)` and the other lookups go through the
-source level's index and return the target level's own simplex.  `diag`
-and `tri_diag` read the diagonal of a set that is already materialized,
-so its off-diagonal tables are built only as far as the diagonal's faces
-pass through them; the nerves module builds the diagonals of its nerves
-from their rules instead, without enumerating any off-diagonal level.
-Transposes, slices and rows share the levels and tables of the set they
-view and build nothing themselves.
+image of the source level's k-th simplex.  A table is built from its table
+rule the first time it is read and kept from then on; the rule checks that
+every image lies in the target level, so every entry is in range.  A
+per-simplex rule becomes a table rule through `pointwise`, which looks each
+image up in the target level's index; the nerves module fills its tables
+without images.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
+through the source level's index and return the target level's own
+simplex.  `diag` and `tri_diag` read the diagonal of a set that is already
+materialized: they share its levels, and each of their tables composes
+the set's own, built only as far as the diagonal's faces pass through
+them.  Transposes, slices and rows share the levels and tables of the set
+they view and build nothing themselves.
 
 An identity is checked by composing position lists: two composed lists
 over the whole source level are compared, and only where they differ does
@@ -72,7 +73,10 @@ class Level(tuple):
 
 
 def _ordered(cells) -> Level:
-    """The distinct simplices of `cells` in the order first seen."""
+    """The distinct simplices of `cells` in the order first seen; a `Level`
+    is already that, and is shared as it is."""
+    if isinstance(cells, Level):
+        return cells
     index = dict.fromkeys(cells)
     budget = _SIMPLEX_BUDGET.get()
     if len(index) > budget:
@@ -131,6 +135,17 @@ def _table(rule, source, target, fail) -> list:
             raise TwoCatError(fail(x))
         table.append(k)
     return table
+
+
+def pointwise(rule):
+    """The table rule of the per-simplex rule `rule(*key, x)`.
+
+    The builders take table rules: `rule(key, source, target, fail)` is the
+    table under `key`, the list of positions in the level `target` of the
+    images of the simplices of the level `source`; an image outside
+    `target` raises TwoCatError(fail(x)) for the first such x."""
+    return lambda key, source, target, fail: _table(partial(rule, *key), source,
+                                                    target, fail)
 
 
 def _view(tables, keys) -> LazyTables:
@@ -207,19 +222,20 @@ class TruncatedSimplicialSet:
 
 
 def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSimplicialSet:
-    """A truncated simplicial set from enumeration and map rules: levels now,
-    each table on its first read."""
+    """A truncated simplicial set from an enumeration rule and table rules
+    (see `pointwise`) keyed (n, i): levels now, each table on its first
+    read."""
     cells = {n: _ordered(level_fn(n)) for n in range(n_max + 1)}
 
     def face(key):
         n, i = key
-        return _table(partial(face_fn, n, i), cells[n], cells[n - 1],
-                      lambda x: f"{name}: face d_{i} leaves level {n - 1} at {x!r}")
+        return face_fn(key, cells[n], cells[n - 1],
+                       lambda x: f"{name}: face d_{i} leaves level {n - 1} at {x!r}")
 
     def degen(key):
         n, i = key
-        return _table(partial(degen_fn, n, i), cells[n], cells[n + 1],
-                      lambda x: f"{name}: degeneracy s_{i} leaves level {n + 1} at {x!r}")
+        return degen_fn(key, cells[n], cells[n + 1],
+                        lambda x: f"{name}: degeneracy s_{i} leaves level {n + 1} at {x!r}")
 
     faces = LazyTables(((n, i) for n in range(1, n_max + 1) for i in range(n + 1)), face)
     degens = LazyTables(((n, i) for n in range(n_max) for i in range(n + 1)), degen)
@@ -367,16 +383,17 @@ class TruncatedBisimplicialSet:
 
 def build_bisimplicial(p_max, q_max, level_fn, hface_fn, hdegen_fn,
                        vface_fn, vdegen_fn, name="") -> TruncatedBisimplicialSet:
-    """A truncated bisimplicial set from enumeration and map rules: levels
-    now, each table on its first read."""
+    """A truncated bisimplicial set from an enumeration rule and table rules
+    (see `pointwise`) keyed (p, q, i): levels now, each table on its first
+    read."""
     cells = {(p, q): _ordered(level_fn(p, q))
              for p in range(p_max + 1) for q in range(q_max + 1)}
 
     def tables(fn, dp, dq, keys):
         def build(key):
-            p, q, i = key
-            return _table(partial(fn, p, q, i), cells[(p, q)], cells[(p + dp, q + dq)],
-                          lambda x: f"{name}: map {key} leaves window at {x!r}")
+            p, q, _ = key
+            return fn(key, cells[(p, q)], cells[(p + dp, q + dq)],
+                      lambda x: f"{name}: map {key} leaves window at {x!r}")
         return LazyTables(keys, build)
 
     P, Q = range(p_max + 1), range(q_max + 1)
@@ -460,14 +477,19 @@ def transpose(B: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
 
 def diag(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     """Diagonal simplicial set: level n = B(n, n), maps applied in both
-    directions simultaneously."""
-    n_max = min(B.p_max, B.q_max)
-    return build_simplicial(
-        n_max,
-        lambda n: B.level(n, n),
-        lambda n, i, x: B.hface(n, n - 1, i, B.vface(n, n, i, x)),
-        lambda n, i, x: B.hdegen(n, n + 1, i, B.vdegen(n, n, i, x)),
-        name=f"Diag({B.name})")
+    directions simultaneously.  The levels are B's own, and each table
+    composes two of B's."""
+
+    def face(key, source, *_):
+        n, i = key
+        return _path(source, [(B.vfaces, (n, n, i)), (B.hfaces, (n, n - 1, i))])
+
+    def degen(key, source, *_):
+        n, i = key
+        return _path(source, [(B.vdegens, (n, n, i)), (B.hdegens, (n, n + 1, i))])
+
+    return build_simplicial(min(B.p_max, B.q_max), lambda n: B.cells[(n, n)],
+                            face, degen, name=f"Diag({B.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +541,8 @@ def wbar(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
                 out.append(B.vdegen(p, q, i, tup[pos - 1]))
         return tuple(out)
 
-    return build_simplicial(min(B.p_max, B.q_max), level, face, degen,
-                            name=f"Wbar({B.name})")
+    return build_simplicial(min(B.p_max, B.q_max), level, pointwise(face),
+                            pointwise(degen), name=f"Wbar({B.name})")
 
 
 def aw_map(B: TruncatedBisimplicialSet) -> SimplicialMap:
@@ -587,21 +609,22 @@ class TruncatedTrisimplicialSet:
 
 
 def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> TruncatedTrisimplicialSet:
-    """A truncated trisimplicial set from enumeration and map rules: levels
-    now, each table on its first read."""
+    """A truncated trisimplicial set from an enumeration rule and table rules
+    (see `pointwise`) keyed (axis, key, i): levels now, each table on its
+    first read."""
     bounds = tuple(bounds)
     keys = list(product(*(range(b + 1) for b in bounds)))
     cells = {key: _ordered(level_fn(key)) for key in keys}
 
     def face(k):
         axis, key, i = k
-        return _table(partial(face_fn, axis, key, i), cells[key], cells[_moved(key, axis, -1)],
-                      lambda x: f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
+        return face_fn(k, cells[key], cells[_moved(key, axis, -1)],
+                       lambda x: f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
 
     def degen(k):
         axis, key, i = k
-        return _table(partial(degen_fn, axis, key, i), cells[key], cells[_moved(key, axis, 1)],
-                      lambda x: f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
+        return degen_fn(k, cells[key], cells[_moved(key, axis, 1)],
+                        lambda x: f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
 
     faces = LazyTables(((axis, key, i) for key in keys for axis in range(3)
                         if key[axis] >= 1 for i in range(key[axis] + 1)), face)
@@ -634,17 +657,22 @@ def tri_slice(T: TruncatedTrisimplicialSet, axis, value) -> TruncatedBisimplicia
 
 
 def tri_diag(T: TruncatedTrisimplicialSet) -> TruncatedSimplicialSet:
-    n_max = min(T.bounds)
-    return build_simplicial(
-        n_max,
-        lambda n: T.level((n, n, n)),
-        lambda n, i, x: T.face(0, (n, n - 1, n - 1), i,
-                               T.face(1, (n, n, n - 1), i,
-                                      T.face(2, (n, n, n), i, x))),
-        lambda n, i, x: T.degen(0, (n, n + 1, n + 1), i,
-                                T.degen(1, (n, n, n + 1), i,
-                                        T.degen(2, (n, n, n), i, x))),
-        name=f"Diag({T.name})")
+    """Diagonal simplicial set: level n = T(n, n, n), maps applied along all
+    three axes.  The levels are T's own, and each table composes three of
+    T's."""
+
+    def face(key, source, *_):
+        n, i = key
+        return _path(source, [(T.faces, (2, (n, n, n), i)), (T.faces, (1, (n, n, n - 1), i)),
+                              (T.faces, (0, (n, n - 1, n - 1), i))])
+
+    def degen(key, source, *_):
+        n, i = key
+        return _path(source, [(T.degens, (2, (n, n, n), i)), (T.degens, (1, (n, n, n + 1), i)),
+                              (T.degens, (0, (n, n + 1, n + 1), i))])
+
+    return build_simplicial(min(T.bounds), lambda n: T.cells[(n, n, n)], face, degen,
+                            name=f"Diag({T.name})")
 
 
 def check_trisimplicial_set(T: TruncatedTrisimplicialSet) -> ValidationReport:
@@ -681,13 +709,15 @@ def bisimplicial_from_family(levels, hface_fn, hdegen_fn, name="") -> TruncatedB
     def level(p, q):
         return levels[p].level(q)
 
-    def vface(p, q, j, x):
-        return levels[p].face(q, j, x)
+    def vface(key, *_):
+        p, q, j = key
+        return levels[p].faces[(q, j)]
 
-    def vdegen(p, q, j, x):
-        return levels[p].degen(q, j, x)
+    def vdegen(key, *_):
+        p, q, j = key
+        return levels[p].degens[(q, j)]
 
     return build_bisimplicial(p_max, q_max, level,
-                              lambda p, q, i, x: hface_fn(p, i, q, x),
-                              lambda p, q, i, x: hdegen_fn(p, i, q, x),
+                              pointwise(lambda p, q, i, x: hface_fn(p, i, q, x)),
+                              pointwise(lambda p, q, i, x: hdegen_fn(p, i, q, x)),
                               vface, vdegen, name=name)

@@ -314,6 +314,11 @@ SUITE_FNS = {"identities": suite_identities,
 DEFAULT_TRUNC = {"identities": 3, "iso112": 3, "iso114": 3, "retractions": 3,
                  "oplax": 3, "contractibility": 4, "invariance": 4}
 
+# The least truncation at which a suite's homology claims compare any degree:
+# contractibility computes H_i for i < trunc, invariance compares H_i for
+# i <= trunc - 2.
+LEAST_TRUNC = {"contractibility": 1, "invariance": 2, "all": 2}
+
 
 def run_suite(m: Manifest, suite: str, trunc: int = None) -> dict:
     """Run one suite (or "all"); returns the report dictionary."""

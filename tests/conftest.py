@@ -1,7 +1,8 @@
 import pytest
 
-from twocat.core import make_two_category
+from twocat.core import identity_functor, make_two_category
 from twocat.corpus import corpus
+from twocat.hocolim import SimplicialTwoCategory
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,12 @@ def cyclic_group(n):
         lambda g, f: f"g{(int(g[1:]) + int(f[1:])) % n}",
         lambda b, a: b,
         lambda b, a: f"e{(int(b[1:]) + int(a[1:])) % n}")
+
+
+def constant_simplicial(C, n_max):
+    """The constant simplicial 2-category at C."""
+    one = identity_functor(C)
+    return SimplicialTwoCategory(
+        n_max, [C] * (n_max + 1),
+        {(p, i): one for p in range(1, n_max + 1) for i in range(p + 1)},
+        {(p, i): one for p in range(n_max) for i in range(p + 1)}, name="const")

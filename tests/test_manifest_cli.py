@@ -320,6 +320,35 @@ def test_negative_trunc_is_input_error(monkeypatch, capsys):
                           "errors": [f"--trunc {argv[argv.index('--trunc') + 1]} is negative"]}
 
 
+def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, capsys):
+    # below these truncations the suites compared no homology: invariance
+    # passed on "degrees 0..-1", contractibility crashed on an empty list
+    with monkeypatch.context() as patch:
+        patch.setattr("twocat.cli.load_manifest", _refuse_to_load)
+        for argv, least, what in ((["--trunc", "1", "verify", "invariance"], 2, "verify invariance"),
+                                  (["--trunc", "0", "verify", "invariance"], 2, "verify invariance"),
+                                  (["verify", "all", "--trunc", "1"], 2, "verify all"),
+                                  (["--trunc", "1", "verify", "--suite", "all"], 2, "verify all"),
+                                  (["--trunc", "0", "verify", "contractibility"], 1,
+                                   "verify contractibility"),
+                                  (["--trunc", "0", "homology", "--name", "WTC"], 1, "homology"),
+                                  (["--trunc", "0", "homology", "--comma", "id:WTC:b:over"], 1,
+                                   "homology")):
+            assert main(argv) == 2, argv
+            trunc = argv[argv.index("--trunc") + 1]
+            assert json.loads(capsys.readouterr().out) == {
+                "status": "input-error",
+                "errors": [f"--trunc {trunc} is below {least}, the least truncation "
+                           f"for {what}"]}, argv
+    # the least truncations themselves run, and so do suites with no homology
+    assert main(["--trunc", "1", "homology", "--name", "WTC"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == "H_0 = Z"
+    assert main(["--trunc", "1", "verify", "contractibility"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert main(["--trunc", "0", "verify", "iso112"]) == 0
+    capsys.readouterr()
+
+
 def test_degree_outside_truncation_is_input_error(monkeypatch, capsys):
     with monkeypatch.context() as patch:
         patch.setattr("twocat.cli.load_manifest", _refuse_to_load)

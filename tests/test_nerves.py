@@ -1,18 +1,22 @@
 import dataclasses
+import sys
+import threading
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cyclic_group
+from conftest import constant_simplicial, cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, product
 from twocat.hocolim import hocolim
 from twocat.manifest import parse
-from twocat.nerves import (diag_nn, double_nerve, nerve_category,
+from twocat.nerves import (_identity_col, _merge_cols, diag_nn, double_nerve,
+                           hom_chains, map_dn_simplex, nerve_category,
                            nerve_simplicial_twocat, repackage_staircase,
                            tri_diag_nn, wbar_double_nerve)
-from twocat.simplicial import (check_simplicial_identities,
+from twocat.simplicial import (_table, check_simplicial_identities,
                                check_simplicial_map, diag, tri_diag,
                                verify_iso, wbar)
 
@@ -150,14 +154,15 @@ def assert_same_simplicial_set(X, Y):
             assert mine[key] == theirs[key], key
 
 
-def direct_diag_cases():
+def two_category_cases():
     C = walking_two_cell()
     cases = [pytest.param(K, 4, id=name) for name, K in sorted(MANIFEST.two_categories.items())]
-    return cases + [pytest.param(product([C, C]), 3, id="WTC^2"),
-                    pytest.param(product([cyclic_group(3), C]), 3, id="BZ3xWTC")]
+    return cases + [pytest.param(product([C, C]), 4, id="WTC^2"),
+                    pytest.param(product([C, C, C]), 3, id="WTC^3"),
+                    pytest.param(product([cyclic_group(3), C]), 4, id="BZ3xWTC")]
 
 
-@pytest.mark.parametrize("C,N", direct_diag_cases())
+@pytest.mark.parametrize("C,N", two_category_cases())
 def test_direct_diag_nn_equals_diag_of_double_nerve(C, N):
     assert_same_simplicial_set(diag_nn(C, N), diag(double_nerve(C, N)))
 
@@ -177,3 +182,196 @@ def test_direct_diag_rule_leaving_window_raises_on_read():
     assert X.sizes() == diag_nn(C, 2).sizes()
     with pytest.raises(TwoCatError, match=r"^Diag\(NN\(WTC\)\): face d_1 leaves level 1 at "):
         X.face(2, 1, next(x for x in X.level(2) if x[0] == ("a", "b", "b")))
+
+
+def _bad_wtc():
+    """WTC with 1b o f = 1a: composing the columns f and 1b of an (a, b, b)
+    simplex leaves the hom from a to b."""
+    C = walking_two_cell()
+    return dataclasses.replace(C, hcomp1={**C.hcomp1, ("1b", "f"): "1a"})
+
+
+# -- coded tables against the per-simplex reference rules --------------------
+#
+# The rules below rebuild every image simplex from its cells and look it up,
+# as the double nerve and its diagonals once did.  Every table the library
+# fills from column codes must equal the one `_table` makes from them.
+
+def _ref_double_nerve_rules(C):
+    """(level, hface, hdegen, vface, vdegen) of the double nerve of C."""
+
+    @cache
+    def hom(a, b, q):
+        return hom_chains(C, a, b, q)
+
+    def level(p, q):
+        if p == 0:
+            return [((c,), (), ()) for c in C.objects]
+        out = []
+
+        def grow(objs, cols):
+            if len(cols) == p:
+                out.append((objs, tuple(f for f, _ in cols), tuple(a for _, a in cols)))
+                return
+            for b in C.objects:
+                for col in hom(objs[-1], b, q):
+                    grow(objs + (b,), cols + [col])
+
+        for a in C.objects:
+            grow((a,), [])
+        return out
+
+    def hface(p, q, i, x):
+        objs, fcols, acols = x
+        if i == 0:
+            return objs[1:], fcols[1:], acols[1:]
+        if i == p:
+            return objs[:-1], fcols[:-1], acols[:-1]
+        fs, asq = _merge_cols(C, (fcols[i - 1], acols[i - 1]), (fcols[i], acols[i]))
+        return (objs[:i] + objs[i + 1:], fcols[:i - 1] + (fs,) + fcols[i + 1:],
+                acols[:i - 1] + (asq,) + acols[i + 1:])
+
+    def hdegen(p, q, i, x):
+        objs, fcols, acols = x
+        fs, asq = _identity_col(C, objs[i], q)
+        return (objs[:i + 1] + (objs[i],) + objs[i + 1:], fcols[:i] + (fs,) + fcols[i:],
+                acols[:i] + (asq,) + acols[i:])
+
+    def vface(p, q, j, x):
+        objs, fcols, acols = x
+        if j == 0:
+            return objs, tuple(fs[1:] for fs in fcols), tuple(asq[1:] for asq in acols)
+        if j == q:
+            return objs, tuple(fs[:-1] for fs in fcols), tuple(asq[:-1] for asq in acols)
+        return (objs, tuple(fs[:j] + fs[j + 1:] for fs in fcols),
+                tuple(asq[:j - 1] + (C.vcomp(asq[j], asq[j - 1]),) + asq[j + 1:]
+                      for asq in acols))
+
+    def vdegen(p, q, j, x):
+        objs, fcols, acols = x
+        return (objs, tuple(fs[:j + 1] + (fs[j],) + fs[j + 1:] for fs in fcols),
+                tuple(asq[:j] + (C.id2[fs[j]],) + asq[j:] for fs, asq in zip(fcols, acols)))
+
+    return level, hface, hdegen, vface, vdegen
+
+
+def _ref_diag_rules(C):
+    """(level, face, degen) of Diag of the double nerve of C: d_i = dh_i dv_i
+    and s_i = sh_i sv_i per simplex, the intermediate never looked up."""
+    level, hface, hdegen, vface, vdegen = _ref_double_nerve_rules(C)
+    return (lambda n: level(n, n),
+            lambda n, i, x: hface(n, n - 1, i, vface(n, n, i, x)),
+            lambda n, i, x: hdegen(n, n + 1, i, vdegen(n, n, i, x)))
+
+
+def _ref_tri_diag_rules(S):
+    """(level, face, degen) of the diagonal of the trisimplicial nerve of S."""
+    rules = [_ref_double_nerve_rules(S.level(p)) for p in range(S.n_max + 1)]
+
+    def face(n, i, x):
+        _, hface, _, vface, _ = rules[n]
+        return map_dn_simplex(S.face(n, i), vface(n - 1, n, i, hface(n, n, i, x)))
+
+    def degen(n, i, x):
+        _, _, hdegen, _, vdegen = rules[n]
+        return map_dn_simplex(S.degen(n, i), vdegen(n + 1, n, i, hdegen(n, n, i, x)))
+
+    return lambda n: rules[n][0](n, n), face, degen
+
+
+def _ref_table(rule, key, source, target):
+    return _table(partial(rule, *key), source, target, repr)
+
+
+def assert_simplicial_tables_match(X, level, face, degen):
+    for n, cells in X.cells.items():
+        assert list(cells) == level(n), n
+    for (n, i), table in X.faces.items():
+        assert table == _ref_table(face, (n, i), X.cells[n], X.cells[n - 1]), (n, i)
+    for (n, i), table in X.degens.items():
+        assert table == _ref_table(degen, (n, i), X.cells[n], X.cells[n + 1]), (n, i)
+
+
+@pytest.mark.parametrize("C,N", two_category_cases())
+def test_double_nerve_tables_equal_reference_rules(C, N):
+    level, hface, hdegen, vface, vdegen = _ref_double_nerve_rules(C)
+    B = double_nerve(C, N)
+    for (p, q), cells in B.cells.items():
+        assert list(cells) == level(p, q), (p, q)
+    for tables, rule, dp, dq in ((B.hfaces, hface, -1, 0), (B.hdegens, hdegen, 1, 0),
+                                 (B.vfaces, vface, 0, -1), (B.vdegens, vdegen, 0, 1)):
+        for (p, q, i), table in tables.items():
+            want = _ref_table(rule, (p, q, i), B.cells[(p, q)], B.cells[(p + dp, q + dq)])
+            assert table == want, (p, q, i)
+
+
+@pytest.mark.parametrize("C,N", two_category_cases())
+def test_diag_nn_tables_equal_reference_rules(C, N):
+    assert_simplicial_tables_match(diag_nn(C, N), *_ref_diag_rules(C))
+
+
+@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("name", sorted(MANIFEST.diagrams))
+def test_tri_diag_nn_tables_equal_reference_rules(name, N):
+    S = hocolim(MANIFEST.diagrams[name], N)
+    assert_simplicial_tables_match(tri_diag_nn(S), *_ref_tri_diag_rules(S))
+
+
+def _every_table(sets):
+    """Every table of every set in `sets`, read in a fixed order."""
+    return [tables[key] for X in sets
+            for family in ("faces", "degens", "hfaces", "hdegens", "vfaces", "vdegens")
+            for tables in [getattr(X, family, {})] for key in tables]
+
+
+def test_threads_reading_one_set_get_identical_tables():
+    # more threads than cores, switching often, all filling the same lazy
+    # tables and column memos at once
+    C = product([walking_two_cell(), walking_two_cell()])
+    D = MANIFEST.diagrams["Dcov"]
+    sets = [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3))]
+    start = threading.Barrier(6)
+    seen = [None] * 6
+
+    def read(k):
+        start.wait()
+        seen[k] = _every_table(sets)
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is b for tables in seen for a, b in zip(tables, seen[0], strict=True))
+    fresh = [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3))]
+    assert seen[0] and seen[0] == _every_table(fresh)
+
+
+def test_double_nerve_rule_leaving_window_raises_on_read():
+    C = _bad_wtc()
+    B = double_nerve(C, 2)
+    assert {k: len(v) for k, v in B.cells.items()} == \
+        {k: len(v) for k, v in double_nerve(walking_two_cell(), 2).cells.items()}
+    hface = _ref_double_nerve_rules(C)[1]
+    where = B.cells[(1, 0)].index
+    first = next(x for x in B.level(2, 0) if hface(2, 0, 1, x) not in where)
+    with pytest.raises(TwoCatError) as exc:
+        B.hface(2, 0, 1, B.level(2, 0)[-1])
+    assert str(exc.value) == f"NN(WTC): map (2, 0, 1) leaves window at {first!r}"
+
+
+def test_tri_diag_nn_rule_leaving_window_raises_on_read():
+    S = constant_simplicial(_bad_wtc(), 2)
+    X = tri_diag_nn(S)
+    assert X.sizes() == tri_diag_nn(constant_simplicial(walking_two_cell(), 2)).sizes()
+    face = _ref_tri_diag_rules(S)[1]
+    first = next(x for x in X.level(2) if face(2, 1, x) not in X.cells[1].index)
+    with pytest.raises(TwoCatError) as exc:
+        X.face(2, 1, X.level(2)[-1])
+    assert str(exc.value) == f"Diag(NN(const)): face d_1 leaves level 1 at {first!r}"

@@ -4,15 +4,15 @@ import threading
 
 import pytest
 
+from conftest import constant_simplicial
 from twocat.builders import pt, walking_two_cell
-from twocat.core import TwoCatError, ValidationReport, identity_functor
-from twocat.hocolim import SimplicialTwoCategory
+from twocat.core import TwoCatError, ValidationReport
 from twocat.homology import normalized_chain_complex
 from twocat.nerves import diag_nn, double_nerve, nerve_simplicial_twocat
 from twocat.simplicial import (BudgetError, TruncatedSimplicialSet, aw_map,
                                build_bisimplicial, build_simplicial, check_bisimplicial_set,
                                check_simplicial_identities, check_simplicial_map,
-                               check_simplicial_set, diag, simplex_budget,
+                               check_simplicial_set, diag, pointwise, simplex_budget,
                                simplicial_map, transpose, tri_slice, verify_iso, wbar)
 
 
@@ -109,8 +109,8 @@ def _poisoned_double_nerve(C, n_max, bad):
             raise RuntimeError(f"table {bad} was built")
         return B.hface(p, q, i, x)
 
-    return build_bisimplicial(n_max, n_max, B.level, hface, B.hdegen,
-                              B.vface, B.vdegen, name="poisoned")
+    return build_bisimplicial(n_max, n_max, B.level, *map(pointwise, (hface, B.hdegen,
+                              B.vface, B.vdegen)), name="poisoned")
 
 
 def test_unread_table_is_never_built():
@@ -125,8 +125,8 @@ def test_unread_table_is_never_built():
 
 
 def test_table_leaving_window_raises_on_read():
-    X = build_simplicial(1, lambda n: [(n,)], lambda n, i, x: ("elsewhere",),
-                         lambda n, i, x: (1,), name="bad")
+    X = build_simplicial(1, lambda n: [(n,)], pointwise(lambda n, i, x: ("elsewhere",)),
+                         pointwise(lambda n, i, x: (1,)), name="bad")
     assert X.sizes() == [1, 1]
     assert X.degen(0, 0, (0,)) == (1,)
     with pytest.raises(TwoCatError, match="bad: face d_0 leaves level 0"):
@@ -138,7 +138,7 @@ def test_table_read_twice_is_the_same_object():
     assert B.hfaces[(2, 1, 0)] is B.hfaces[(2, 1, 0)]
     # views share the tables of the set they view
     assert transpose(B).vfaces[(1, 2, 0)] is B.hfaces[(2, 1, 0)]
-    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 2))
+    T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2))
     assert tri_slice(T, 0, 1).vfaces[(2, 1, 0)] is T.faces[(2, (1, 2, 1), 0)]
 
 
@@ -154,19 +154,10 @@ def test_table_membership_does_not_build():
 
 def test_short_reprs():
     B = double_nerve(walking_two_cell(), 2)
-    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 1))
+    T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 1))
     for obj in (B, T, B.hfaces, T.faces, transpose(B).vfaces, diag(B), aw_map(B)):
         assert len(repr(obj)) < 200 and "0x" not in repr(obj)
     assert repr(B).startswith("<bisSet NN(WTC) ")
-
-
-def _constant_simplicial(C, n_max):
-    """The constant simplicial 2-category at C."""
-    one = identity_functor(C)
-    return SimplicialTwoCategory(
-        n_max, [C] * (n_max + 1),
-        {(p, i): one for p in range(1, n_max + 1) for i in range(p + 1)},
-        {(p, i): one for p in range(n_max) for i in range(p + 1)}, name="const")
 
 
 # -- position-list checkers against the per-simplex reference loops ---------
@@ -326,7 +317,7 @@ def test_bisimplicial_checker_matches_reference():
 @pytest.mark.parametrize("seed", range(3))
 def test_trisimplicial_checker_matches_reference(seed):
     rng = random.Random(seed)
-    T = nerve_simplicial_twocat(_constant_simplicial(walking_two_cell(), 2))
+    T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2))
     _corrupt(rng, T.faces, lambda k: T.level(_moved(k[1], k[0], -1)), 3)
     _corrupt(rng, T.degens, lambda k: T.level(_moved(k[1], k[0], 1)), 3)
     got = check_simplicial_identities(T).violations
@@ -367,8 +358,8 @@ def test_tables_are_positions_and_lookups_return_own_simplices():
         own = {id(y) for y in f.target.level(n)}
         assert all(id(f.at(n, x)) in own for x in f.source.level(n))
     # a rule whose image leaves the window still raises the same text
-    X = build_simplicial(1, lambda n: [(n,)], lambda n, i, x: ("elsewhere",),
-                         lambda n, i, x: (1,), name="bad")
+    X = build_simplicial(1, lambda n: [(n,)], pointwise(lambda n, i, x: ("elsewhere",)),
+                         pointwise(lambda n, i, x: (1,)), name="bad")
     with pytest.raises(TwoCatError) as exc:
         X.faces[(1, 1)]
     assert str(exc.value) == "bad: face d_1 leaves level 0 at (1,)"
