@@ -124,12 +124,26 @@ def cmd_hocolim(args):
                        "status": "pass"})
 
 
+def _comma(m: Manifest, parts):
+    """The comma 2-category of parts = [FUNCTOR, OBJECT, SIDE], FUNCTOR a
+    functor name or id:CAT.  A malformed spec, a side other than over or
+    under, or an object not in the functor's target is an input error,
+    raised before anything is built."""
+    if len(parts) != 3:
+        raise ManifestError([f"--comma {':'.join(parts)!r} is not FUNCTOR:OBJECT:SIDE"])
+    functor, obj, side = parts
+    F = (identity_functor(_require(m, "two_categories", functor[3:]))
+         if functor.startswith("id:") else _require(m, "two_functors", functor))
+    if side not in (OVER, UNDER):
+        raise ManifestError([f"comma side {side!r} is neither {OVER} nor {UNDER}"])
+    if obj not in F.target.objects:
+        raise ManifestError([f"no object {obj!r} in {F.target.name}, the target of {functor}"])
+    return comma(F, obj, side)
+
+
 def cmd_comma(args):
     m = load_manifest(args)
-    F = (identity_functor(_require(m, "two_categories", args.functor[3:]))
-         if args.functor.startswith("id:")
-         else _require(m, "two_functors", args.functor))
-    K = comma(F, args.object, args.side)
+    K = _comma(m, [args.functor, args.object, args.side])
     rep = validate(K)
     return emit(args, {"suite": "comma", "truncation": args.trunc,
                        "checks": [{"name": f"comma[{args.functor},{args.object},{args.side}]",
@@ -141,10 +155,7 @@ def cmd_comma(args):
 def cmd_homology(args):
     m = load_manifest(args)
     if args.comma:
-        fname, obj, side = args.comma.rsplit(":", 2)
-        F = (identity_functor(_require(m, "two_categories", fname[3:]))
-             if fname.startswith("id:") else _require(m, "two_functors", fname))
-        X = diag_nn(comma(F, obj, side), args.trunc)
+        X = diag_nn(_comma(m, args.comma.rsplit(":", 2)), args.trunc)
         label = args.comma
     else:
         C = _require(m, "two_categories", args.name)

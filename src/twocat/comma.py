@@ -78,6 +78,10 @@ def comma_diagram(F: TwoFunctor, c, side: str = OVER) -> TwoDiagram:
 
 def comma(F: TwoFunctor, c, side: str = OVER) -> TwoCategory:
     """Homotopy fibre of F over (or under) c; slices are the identity case."""
+    if side not in (OVER, UNDER):
+        raise TwoCatError(f"comma: side {side!r} is neither {OVER!r} nor {UNDER!r}")
+    if c not in F.target.objects:
+        raise TwoCatError(f"comma: {c!r} is not an object of {F.target.name}")
     G = grothendieck(comma_diagram(F, c, side))
     G.name = f"{F.name}|{c}|{side}"
     return G

@@ -31,11 +31,6 @@ class ValidationReport:
     def merge(self, other: "ValidationReport") -> None:
         self.violations.extend(other.violations)
 
-    def raise_if_bad(self, context: str = "") -> None:
-        if self.violations:
-            head = f"{context}: " if context else ""
-            raise TwoCatError(head + "; ".join(map(str, self.violations[:5])))
-
 
 @dataclass(eq=False)
 class TwoCategory:
@@ -69,9 +64,6 @@ class TwoCategory:
 
     def cod2(self, a):
         return self.two_cells[a][1]
-
-    def unit1(self, c):
-        return self.id1[c]
 
     def unit2(self, f):
         return self.id2[f]
@@ -413,7 +405,7 @@ def natural_equal(s: TwoNaturalTransformation, t: TwoNaturalTransformation) -> b
 
 def identity_natural(F: TwoFunctor) -> TwoNaturalTransformation:
     B = F.target
-    return TwoNaturalTransformation(F, F, {c: B.unit1(F.o(c)) for c in F.source.objects})
+    return TwoNaturalTransformation(F, F, {c: B.id1[F.o(c)] for c in F.source.objects})
 
 
 def vcompose_naturals(t: TwoNaturalTransformation, s: TwoNaturalTransformation) -> TwoNaturalTransformation:
@@ -707,15 +699,6 @@ class TwoDiagram:
     one: dict   # base 1-cell -> TwoFunctor
     two: dict   # base 2-cell -> TwoNaturalTransformation
     name: str = ""
-
-    def fibre(self, c) -> TwoCategory:
-        return self.ob[c]
-
-    def tr1(self, f) -> TwoFunctor:
-        return self.one[f]
-
-    def tr2(self, a) -> TwoNaturalTransformation:
-        return self.two[a]
 
 
 def validate_diagram(D: TwoDiagram) -> ValidationReport:

@@ -269,18 +269,20 @@ def hocolim_level_product_iso(S: SimplicialTwoCategory, D: TwoDiagram, p: int):
     P = product([V, disc])
     src = S.level(p)
 
+    def simplex(ch, fs):
+        """The nerve simplex through the objects ch and the 1-cells fs."""
+        return ch, tuple((f,) for f in fs), ((),) * p
+
     on_obj, on_one, on_two = {}, {}, {}
     for o in src.objects:
         ch, d = o
-        on_obj[o] = (d[0], d[1:] if p >= 1 else ch)
+        on_obj[o] = (d[0], simplex(ch, d[1:]))
     for f in src.one_cells:
         ch, d = f
-        s = tuple(C.dom2(g) for g in d[1:]) if p >= 1 else ch
-        on_one[f] = (d[0], ("i", s))
+        on_one[f] = (d[0], ("i", simplex(ch, map(C.dom2, d[1:]))))
     for t in src.two_cells:
         ch, d = t
-        s = tuple(C.dom2(g) for g in d[1:]) if p >= 1 else ch
-        on_two[t] = (d[0], ("ii", s))
+        on_two[t] = (d[0], ("ii", simplex(ch, map(C.dom2, d[1:]))))
     return TwoFunctor(src, P, on_obj, on_one, on_two, name=f"level_{p}_iso")
 
 

@@ -2,33 +2,38 @@
 2-category, and the explicit staircase model of the codiagonal of a double
 nerve.
 
-Double-nerve simplices at bidegree (p, q) are encoded as
-    (objects, fcols, acols)
-with p+1 objects, fcols a p-tuple of (q+1)-tuples of parallel 1-cells per
-column, and acols a p-tuple of q-tuples of 2-cells (acols[m][k] goes from
-fcols[m][k] to fcols[m][k+1]).
+Every simplex here is a string of columns (objects, fcols, acols): p+1
+objects and p columns, column m a chain of 2-cells f^0 => ... => f^q from
+object m-1 to object m, with fcols[m-1] = (f^0, ..., f^q) and acols[m-1]
+its q 2-cells (acols[m][k] goes from fcols[m][k] to fcols[m][k+1]).  Each
+level of a construction is fixed by its depth tuple, the depths q of its
+columns in turn:
 
-Staircase simplices (the codiagonal model) at level n are encoded the same
-way except column m (1-based) carries m one-cells and m-1 two-cells.
+    double nerve, bidegree (p, q)      (q,) * p
+    its diagonal, level n              (n,) * n
+    staircase codiagonal, level n      (0, 1, ..., n-1)
+    nerve of a category, level p       (0,) * p
 
-The tables of `double_nerve` and of the diagonals `diag_nn` and
-`tri_diag_nn` are filled from column codes.  A (p, q)-simplex is a string of
-p composable depth-q columns, and each level lists its strings in
-lexicographic order of their columns' positions in the list of all depth-q
-columns (`_Columns`).  So a face or degeneracy maps each column through a
-small column table (vertical face or degeneracy, identity column, merge of
-two columns, a 2-functor's image), and the image's position is a sum of
-per-column counts; no simplex is rebuilt or looked up.  A column image that
-is not a column across the right objects puts the simplex's image outside
-its level, which raises with the set's usual window text.  The diagonals
-enumerate only the (n, n) levels (of the double nerve of S_n for
-`tri_diag_nn`); `simplicial.diag` and `tri_diag` remain for sets that are
-materialized anyway.
+so the nerve of a category is row 0 of its double nerve, with simplices
+(objects, ((f_1,), ..., (f_p,)), ((), ..., ())).
+
+One rank fill serves every level (`_Strings`).  A level lists its strings
+in lexicographic order of their columns' positions in the lists of all
+columns of each depth, so a string's position is a sum of per-column
+counts.  A face, degeneracy or map sends each column through a small column
+table (vertical face or degeneracy, identity column, merge of two columns,
+a 2-functor's image), and its table is filled from those sums; no simplex
+is rebuilt or looked up.  A column image that is not a column across the
+right objects puts the simplex's image outside its level, which raises with
+the set's usual window text.  The diagonals enumerate only their own levels
+(of the double nerve of S_n for `tri_diag_nn`); `simplicial.diag` and
+`tri_diag` remain for sets that are materialized anyway.
+`repackage_staircase` and `nerve_simplicial_twocat` stay per simplex.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import inf
 
@@ -39,56 +44,12 @@ from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
                          build_trisimplicial, pointwise, simplicial_map, wbar)
 
 
-# ---------------------------------------------------------------------------
-# nerve of a category
-# ---------------------------------------------------------------------------
-
 def is_category(A: TwoCategory) -> bool:
     return all(s == t for s, t in A.two_cells.values())
 
 
-def nerve_category(A: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
-    """Nerve of a 2-category with only identity 2-cells: level p is the set
-    of composable p-chains, level 0 the object set."""
-    if not is_category(A):
-        raise TwoCatError("nerve_category: input has non-identity 2-cells")
-
-    chains = {0: [(c,) for c in A.objects]}
-    for p in range(1, n_max + 1):
-        nxt = []
-        for tail in chains[p - 1]:
-            if p == 1:
-                src = tail[0]
-                nxt.extend((f,) for f in A.one_cells if A.dom1(f) == src)
-            else:
-                end = A.cod1(tail[-1])
-                nxt.extend(tail + (f,) for f in A.one_cells if A.dom1(f) == end)
-        chains[p] = nxt
-
-    def level(p):
-        return chains[p]
-
-    def face(p, i, x):
-        if p == 1:
-            return (A.cod1(x[0]),) if i == 0 else (A.dom1(x[0]),)
-        if i == 0:
-            return x[1:]
-        if i == p:
-            return x[:-1]
-        return x[:i - 1] + (A.comp1(x[i], x[i - 1]),) + x[i + 1:]
-
-    def degen(p, i, x):
-        if p == 0:
-            return (A.id1[x[0]],)
-        obj = A.dom1(x[0]) if i == 0 else A.cod1(x[i - 1])
-        return x[:i] + (A.id1[obj],) + x[i:]
-
-    return build_simplicial(n_max, level, pointwise(face), pointwise(degen),
-                            name=f"N({A.name})")
-
-
 # ---------------------------------------------------------------------------
-# double nerve
+# columns and strings of columns
 # ---------------------------------------------------------------------------
 
 def hom_chains(C: TwoCategory, a, b, q):
@@ -145,18 +106,9 @@ _MISSING = inf
 
 class _Columns:
     """The depth-q columns of C (`hom_chains`), listed by source object, then
-    target object, then hom, with what it takes to rank strings of them.
+    target object, then hom, with the column tables made from them."""
 
-    Level (r, q) of the double nerve lists the strings of r composable
-    columns (for r = 0, the objects) in lexicographic order of their
-    columns' positions here.  So the string from object o through columns
-    c_1, ..., c_r is at position
-        start[r][o] + before[r][c_1] + before[r - 1][c_2] + ... + before[1][c_r]:
-    start[r][o] counts the r-strings from earlier objects, and before[k][c]
-    the k-strings from c's source whose first column comes before c.  A
-    table is filled from these sums; no simplex is built or looked up."""
-
-    def __init__(self, C: TwoCategory, q, r_max):
+    def __init__(self, C: TwoCategory, q):
         self.C, self.q = C, q
         self.objects = list(dict.fromkeys(C.objects))
         self.where = {x: a for a, x in enumerate(self.objects)}
@@ -171,19 +123,6 @@ class _Columns:
         self.out = [[] for _ in self.objects]
         for c, a in enumerate(self.dom):
             self.out[a].append(c)
-        count = [1] * len(self.objects)
-        self.start, self.before = [list(range(len(count)))], [None]
-        for _ in range(r_max):
-            before, nxt = [0] * len(self.cells), []
-            for cs in self.out:
-                run = 0
-                for c in cs:
-                    before[c] = run
-                    run += count[self.cod[c]]
-                nxt.append(run)
-            count = nxt
-            self.before.append(before)
-            self.start.append(list(accumulate(count, initial=0))[:-1])
         self._merged = {}
 
     def code(self, col, a, b):
@@ -191,45 +130,6 @@ class _Columns:
         None if it is not one."""
         c = self.index.get(col)
         return c if c is not None and self.dom[c] == a and self.cod[c] == b else None
-
-    def level(self, r):
-        """Level (r, q) of the double nerve, in order."""
-        obj, cells, cod, out = self.objects, self.cells, self.cod, self.out
-        if r == 0:
-            return [((x,), (), ()) for x in obj]
-        level = []
-
-        def grow(objs, fcols, acols, c):
-            fs, asq = cells[c]
-            objs, fcols, acols = objs + (obj[cod[c]],), fcols + (fs,), acols + (asq,)
-            if len(fcols) == r:
-                level.append((objs, fcols, acols))
-            else:
-                for d in out[cod[c]]:
-                    grow(objs, fcols, acols, d)
-
-        for c, a in enumerate(self.dom):
-            grow((obj[a],), (), (), c)
-        return level
-
-    def fill(self, ow, first, steps) -> list:
-        """ow[o] + first[c_1] + steps[0][c_1][k_2] + ... for each string of
-        level (1 + len(steps), q) in order (ow[o] alone for level 0 when
-        `first` is None): steps[m][c][k] weighs the k-th column that may
-        follow c."""
-        if first is None:
-            return list(ow)
-        sums = [ow[a] + w for a, w in zip(self.dom, first)]
-        last = range(len(first))
-        follow = [self.out[b] for b in self.cod]
-        for step in steps:
-            sums = [s + w for s, c in zip(sums, last) for w in step[c]]
-            last = [d for c in last for d in follow[c]]
-        return sums
-
-    def follow(self, weights) -> list:
-        """weights[d] for each column d that may follow each column c."""
-        return [[weights[d] for d in self.out[b]] for b in self.cod]
 
     def merge(self, c, d):
         """The position of the horizontal composite of columns c then d, or
@@ -248,12 +148,6 @@ class _Columns:
         return [self.code(_identity_col(self.C, x, self.q), a, a)
                 for a, x in enumerate(self.objects)]
 
-    def vertical(self, target, rule) -> list:
-        """The position in `target` of rule(col) for each column, or None
-        where that is not a column across the same objects."""
-        return [target.code(rule(col), a, b)
-                for col, a, b in zip(self.cells, self.dom, self.cod)]
-
     def image(self, target, F: TwoFunctor):
         """The positions in `target` of F's images of the objects and of the
         columns, or None where an image is not one."""
@@ -263,64 +157,163 @@ class _Columns:
              for (fs, asq), a, b in zip(self.cells, self.dom, self.cod)]
         return h, g
 
-    @property
-    def unmoved(self):
-        """The column and object maps that leave each where it is."""
-        return range(len(self.cells)), range(len(self.objects))
 
+class _Strings:
+    """The strings of columns of C, ranked.
 
-def _columns(C: TwoCategory, n_max):
-    """cols(q): the depth-q columns of C, made on first use."""
-    return cache(lambda q: _Columns(C, q, n_max))
+    A string (o, c_1, ..., c_r) of depths ds = (d_1, ..., d_r) starts at
+    object o, and c_m is a column of depth d_m (`cols(d_m)`) from the end of
+    the one before.  The strings of one depth tuple are listed in
+    lexicographic order of o and the columns' positions, so with
+    `start, before = ranks(ds)` a string is at
+        start[o] + before[0][c_1] + before[1][c_2] + ... + before[r-1][c_r]:
+    start[o] counts the strings from earlier objects, and before[m][c] the
+    strings of depths ds[m:] from c's source whose first column comes
+    before c.  Every list is made on first use and kept in a dict of the
+    instance."""
+
+    def __init__(self, C: TwoCategory):
+        self.C = C
+        self.objects = list(dict.fromkeys(C.objects))
+        self._cols, self._kept = {}, {}
+
+    def _keep(self, key, make, *args):
+        try:
+            return self._kept[key]
+        except KeyError:
+            return self._kept.setdefault(key, make(*args))
+
+    def cols(self, q) -> _Columns:
+        try:
+            return self._cols[q]
+        except KeyError:
+            return self._cols.setdefault(q, _Columns(self.C, q))
+
+    def ranks(self, ds) -> tuple:
+        """(start, before) of the strings of depths ds."""
+        return self._keep(("ranks", ds), self._ranks, ds)
+
+    def _ranks(self, ds):
+        count, before = [1] * len(self.objects), []
+        for q in reversed(ds):
+            S = self.cols(q)
+            b, total = [0] * len(S.cells), []
+            for cs in S.out:
+                run = 0
+                for c in cs:
+                    b[c] = run
+                    run += count[S.cod[c]]
+                total.append(run)
+            count = total
+            before.append(b)
+        return list(accumulate(count, initial=0))[:-1], before[::-1]
+
+    def follows(self, ds) -> list:
+        """follows[m-1][c]: the columns that may follow the column c at
+        position m-1 of a string of depths ds."""
+        return self._keep(("follows", ds), self._follows, ds)
+
+    def _follows(self, ds):
+        return [[self.cols(q).out[b] for b in self.cols(p).cod] for p, q in zip(ds, ds[1:])]
+
+    def vface(self, q, j) -> list:
+        """The position among the depth-(q-1) columns of the j-th vertical
+        face of each depth-q column, or None where it is not one."""
+        return self._keep(("vface", q, j), self._vertical, _col_vface, q, q - 1, j)
+
+    def vdegen(self, q, j) -> list:
+        """Likewise the j-th vertical degeneracy, among the depth-(q+1)
+        columns."""
+        return self._keep(("vdegen", q, j), self._vertical, _col_vdegen, q, q + 1, j)
+
+    def _vertical(self, rule, q, to, j):
+        S, T = self.cols(q), self.cols(to)
+        return [T.code(rule(self.C, col, j), a, b) for col, a, b in zip(S.cells, S.dom, S.cod)]
+
+    def level(self, ds) -> list:
+        """The strings of depths ds, in order."""
+        obj = self.objects
+        level = [((x,), (), (), a) for a, x in enumerate(obj)]
+        for q in ds:
+            S = self.cols(q)
+            level = [(objs + (obj[S.cod[c]],), fcols + (S.cells[c][0],),
+                      acols + (S.cells[c][1],), S.cod[c])
+                     for objs, fcols, acols, a in level for c in S.out[a]]
+        return [x[:3] for x in level]
+
+    def steps(self, ds, weights) -> list:
+        """The weights weights[m][c] of each column c at each position m,
+        in the form `fill` takes them."""
+        return weights[:1] + [[[w[d] for d in cs] for cs in follow]
+                              for follow, w in zip(self.follows(ds), weights[1:])]
+
+    def fill(self, ds, ow, steps) -> list:
+        """ow[o] + steps[0][c_1] + steps[1][c_1][k_2] + ... for each string
+        of depths ds in order (ow alone when ds is empty): steps[m][c][k]
+        weighs the k-th column that may follow c (`follows`)."""
+        if not ds:
+            return list(ow)
+        S, follows = self.cols(ds[0]), self.follows(ds)
+        sums = [ow[a] + w for a, w in zip(S.dom, steps[0])]
+        last = range(len(S.cells))
+        for m, follow in enumerate(follows, 1):
+            step = steps[m]
+            sums = [s + w for s, c in zip(sums, last) for w in step[c]]
+            if m < len(follows):
+                last = [d for c in last for d in follow[c]]
+        return sums
 
 
 def _weights(table, codes) -> list:
-    """table[c] for each c of `codes`, and _MISSING where c is None."""
+    """table[c] for each c of `codes`, and _MISSING where c is None; the
+    table itself where `codes` is None, which leaves everything in place."""
+    if codes is None:
+        return table
     return [_MISSING if c is None else table[c] for c in codes]
 
 
-# Each of the three fills below takes the columns S of the source strings
-# and T of their images, the string length r, and the images g[c] of the
-# columns and h[o] of the objects as positions in T (None where there is
-# none), and returns the positions in level (·, T.q) of the images of level
-# (r, S.q) in order.
+# Each of the three fills below takes the strings S of the source and T of
+# the images, the depth tuples ds of the source level and dt of the image
+# level, one column table per source position (g[m][c] the image of the
+# column c at position m among T's columns of its new depth, or None) and
+# the object map h (h[o] among T's objects, or None), and returns the
+# positions in level dt of the images of level ds in order.  A table or map
+# that is None leaves every column or object where it is.
 
-def _face_positions(S, T, r, i, g, h, merged) -> list:
+def _face_positions(S, T, ds, dt, i, g, h, merged) -> list:
     """The i-th horizontal face: the first or last column dropped, or
     columns i and i + 1 replaced by merged(c_i, c_{i+1})."""
-    start = _weights(T.start[r - 1], h)
+    start, before = T.ranks(dt)
+    start = _weights(start, h)
     if i == 0:
-        later = [_weights(T.before[r - m + 1], g) for m in range(2, r + 1)]
-        return S.fill([0] * len(h), [start[b] for b in S.cod], list(map(S.follow, later)))
-    weights = [_weights(T.before[r - m], g) for m in range(1, i)] + [[0] * len(g)]
-    steps = list(map(S.follow, weights[1:]))
-    if i < r:
-        before = T.before[r - i]
-        steps.append([[_MISSING if (k := merged(c, d)) is None else before[k]
-                       for d in S.out[b]] for c, b in enumerate(S.cod)])
-        steps += [S.follow(_weights(T.before[r - m + 1], g)) for m in range(i + 2, r + 1)]
-    return S.fill(start, weights[0], steps)
+        first = [start[b] for b in S.cols(ds[0]).cod]
+        return S.fill(ds, [0] * len(S.objects), S.steps(ds, [first] + [
+            _weights(before[m - 1], g[m]) for m in range(1, len(ds))]))
+    steps = S.steps(ds, [[0] * len(S.cols(q).cells) if m in (i - 1, i) else
+                         _weights(before[m - (m > i)], g[m]) for m, q in enumerate(ds)])
+    if i < len(ds):
+        steps[i] = [[_MISSING if (k := merged(c, d)) is None else before[i - 1][k] for d in cs]
+                    for c, cs in enumerate(S.follows(ds)[i - 1])]
+    return S.fill(ds, start, steps)
 
 
-def _degen_positions(S, T, r, i, g, h, ident) -> list:
+def _degen_positions(S, T, ds, dt, i, g, h, ident) -> list:
     """The i-th horizontal degeneracy: the column ident[o] inserted after
     the i-th object o."""
-    idw = _weights(T.before[r + 1 - i], ident)
-    ow = _weights(T.start[r + 1], h)
-    weights = ([_weights(T.before[r + 2 - m], g) for m in range(1, i + 1)]
-               + [_weights(T.before[r + 1 - m], g) for m in range(i + 1, r + 1)])
+    start, before = T.ranks(dt)
+    idw, ow = _weights(before[i], ident), _weights(start, h)
+    weights = [_weights(before[m + (m >= i)], g[m]) for m in range(len(ds))]
     if i == 0:
         ow = [w + x for w, x in zip(ow, idw)]
     else:
-        weights[i - 1] = [w + idw[b] for w, b in zip(weights[i - 1], S.cod)]
-    return S.fill(ow, weights[0] if r else None, list(map(S.follow, weights[1:])))
+        weights[i - 1] = [w + idw[b] for w, b in zip(weights[i - 1], S.cols(ds[i - 1]).cod)]
+    return S.fill(ds, ow, S.steps(ds, weights))
 
 
-def _map_positions(S, T, r, g, h) -> list:
+def _map_positions(S, T, ds, dt, g, h) -> list:
     """Every column and object mapped, none dropped or inserted."""
-    weights = [_weights(T.before[r - m + 1], g) for m in range(1, r + 1)]
-    return S.fill(_weights(T.start[r], h), weights[0] if r else None,
-                  list(map(S.follow, weights[1:])))
+    start, before = T.ranks(dt)
+    return S.fill(ds, _weights(start, h), S.steps(ds, list(map(_weights, before, g))))
 
 
 def _within(sums, source, target, fail) -> list:
@@ -336,43 +329,76 @@ def _within(sums, source, target, fail) -> list:
         raise TwoCatError(fail(source[next(k for k, v in enumerate(sums) if v >= n)])) from None
 
 
+def _ranked(positions):
+    """The table rule (see `simplicial.pointwise`) whose table under a key
+    is the list positions(*key)."""
+    return lambda key, source, target, fail: _within(positions(*key), source, target, fail)
+
+
 def _compose(g1, g2) -> list:
     """g2 after g1, position lists with None where there is no image."""
     return [None if c is None else g2[c] for c in g1]
+
+
+# ---------------------------------------------------------------------------
+# nerve of a category, double nerve and its diagonal
+# ---------------------------------------------------------------------------
+
+def _hface(S, p, q, i) -> list:
+    """The i-th horizontal face of the strings of p depth-q columns."""
+    ds = (q,) * p
+    return _face_positions(S, S, ds, ds[1:], i, [None] * p, None, S.cols(q).merge)
+
+
+def _hdegen(S, p, q, i) -> list:
+    """The i-th horizontal degeneracy of the strings of p depth-q columns."""
+    ds = (q,) * p
+    return _degen_positions(S, S, ds, ds + (q,), i, [None] * p, None, S.cols(q).identities)
+
+
+def nerve_category(A: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
+    """Nerve of a 2-category with only identity 2-cells: row 0 of its double
+    nerve, so level p holds the composable p-chains as (objects, ((f_1,),
+    ..., (f_p,)), ((), ..., ())), and level 0 the objects."""
+    if not is_category(A):
+        raise TwoCatError("nerve_category: input has non-identity 2-cells")
+    S = _Strings(A)
+    return build_simplicial(n_max, lambda p: S.level((0,) * p),
+                            _ranked(lambda p, i: _hface(S, p, 0, i)),
+                            _ranked(lambda p, i: _hdegen(S, p, 0, i)), name=f"N({A.name})")
 
 
 def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
     """Bisimplicial set with (p, q)-simplices the p-columns of q-deep 2-cell
     chains: horizontal faces delete an object and compose columns, vertical
     faces compose the 2-cell stacks columnwise."""
-    cols = _columns(C, n_max)
+    S = _Strings(C)
 
-    def hface(key, source, target, fail):
-        p, q, i = key
-        S = cols(q)
-        return _within(_face_positions(S, S, p, i, *S.unmoved, S.merge), source, target, fail)
+    def vertical(p, q, to, table):
+        return _map_positions(S, S, (q,) * p, (to,) * p, [table] * p, None)
 
-    def hdegen(key, source, target, fail):
-        p, q, i = key
-        S = cols(q)
-        return _within(_degen_positions(S, S, p, i, *S.unmoved, S.identities),
-                       source, target, fail)
+    return build_bisimplicial(
+        n_max, n_max, lambda p, q: S.level((q,) * p),
+        _ranked(partial(_hface, S)), _ranked(partial(_hdegen, S)),
+        _ranked(lambda p, q, j: vertical(p, q, q - 1, S.vface(q, j))),
+        _ranked(lambda p, q, j: vertical(p, q, q + 1, S.vdegen(q, j))),
+        name=f"NN({C.name})")
 
-    @cache
-    def column_table(rule, q, dq, j):
-        return cols(q).vertical(cols(q + dq), lambda col: rule(C, col, j))
 
-    def vertical(rule, dq):
-        def table(key, source, target, fail):
-            p, q, j = key
-            S, T = cols(q), cols(q + dq)
-            g = column_table(rule, q, dq, j)
-            return _within(_map_positions(S, T, p, g, S.unmoved[1]), source, target, fail)
-        return table
+def _diag_nn(S: _Strings, n_max) -> TruncatedSimplicialSet:
+    """`diag_nn` of the 2-category S.C, from its strings S."""
 
-    return build_bisimplicial(n_max, n_max, lambda p, q: cols(q).level(p), hface, hdegen,
-                              vertical(_col_vface, -1), vertical(_col_vdegen, 1),
-                              name=f"NN({C.name})")
+    def face(n, i):
+        T, g = S.cols(n - 1), S.vface(n, i)
+        return _face_positions(S, S, (n,) * n, (n - 1,) * (n - 1), i, [g] * n,
+                               None, lambda c, d: T.merge(g[c], g[d]))
+
+    def degen(n, i):
+        return _degen_positions(S, S, (n,) * n, (n + 1,) * (n + 1), i, [S.vdegen(n, i)] * n,
+                                None, S.cols(n + 1).identities)
+
+    return build_simplicial(n_max, lambda n: S.level((n,) * n), _ranked(face), _ranked(degen),
+                            name=f"Diag(NN({S.C.name}))")
 
 
 def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
@@ -380,81 +406,12 @@ def diag_nn(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
     n is the (n, n) level, d_i = dh_i dv_i and s_i = sh_i sv_i, with the
     vertical map applied to each column before the horizontal one.  Equal
     to `diag(double_nerve(C, n_max))`."""
-    cols = _columns(C, n_max)
-
-    def face(key, source, target, fail):
-        n, i = key
-        S, T = cols(n), cols(n - 1)
-        g = S.vertical(T, lambda col: _col_vface(C, col, i))
-        return _within(_face_positions(S, T, n, i, g, S.unmoved[1],
-                                       lambda c, d: T.merge(g[c], g[d])),
-                       source, target, fail)
-
-    def degen(key, source, target, fail):
-        n, i = key
-        S, T = cols(n), cols(n + 1)
-        g = S.vertical(T, lambda col: _col_vdegen(C, col, i))
-        return _within(_degen_positions(S, T, n, i, g, S.unmoved[1], T.identities),
-                       source, target, fail)
-
-    return build_simplicial(n_max, lambda n: cols(n).level(n), face, degen,
-                            name=f"Diag(NN({C.name}))")
+    return _diag_nn(_Strings(C), n_max)
 
 
 # ---------------------------------------------------------------------------
 # staircase (codiagonal) model of the double nerve
 # ---------------------------------------------------------------------------
-
-def staircase_levels(C: TwoCategory, n_max: int):
-    levels = {0: [((c,), (), ()) for c in C.objects]}
-    for n in range(1, n_max + 1):
-        out = []
-        for (objs, fcols, acols) in levels[n - 1]:
-            for b in C.objects:
-                for col in hom_chains(C, objs[-1], b, n - 1):
-                    out.append((objs + (b,), fcols + (col[0],), acols + (col[1],)))
-        levels[n] = out
-    return levels
-
-
-def _stair_face(C: TwoCategory, n, i, x):
-    objs, fcols, acols = x
-    cols = list(zip(fcols, acols))
-    new_objs = objs[:i] + objs[i + 1:]
-    new_cols = []
-    for m in range(1, n):
-        if m < i:
-            new_cols.append(cols[m - 1])
-        elif m == i:
-            new_cols.append(_merge_cols(C, cols[i - 1], cols[i]))
-        else:
-            fs, asq = cols[m]  # old column m+1
-            if i == 0:
-                new_cols.append((fs[1:], asq[1:]))
-            else:
-                nfs = fs[:i] + fs[i + 1:]
-                nas = asq[:i - 1] + (C.vcomp(asq[i], asq[i - 1]),) + asq[i + 1:]
-                new_cols.append((nfs, nas))
-    return (new_objs, tuple(f for f, _ in new_cols), tuple(a for _, a in new_cols))
-
-
-def _stair_degen(C: TwoCategory, n, i, x):
-    objs, fcols, acols = x
-    cols = list(zip(fcols, acols))
-    new_objs = objs[:i + 1] + (objs[i],) + objs[i + 1:]
-    new_cols = []
-    for m in range(1, n + 2):
-        if m <= i:
-            new_cols.append(cols[m - 1])
-        elif m == i + 1:
-            new_cols.append(_identity_col(C, objs[i], i))
-        else:
-            fs, asq = cols[m - 2]  # old column m-1
-            nfs = fs[:i + 1] + (fs[i],) + fs[i + 1:]
-            nas = asq[:i] + (C.id2[fs[i]],) + asq[i:]
-            new_cols.append((nfs, nas))
-    return (new_objs, tuple(f for f, _ in new_cols), tuple(a for _, a in new_cols))
-
 
 def wbar_double_nerve(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
     """Codiagonal of the double nerve in its explicit staircase description:
@@ -464,11 +421,25 @@ def wbar_double_nerve(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
     f^i_m beyond and composes vertically around them; the i-degeneracy
     repeats c_i with an identity column and turns each f^i_m into an
     identity 2-cell."""
-    levels = staircase_levels(C, n_max)
-    return build_simplicial(n_max, lambda n: levels[n],
-                            pointwise(lambda n, i, x: _stair_face(C, n, i, x)),
-                            pointwise(lambda n, i, x: _stair_degen(C, n, i, x)),
-                            name=f"WbarNN({C.name})")
+    S = _Strings(C)
+    stairs = lambda n: tuple(range(n))
+
+    def face(n, i):
+        # column i merged with the top face of column i + 1, d^v_i beyond
+        g = [None if q <= i else S.vface(q, i) for q in range(n)]
+        merged = None
+        if 0 < i < n:
+            top, M = S.vface(i, i), S.cols(i - 1)
+            merged = lambda c, d: M.merge(c, top[d])
+        return _face_positions(S, S, stairs(n), stairs(n - 1), i, g, None, merged)
+
+    def degen(n, i):
+        # the depth-i identity column inserted, s^v_i beyond
+        g = [None if q < i else S.vdegen(q, i) for q in range(n)]
+        return _degen_positions(S, S, stairs(n), stairs(n + 1), i, g, None, S.cols(i).identities)
+
+    return build_simplicial(n_max, lambda n: S.level(stairs(n)), _ranked(face),
+                            _ranked(degen), name=f"WbarNN({C.name})")
 
 
 def repackage_staircase(C: TwoCategory, n_max: int) -> SimplicialMap:
@@ -502,11 +473,18 @@ def map_dn_simplex(F: TwoFunctor, x):
 
 
 def diag_nn_map(F: TwoFunctor, n_max: int) -> SimplicialMap:
-    """Induced map on the diagonals of the double nerves."""
-    src = diag_nn(F.source, n_max)
-    tgt = diag_nn(F.target, n_max)
-    return simplicial_map(src, tgt, lambda n, x: map_dn_simplex(F, x),
-                          name=f"DiagNN({F.name})")
+    """Induced map on the diagonals of the double nerves: every object and
+    column of a simplex sent through F."""
+    S, T = _Strings(F.source), _Strings(F.target)
+    src, tgt = _diag_nn(S, n_max), _diag_nn(T, n_max)
+    name = f"DiagNN({F.name})"
+    maps = {}
+    for n in range(n_max + 1):
+        h, g = S.cols(n).image(T.cols(n), F)
+        maps[n] = _within(_map_positions(S, T, (n,) * n, (n,) * n, [g] * n, h),
+                          src.cells[n], tgt.cells[n],
+                          lambda x, n=n: f"{name}: image of level-{n} simplex {x!r} not in target")
+    return SimplicialMap(src, tgt, maps, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +529,26 @@ def tri_diag_nn(S) -> TruncatedSimplicialSet:
     to every cell, and s_i likewise with degeneracies.  Equal to
     `tri_diag(nerve_simplicial_twocat(S))`, but only the (n, n, n) levels
     are enumerated."""
-    cols = [_columns(S.level(p), S.n_max) for p in range(S.n_max + 1)]
+    strings = [_Strings(S.level(p)) for p in range(S.n_max + 1)]
+    square = lambda n: (n,) * n
 
-    def face(key, source, target, fail):
-        n, i = key
-        A, V, T = cols[n](n), cols[n](n - 1), cols[n - 1](n - 1)
-        h, f = V.image(T, S.face(n, i))
-        g = _compose(A.vertical(V, lambda col: _col_vface(A.C, col, i)), f)
+    def face(n, i):
+        A, T = strings[n], strings[n - 1]
+        h, f = A.cols(n - 1).image(T.cols(n - 1), S.face(n, i))
+        g, M = _compose(A.vface(n, i), f), A.cols(n)
 
         def merged(c, d):
-            k = A.merge(c, d)
+            k = M.merge(c, d)
             return None if k is None else g[k]
 
-        return _within(_face_positions(A, T, n, i, g, h, merged), source, target, fail)
+        return _face_positions(A, T, square(n), square(n - 1), i, [g] * n, h, merged)
 
-    def degen(key, source, target, fail):
-        n, i = key
-        A, V, T = cols[n](n), cols[n](n + 1), cols[n + 1](n + 1)
-        h, f = V.image(T, S.degen(n, i))
-        g = _compose(A.vertical(V, lambda col: _col_vdegen(A.C, col, i)), f)
-        return _within(_degen_positions(A, T, n, i, g, h, _compose(A.identities, g)),
-                       source, target, fail)
+    def degen(n, i):
+        A, T = strings[n], strings[n + 1]
+        h, f = A.cols(n + 1).image(T.cols(n + 1), S.degen(n, i))
+        g = _compose(A.vdegen(n, i), f)
+        return _degen_positions(A, T, square(n), square(n + 1), i, [g] * n, h,
+                                _compose(A.cols(n).identities, g))
 
-    return build_simplicial(S.n_max, lambda n: cols[n](n).level(n), face, degen,
-                            name=f"Diag(NN({S.name}))")
+    return build_simplicial(S.n_max, lambda n: strings[n].level(square(n)), _ranked(face),
+                            _ranked(degen), name=f"Diag(NN({S.name}))")

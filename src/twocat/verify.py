@@ -89,8 +89,8 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
                 repackage_staircase(C, max(trunc, 4))))))
     for name, D in _sorted(m.diagrams):
         gate = _gate(_diagram_gates, D)
-        r.run(f"grothendieck_valid[{name}]",
-              lambda D=D: r.report_ok(validate(grothendieck(D)), "axiom"))
+        r.run(f"grothendieck_valid[{name}]", _gated(_gate(_valid_diagram, D), lambda D=D:
+              r.report_ok(validate(grothendieck(D)), "axiom")))
         r.run(f"hocolim_checks[{name}]", _gated(gate, lambda D=D: r.report_ok(
             check_simplicial_two_category(hocolim(D, trunc)), "identity")))
         r.run(f"resolution_identities[{name}]", _gated(gate, lambda D=D: r.report_ok(
@@ -211,6 +211,7 @@ def suite_oplax(m: Manifest, trunc: int, r: Runner):
 def suite_contractibility(m: Manifest, trunc: int, r: Runner):
     for name, C in _sorted(m.two_categories):
         I = identity_functor(C)
+        gate = _gate(_category_gates, C)
         for c in sorted(C.objects, key=repr):
             for side in (OVER, UNDER):
                 def check(C=C, I=I, c=c, side=side):
@@ -220,7 +221,7 @@ def suite_contractibility(m: Manifest, trunc: int, r: Runner):
                     good = (hs[0].betti == 1 and not hs[0].torsion
                             and all(h.betti == 0 and not h.torsion for h in hs[1:]))
                     return good, " ".join(str(h) for h in hs)
-                r.run(f"contractible[{name},{c},{side}]", check)
+                r.run(f"contractible[{name},{c},{side}]", _gated(gate, check))
 
 
 def _precondition(gates):
@@ -253,11 +254,15 @@ def _category_gates(C):
     yield "category", validate(C)
 
 
-def _diagram_gates(D):
-    """The diagram, then its assembly.  `validate_diagram` validates the
-    base and each fibre before functoriality and reports them as `base: …`
-    and `fibre c: …`."""
+def _valid_diagram(D):
+    """`validate_diagram` validates the base and each fibre before
+    functoriality and reports them as `base: …` and `fibre c: …`."""
     yield "diagram", validate_diagram(D)
+
+
+def _diagram_gates(D):
+    """The diagram, then its assembly."""
+    yield from _valid_diagram(D)
     yield "grothendieck", validate(grothendieck(D))
 
 

@@ -1,11 +1,14 @@
+import pytest
+
 from twocat.builders import pt, walking_two_cell
 from twocat.comma import (OVER, UNDER, comma, comma_base_change,
                           comma_diagram, comma_projection, fibre_diagram,
                           induced_fibre_functor, induced_fibre_transformation,
                           projections, representable_diagram, retraction_R,
                           section_jz_iz)
-from twocat.core import (check_cell_map, compose_functors, functor_equal,
-                         identity_functor, validate, validate_diagram)
+from twocat.core import (TwoCatError, check_cell_map, compose_functors,
+                         functor_equal, identity_functor, validate,
+                         validate_diagram)
 from twocat.corpus import renaming_morphism, wtc_to_wa_collapse
 from twocat.grothendieck import grothendieck
 from twocat.homology import homology, normalized_chain_complex
@@ -15,6 +18,15 @@ from twocat.nerves import diag_nn
 def test_comma_point_is_terminal():
     K = comma(identity_functor(pt()), "*", OVER)
     assert K.counts() == (1, 1, 1)
+
+
+def test_comma_rejects_a_bad_side_or_a_missing_object():
+    # neither is read as a default side or builds an empty comma
+    I = identity_functor(walking_two_cell())
+    with pytest.raises(TwoCatError, match=r"^comma: side 'sideways' is neither 'over' nor 'under'$"):
+        comma(I, "b", "sideways")
+    with pytest.raises(TwoCatError, match=r"^comma: 'zzz' is not an object of WTC$"):
+        comma(I, "zzz", OVER)
 
 
 def test_slice_of_wtc_over_b():

@@ -207,8 +207,9 @@ def test_identities_gate_constructions_on_validation():
 
 
 def test_mutant_suites_fail_without_crashes(monkeypatch):
-    # every mutant that parses fails its suite, and no failing check failed
-    # by an exception: each invalid input is stopped by a validation or a gate
+    # every mutant that parses fails its suite, and no check of any suite
+    # fails by an exception: each invalid input is stopped by a validation
+    # or a gate
     crashes = []
     run = Runner.run
 
@@ -228,10 +229,13 @@ def test_mutant_suites_fail_without_crashes(monkeypatch):
             m = parse(MUTANTS / f"{item['name']}.manifest.json")
         except ManifestError:
             continue
-        rep = run_suite(m, item["suite"])
-        assert rep["status"] == "fail", item["name"]
-        failed[item["name"]] = {c["name"]: c["detail"] for c in rep["checks"]
-                                if c["status"] == "fail"}
+        for suite in verify.SUITE_FNS:
+            rep = run_suite(m, suite)
+            assert not [c for c in rep["checks"] if c["status"] == "error"], (item["name"], suite)
+            if suite == item["suite"]:
+                assert rep["status"] == "fail", item["name"]
+                failed[item["name"]] = {c["name"]: c["detail"] for c in rep["checks"]
+                                        if c["status"] == "fail"}
     assert sorted(failed) == ["m01_table_entry", "m02_noncomposable_pair",
                               "m05_functor_two_cells", "m06_diagram_transport",
                               "m07_transformation_component", "m09_functor_objects",
@@ -246,6 +250,25 @@ def test_mutant_suites_fail_without_crashes(monkeypatch):
     for name, checks in gated.items():
         for check in checks:
             assert failed[name][check].startswith("precondition: "), (name, check)
+
+
+def test_invalid_category_fails_contractibility_at_its_gate(capsys):
+    # m02's WTC fails `validate`, so none of its slices is built
+    path = MUTANTS / "m02_noncomposable_pair.manifest.json"
+    assert main(["--manifest", str(path), "verify", "contractibility"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    wtc = [c for c in checks if c["name"].startswith("contractible[WTC,")]
+    assert len(wtc) == 4
+    assert all(c["status"] == "fail" and c["detail"].startswith("precondition: category: ")
+               for c in wtc)
+    assert all(c["status"] == "pass" for c in checks if c not in wtc)
+
+
+def test_invalid_diagram_fails_grothendieck_valid_at_its_gate():
+    # m06's diagram is invalid, so it is not assembled
+    rep = run_suite(parse(MUTANTS / "m06_diagram_transport.manifest.json"), "identities")
+    detail = {c["name"]: c["detail"] for c in rep["checks"]}["grothendieck_valid[Dcov]"]
+    assert detail.startswith("precondition: diagram: ")
 
 
 def test_raising_check_is_an_error(monkeypatch, capsys):
@@ -347,6 +370,25 @@ def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert main(["--trunc", "0", "verify", "iso112"]) == 0
     capsys.readouterr()
+
+
+def _refuse_to_build(*args):
+    raise AssertionError("a comma 2-category was built")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["homology", "--comma", "foo"], "--comma 'foo' is not FUNCTOR:OBJECT:SIDE"),
+    (["homology", "--comma", "id:WTC:b:sideways"],
+     "comma side 'sideways' is neither over nor under"),
+    (["homology", "--comma", "id:WTC:zzz:over"], "no object 'zzz' in WTC, the target of id:WTC"),
+    (["comma", "--functor", "F", "--object", "zzz"], "no object 'zzz' in WTC, the target of F"),
+], ids=["malformed", "side", "object", "comma-object"])
+def test_bad_comma_is_input_error(monkeypatch, capsys, argv, error):
+    # none raises, is read as a default side or builds an empty comma: each
+    # is rejected before anything is built
+    monkeypatch.setattr("twocat.cli.comma", _refuse_to_build)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out) == {"status": "input-error", "errors": [error]}
 
 
 def test_degree_outside_truncation_is_input_error(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 from functools import cache, partial
 
 import pytest
@@ -9,16 +11,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import constant_simplicial, cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import TwoCatError, product
+from twocat.core import TwoCatError, discrete, identity_functor, product
 from twocat.hocolim import hocolim
 from twocat.manifest import parse
-from twocat.nerves import (_identity_col, _merge_cols, diag_nn, double_nerve,
-                           hom_chains, map_dn_simplex, nerve_category,
+from twocat.nerves import (_identity_col, _merge_cols, _Strings, diag_nn,
+                           diag_nn_map, double_nerve, hom_chains, is_category,
+                           map_dn_simplex, nerve_category,
                            nerve_simplicial_twocat, repackage_staircase,
                            tri_diag_nn, wbar_double_nerve)
 from twocat.simplicial import (_table, check_simplicial_identities,
-                               check_simplicial_map, diag, tri_diag,
-                               verify_iso, wbar)
+                               check_simplicial_map, diag, simplicial_map,
+                               tri_diag, verify_iso, wbar)
 
 MANIFEST = parse(bundled_manifest_path())
 
@@ -56,7 +59,7 @@ def test_nerve_walking_arrow_counts(p):
 
 def test_nerve_level_zero_is_object_set():
     N = nerve_category(walking_arrow(), 2)
-    assert set(N.level(0)) == {("0",), ("1",)}
+    assert set(N.level(0)) == {(("0",), (), ()), (("1",), (), ())}
 
 
 def test_nerve_identities():
@@ -375,3 +378,183 @@ def test_tri_diag_nn_rule_leaving_window_raises_on_read():
     with pytest.raises(TwoCatError) as exc:
         X.face(2, 1, X.level(2)[-1])
     assert str(exc.value) == f"Diag(NN(const)): face d_1 leaves level 1 at {first!r}"
+
+
+# -- the staircase, the nerve of a category and diag_nn_map -------------------
+#
+# The per-simplex rules these were once built from, kept as the reference.
+
+def _ref_staircase_levels(C, n_max):
+    levels = {0: [((c,), (), ()) for c in C.objects]}
+    for n in range(1, n_max + 1):
+        out = []
+        for (objs, fcols, acols) in levels[n - 1]:
+            for b in C.objects:
+                for col in hom_chains(C, objs[-1], b, n - 1):
+                    out.append((objs + (b,), fcols + (col[0],), acols + (col[1],)))
+        levels[n] = out
+    return levels
+
+
+def _ref_stair_face(C, n, i, x):
+    objs, fcols, acols = x
+    cols = list(zip(fcols, acols))
+    new_objs = objs[:i] + objs[i + 1:]
+    new_cols = []
+    for m in range(1, n):
+        if m < i:
+            new_cols.append(cols[m - 1])
+        elif m == i:
+            new_cols.append(_merge_cols(C, cols[i - 1], cols[i]))
+        else:
+            fs, asq = cols[m]  # old column m+1
+            if i == 0:
+                new_cols.append((fs[1:], asq[1:]))
+            else:
+                nfs = fs[:i] + fs[i + 1:]
+                nas = asq[:i - 1] + (C.vcomp(asq[i], asq[i - 1]),) + asq[i + 1:]
+                new_cols.append((nfs, nas))
+    return (new_objs, tuple(f for f, _ in new_cols), tuple(a for _, a in new_cols))
+
+
+def _ref_stair_degen(C, n, i, x):
+    objs, fcols, acols = x
+    cols = list(zip(fcols, acols))
+    new_objs = objs[:i + 1] + (objs[i],) + objs[i + 1:]
+    new_cols = []
+    for m in range(1, n + 2):
+        if m <= i:
+            new_cols.append(cols[m - 1])
+        elif m == i + 1:
+            new_cols.append(_identity_col(C, objs[i], i))
+        else:
+            fs, asq = cols[m - 2]  # old column m-1
+            nfs = fs[:i + 1] + (fs[i],) + fs[i + 1:]
+            nas = asq[:i] + (C.id2[fs[i]],) + asq[i:]
+            new_cols.append((nfs, nas))
+    return (new_objs, tuple(f for f, _ in new_cols), tuple(a for _, a in new_cols))
+
+
+def _ref_nerve_category_rules(A, n_max):
+    """(level, face, degen) of the nerve of A on chains (f_1, ..., f_p),
+    level 0 the tuples (c,)."""
+    chains = {0: [(c,) for c in A.objects]}
+    for p in range(1, n_max + 1):
+        nxt = []
+        for tail in chains[p - 1]:
+            if p == 1:
+                src = tail[0]
+                nxt.extend((f,) for f in A.one_cells if A.dom1(f) == src)
+            else:
+                end = A.cod1(tail[-1])
+                nxt.extend(tail + (f,) for f in A.one_cells if A.dom1(f) == end)
+        chains[p] = nxt
+
+    def face(p, i, x):
+        if p == 1:
+            return (A.cod1(x[0]),) if i == 0 else (A.dom1(x[0]),)
+        if i == 0:
+            return x[1:]
+        if i == p:
+            return x[:-1]
+        return x[:i - 1] + (A.comp1(x[i], x[i - 1]),) + x[i + 1:]
+
+    def degen(p, i, x):
+        if p == 0:
+            return (A.id1[x[0]],)
+        obj = A.dom1(x[0]) if i == 0 else A.cod1(x[i - 1])
+        return x[:i] + (A.id1[obj],) + x[i:]
+
+    return chains.__getitem__, face, degen
+
+
+def _as_row_zero(A, p, x):
+    """The level-p simplex x of the reference nerve as a simplex of row 0 of
+    the double nerve."""
+    if p == 0:
+        return x, (), ()
+    objs = (A.dom1(x[0]),) + tuple(A.cod1(f) for f in x)
+    return objs, tuple((f,) for f in x), ((),) * p
+
+
+@pytest.mark.parametrize("C,N", two_category_cases())
+def test_wbar_double_nerve_tables_equal_reference_rules(C, N):
+    levels = _ref_staircase_levels(C, N)
+    assert_simplicial_tables_match(wbar_double_nerve(C, N), levels.__getitem__,
+                                   partial(_ref_stair_face, C), partial(_ref_stair_degen, C))
+
+
+def category_cases():
+    cases = [pytest.param(pt(), id="pt"), pytest.param(walking_arrow(), id="walking_arrow"),
+             pytest.param(discrete(["u", "v"]), id="discrete"),
+             pytest.param(cyclic_group(4), id="BZ4")]
+    return cases + [pytest.param(K, id=name) for name, K in sorted(MANIFEST.two_categories.items())
+                    if is_category(K)]
+
+
+@pytest.mark.parametrize("A", category_cases())
+def test_nerve_category_equals_reference_rules_on_row_zero(A):
+    N = 4
+    X = nerve_category(A, N)
+    level, face, degen = _ref_nerve_category_rules(A, N)
+    as_row = partial(_as_row_zero, A)
+    for n in range(N + 1):
+        assert sorted((as_row(n, x) for x in level(n)), key=repr) == \
+            sorted(X.level(n), key=repr), n
+    for tables, rule, step in ((X.faces, face, -1), (X.degens, degen, 1)):
+        for (n, i), table in tables.items():
+            index, image = X.cells[n].index, X.cells[n + step].index
+            for x in level(n):
+                assert table[index[as_row(n, x)]] == image[as_row(n + step, rule(n, i, x))], \
+                    (n, i, x)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST.two_functors))
+def test_diag_nn_map_equals_per_simplex_map(name):
+    F = MANIFEST.two_functors[name]
+    f = diag_nn_map(F, 4)
+    assert f.name == f"DiagNN({F.name})"
+    assert f.maps == simplicial_map(f.source, f.target, lambda n, x: map_dn_simplex(F, x)).maps
+
+
+def test_staircase_rule_leaving_window_raises_on_read():
+    C = _bad_wtc()
+    W = wbar_double_nerve(C, 2)
+    assert W.sizes() == wbar_double_nerve(walking_two_cell(), 2).sizes()
+    first = next(x for x in W.level(2) if _ref_stair_face(C, 2, 1, x) not in W.cells[1].index)
+    with pytest.raises(TwoCatError) as exc:
+        W.face(2, 1, W.level(2)[-1])
+    assert str(exc.value) == f"WbarNN(WTC): face d_1 leaves level 1 at {first!r}"
+
+
+def test_diag_nn_map_image_leaving_target_raises():
+    # f sent to 1b: the image of a column from a to b no longer starts at a
+    I = identity_functor(walking_two_cell())
+    F = dataclasses.replace(I, on_one={**I.on_one, "f": "1b"})
+    first = next(x for x in diag_nn(I.source, 2).level(1)
+                 if map_dn_simplex(F, x) not in diag_nn(I.target, 2).cells[1].index)
+    with pytest.raises(TwoCatError) as exc:
+        diag_nn_map(F, 2)
+    assert str(exc.value) == f"DiagNN(1_WTC): image of level-1 simplex {first!r} not in target"
+
+
+def test_staircase_is_freed_by_reference_counting():
+    # no cycle ties a set to its tables or to the rank lists they are filled
+    # from, and no cache outlives it, so dropping the last reference frees
+    # them all at once
+    C = product([walking_two_cell(), walking_two_cell()])
+    ranks = lambda: sum(isinstance(x, _Strings) for x in gc.get_objects())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        live = ranks()
+        W = wbar_double_nerve(C, 3)
+        assert _every_table([W]) and ranks() == live + 1
+        ref = weakref.ref(W)
+        del W
+        assert ref() is None and ranks() == live
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
