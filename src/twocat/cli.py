@@ -20,7 +20,8 @@ from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
 from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
 from .simplicial import BudgetError, simplex_budget
-from .verify import LEAST_TRUNC, SUITES, run_suite
+from .verify import (LEAST_TRUNC, SUITES, _category_gates, _functor_gates,
+                     _precondition, _valid_diagram, run_suite)
 
 
 def bundled_manifest_path():
@@ -72,63 +73,63 @@ def cmd_validate(args):
                        "checks": checks, "status": status})
 
 
-def _level_report(args, name, X):
-    return emit(args, {"suite": name, "truncation": args.trunc,
-                       "checks": [{"name": f"levels[{args.name}]",
-                                   "status": "pass",
-                                   "detail": str(X.sizes())}],
-                       "status": "pass"})
+def _report(args, suite, names, gates, checks):
+    """The command's report, one check per name in `names`.  If a gate of
+    `gates` fails, every check fails with its `precondition:` detail and
+    nothing is built; otherwise `checks()` gives each check's (status,
+    detail)."""
+    bad = _precondition(gates)
+    results = [("fail", bad)] * len(names) if bad else checks()
+    return emit(args, {"suite": suite, "truncation": args.trunc,
+                       "checks": [{"name": name, "status": status, "detail": detail}
+                                  for name, (status, detail) in zip(names, results)],
+                       "status": "pass" if all(s == "pass" for s, _ in results) else "fail"})
+
+
+def _levels(args, suite, build):
+    """The level sizes of build(C, truncation), C the named 2-category."""
+    C = _require(load_manifest(args), "two_categories", args.name)
+    return _report(args, suite, [f"levels[{args.name}]"], _category_gates(C),
+                   lambda: [("pass", str(build(C, args.trunc).sizes()))])
 
 
 def cmd_nerve(args):
-    m = load_manifest(args)
-    C = _require(m, "two_categories", args.name)
-    if is_category(C):
-        return _level_report(args, "nerve", nerve_category(C, args.trunc))
-    return _level_report(args, "nerve", diag_nn(C, args.trunc))
+    return _levels(args, "nerve", lambda C, n: (nerve_category if is_category(C)
+                                                 else diag_nn)(C, n))
 
 
 def cmd_wbar(args):
-    m = load_manifest(args)
-    C = _require(m, "two_categories", args.name)
-    return _level_report(args, "wbar", wbar_double_nerve(C, args.trunc))
+    return _levels(args, "wbar", wbar_double_nerve)
 
 
 def cmd_diag(args):
-    m = load_manifest(args)
-    C = _require(m, "two_categories", args.name)
-    return _level_report(args, "diag", diag_nn(C, args.trunc))
+    return _levels(args, "diag", diag_nn)
 
 
 def cmd_groth(args):
-    m = load_manifest(args)
-    D = _require(m, "diagrams", args.name)
-    G = grothendieck(D)
-    rep = validate(G)
-    return emit(args, {"suite": "groth", "truncation": args.trunc,
-                       "checks": [{"name": f"groth[{args.name}]",
-                                   "status": "pass" if rep.ok else "fail",
-                                   "detail": f"cells {G.counts()}" if rep.ok
-                                   else "; ".join(map(str, rep.violations[:5]))}],
-                       "status": "pass" if rep.ok else "fail"})
+    D = _require(load_manifest(args), "diagrams", args.name)
+
+    def checks():
+        G = grothendieck(D)
+        rep = validate(G)
+        return [("pass", f"cells {G.counts()}") if rep.ok
+                else ("fail", "; ".join(map(str, rep.violations[:5])))]
+
+    return _report(args, "groth", [f"groth[{args.name}]"],
+                   _valid_diagram(functools.partial(validate_diagram, D)), checks)
 
 
 def cmd_hocolim(args):
-    m = load_manifest(args)
-    D = _require(m, "diagrams", args.name)
-    S = hocolim(D, args.trunc)
-    return emit(args, {"suite": "hocolim", "truncation": args.trunc,
-                       "checks": [{"name": f"hocolim[{args.name}]",
-                                   "status": "pass",
-                                   "detail": str([L.counts() for L in S.levels])}],
-                       "status": "pass"})
+    D = _require(load_manifest(args), "diagrams", args.name)
+    return _report(args, "hocolim", [f"hocolim[{args.name}]"],
+                   _valid_diagram(functools.partial(validate_diagram, D)),
+                   lambda: [("pass", str([L.counts() for L in hocolim(D, args.trunc).levels]))])
 
 
 def _comma(m: Manifest, parts):
-    """The comma 2-category of parts = [FUNCTOR, OBJECT, SIDE], FUNCTOR a
+    """(F, OBJECT, SIDE) of parts = [FUNCTOR, OBJECT, SIDE], FUNCTOR a
     functor name or id:CAT.  A malformed spec, a side other than over or
-    under, or an object not in the functor's target is an input error,
-    raised before anything is built."""
+    under, or an object not in the functor's target is an input error."""
     if len(parts) != 3:
         raise ManifestError([f"--comma {':'.join(parts)!r} is not FUNCTOR:OBJECT:SIDE"])
     functor, obj, side = parts
@@ -138,35 +139,37 @@ def _comma(m: Manifest, parts):
         raise ManifestError([f"comma side {side!r} is neither {OVER} nor {UNDER}"])
     if obj not in F.target.objects:
         raise ManifestError([f"no object {obj!r} in {F.target.name}, the target of {functor}"])
-    return comma(F, obj, side)
+    return F, obj, side
 
 
 def cmd_comma(args):
-    m = load_manifest(args)
-    K = _comma(m, [args.functor, args.object, args.side])
-    rep = validate(K)
-    return emit(args, {"suite": "comma", "truncation": args.trunc,
-                       "checks": [{"name": f"comma[{args.functor},{args.object},{args.side}]",
-                                   "status": "pass" if rep.ok else "fail",
-                                   "detail": f"cells {K.counts()}"}],
-                       "status": "pass" if rep.ok else "fail"})
+    F, obj, side = _comma(load_manifest(args), [args.functor, args.object, args.side])
+
+    def checks():
+        K = comma(F, obj, side)
+        return [("pass" if validate(K).ok else "fail", f"cells {K.counts()}")]
+
+    return _report(args, "comma", [f"comma[{args.functor},{args.object},{args.side}]"],
+                   _functor_gates(F), checks)
 
 
 def cmd_homology(args):
     m = load_manifest(args)
     if args.comma:
-        X = diag_nn(_comma(m, args.comma.rsplit(":", 2)), args.trunc)
-        label = args.comma
+        F, obj, side = _comma(m, args.comma.rsplit(":", 2))
+        gates, label = _functor_gates(F), args.comma
+        build = lambda: comma(F, obj, side)
     else:
         C = _require(m, "two_categories", args.name)
-        X = diag_nn(C, args.trunc)
-        label = args.name
-    cc = normalized_chain_complex(X)
+        gates, label = _category_gates(C), args.name
+        build = lambda: C
     degrees = [args.degree] if args.degree is not None else list(range(args.trunc))
-    checks = [{"name": f"H_{i}[{label}]", "status": "pass",
-               "detail": str(homology(cc, i))} for i in degrees]
-    return emit(args, {"suite": "homology", "truncation": args.trunc,
-                       "checks": checks, "status": "pass"})
+
+    def checks():
+        cc = normalized_chain_complex(diag_nn(build(), args.trunc))
+        return [("pass", str(homology(cc, i))) for i in degrees]
+
+    return _report(args, "homology", [f"H_{i}[{label}]" for i in degrees], gates, checks)
 
 
 def _suite(args) -> str:

@@ -240,7 +240,7 @@ def _projection_witness(F, side, G, Pi, iota):
 # retraction from the comma of an assembled morphism onto the fibrewise comma
 # ---------------------------------------------------------------------------
 
-def retraction_R(gamma, c, y, side: str = OVER, GD=None, GE=None, intG=None):
+def retraction_R(gamma, c, y, side: str = OVER):
     """The comparison retraction between the comma of the assembled morphism
     and the fibrewise comma, its section, and the oplax witness.
 
@@ -256,9 +256,8 @@ def retraction_R(gamma, c, y, side: str = OVER, GD=None, GE=None, intG=None):
     cov = D.variance == COVARIANT
     if (side == OVER) != cov:
         raise TwoCatError("retraction_R: side must match the diagram variance")
-    GD = GD if GD is not None else grothendieck(D)
-    GE = GE if GE is not None else grothendieck(E)
-    intG = intG if intG is not None else grothendieck_morphism(gamma, GD, GE)
+    GD, GE = grothendieck(D), grothendieck(E)
+    intG = grothendieck_morphism(gamma, GD, GE)
     Dc = D.ob[c]
     K = comma(intG, (c, y), side)
     L = comma(gamma.at(c), y, side)
@@ -410,8 +409,7 @@ def _is_identity_two(D, t):
 # sections over a point of the pulled-back assembly
 # ---------------------------------------------------------------------------
 
-def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER,
-                  GD=None, GFD=None, Fbar=None):
+def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER):
     """The embedding j_z of the homotopy fibre into the pulled-back assembly,
     the induced retraction pibar from the comma of the comparison functor,
     its section i_z, and the oplax witness relating i_z o pibar to 1.
@@ -426,9 +424,8 @@ def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER,
                           "diagram, side under a covariant one")
     if z not in D.ob[c].objects:
         raise TwoCatError(f"section_jz_iz: {z!r} is not an object of the fibre at {c!r}")
-    if GD is None or GFD is None or Fbar is None:
-        FD, Fbar = base_change(F, D)
-        GFD, GD = Fbar.source, Fbar.target
+    FD, Fbar = base_change(F, D)
+    GFD, GD = Fbar.source, Fbar.target
     K0 = comma(F, c, side)
     K1 = comma(Fbar, (c, z), side)
 

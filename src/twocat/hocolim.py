@@ -486,9 +486,7 @@ def _extract_resolution_data(T, n):
     return cs, f, al, xs, us, ph
 
 
-def hocolim_wbar_comparison(D: TwoDiagram, n_max: int,
-                            S: SimplicialTwoCategory = None,
-                            E: TruncatedTrisimplicialSet = None) -> SimplicialMap:
+def hocolim_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     """Explicit simplicial isomorphism between the codiagonal of the diagonal
     resolution family and the codiagonal of the levelwise codiagonal nerves
     of the colimit.  For contravariant diagrams the comparison runs over the
@@ -499,8 +497,8 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int,
             raise TwoCatError("hocolim_wbar_comparison: reversal bridge failed: "
                               + "; ".join(rep.violations[:3]))
         return hocolim_wbar_comparison(diagram_over_opposite(D), n_max)
-    S = S if S is not None else hocolim(D, n_max)
-    E = E if E is not None else build_E(D, n_max)
+    S = hocolim(D, n_max)
+    E = build_E(D, n_max)
     C = D.base
     lhs = wbar(_family_diag_E(E))
     rhs = wbar(_family_wbar_hocolim(S))
@@ -537,18 +535,14 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int,
     return simplicial_map(lhs, rhs, fn, name=f"hocolim_cmp({D.name})")
 
 
-def grothendieck_wbar_comparison(D: TwoDiagram, n_max: int,
-                                 E: TruncatedTrisimplicialSet = None,
-                                 G: TwoCategory = None) -> SimplicialMap:
+def grothendieck_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     """Explicit simplicial isomorphism from the codiagonal of the levelwise
     codiagonals of the resolution onto the codiagonal model of the double
     nerve of the assembled 2-category."""
     cov = D.variance == COVARIANT
-    if E is None:
-        E = build_E(D, n_max) if cov else build_E_pull(D, n_max)
-    G = G if G is not None else grothendieck(D)
+    E = build_E(D, n_max) if cov else build_E_pull(D, n_max)
     lhs = wbar(_family_wbar_E(E, transposed=not cov))
-    rhs = wbar_double_nerve(G, n_max)
+    rhs = wbar_double_nerve(grothendieck(D), n_max)
 
     def fn(n, TT):
         if cov:

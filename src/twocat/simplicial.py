@@ -14,15 +14,23 @@ per-simplex rule becomes a table rule through `pointwise`, which looks each
 image up in the target level's index; the nerves module fills its tables
 without images.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
 through the source level's index and return the target level's own
-simplex.  `diag` and `tri_diag` read the diagonal of a set that is already
-materialized: they share its levels, and each of their tables composes
-the set's own, built only as far as the diagonal's faces pass through
-them.  Transposes, slices and rows share the levels and tables of the set
-they view and build nothing themselves.
+simplex.
 
-An identity is checked by composing position lists: two composed lists
-over the whole source level are compared, and only where they differ does
-the level's own simplex name the violation.
+`_axes` gives the three set types one view: levels keyed by index tuple,
+a bound per axis, and the face and degeneracy steps along each axis.  One
+checker and one diagonal are written against it.  `diag` and `tri_diag`
+read the diagonal of a set that is already materialized: they share its
+levels, and each of their tables composes the set's own, built only as
+far as the diagonal's faces pass through them.  Transposes and slices
+share the levels and tables of the set they view and build nothing
+themselves.
+
+`check_simplicial_identities` checks each identity once: along each axis
+the d d, s s and d s identities, and for each pair of axes the four
+commutations of their faces and degeneracies.  An identity is checked by
+composing position lists: two composed lists over the whole source level
+are compared, and only where they differ does the level's own simplex name
+the violation.
 
 Levels carry no canonical order; only the bases of chain complexes
 (homology module) are sorted, by `repr`.  Degenerate simplices are stored
@@ -36,7 +44,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 from .core import TwoCatError, ValidationReport
 
@@ -242,53 +250,6 @@ def build_simplicial(n_max, level_fn, face_fn, degen_fn, name="") -> TruncatedSi
     return TruncatedSimplicialSet(n_max, cells, faces, degens, name=name)
 
 
-def check_simplicial_set(X: TruncatedSimplicialSet) -> ValidationReport:
-    r = ValidationReport()
-    N = X.n_max
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            if (n, i) not in X.faces:
-                r.add(f"missing face table d_{i} at level {n}")
-    for n in range(N):
-        for i in range(n + 1):
-            if (n, i) not in X.degens:
-                r.add(f"missing degeneracy table s_{i} at level {n}")
-    if not r.ok:
-        return r
-
-    def d(n, i):
-        return (X.faces, (n, i))
-
-    def s(n, i):
-        return (X.degens, (n, i))
-
-    def identities():
-        for n in range(2, N + 1):
-            for j in range(n + 1):
-                for i in range(j):
-                    yield X.level(n), [(f"d_{i} d_{j} identity fails at level {n}",
-                                        [d(n, j), d(n - 1, i)], [d(n, i), d(n - 1, j - 1)])]
-        for n in range(N - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    yield X.level(n), [(f"s_{i} s_{j} identity fails at level {n}",
-                                        [s(n, j), s(n + 1, i)], [s(n, i), s(n + 1, j + 1)])]
-        for n in range(N):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    if i < j:
-                        want = [d(n, i), s(n - 1, j - 1)]
-                    elif i in (j, j + 1):
-                        want = []
-                    else:
-                        want = [d(n, i - 1), s(n - 1, j)]
-                    yield X.level(n), [(f"d_{i} s_{j} identity fails at level {n}",
-                                        [s(n, j), d(n + 1, i)], want)]
-
-    _check_conditions(r, identities())
-    return r
-
-
 @dataclass(eq=False)
 class SimplicialMap:
     source: TruncatedSimplicialSet
@@ -406,66 +367,6 @@ def build_bisimplicial(p_max, q_max, level_fn, hface_fn, hdegen_fn,
         name=name)
 
 
-def _row_as_simplicial(B: TruncatedBisimplicialSet, p) -> TruncatedSimplicialSet:
-    row = lambda tables: _view(tables, {(q, j): (pp, q, j) for pp, q, j in tables if pp == p})
-    cells = {q: B.level(p, q) for q in range(B.q_max + 1)}
-    return TruncatedSimplicialSet(B.q_max, cells, row(B.vfaces), row(B.vdegens),
-                                  name=f"{B.name}[{p},*]")
-
-
-def check_bisimplicial_set(B: TruncatedBisimplicialSet) -> ValidationReport:
-    r = ValidationReport()
-    # identities in each direction, via the simplicial checker on rows/columns
-    for p in range(B.p_max + 1):
-        rep = check_simplicial_set(_row_as_simplicial(B, p))
-        for v in rep.violations:
-            r.add(f"vertical (p={p}): {v}")
-    T = transpose(B)
-    for q in range(T.p_max + 1):
-        rep = check_simplicial_set(_row_as_simplicial(T, q))
-        for v in rep.violations:
-            r.add(f"horizontal (q={q}): {v}")
-
-    # horizontal/vertical commutation
-    def hd(p, q, i):
-        return (B.hfaces, (p, q, i))
-
-    def hs(p, q, i):
-        return (B.hdegens, (p, q, i))
-
-    def vd(p, q, j):
-        return (B.vfaces, (p, q, j))
-
-    def vs(p, q, j):
-        return (B.vdegens, (p, q, j))
-
-    def commutations():
-        for (p, q), xs in B.cells.items():
-            for i in range(p + 1):
-                for j in range(q + 1):
-                    conditions = []
-                    if p >= 1 and q >= 1:
-                        conditions.append((f"dh_{i} dv_{j} do not commute at ({p},{q})",
-                                           [hd(p, q, i), vd(p - 1, q, j)],
-                                           [vd(p, q, j), hd(p, q - 1, i)]))
-                    if p >= 1 and q < B.q_max:
-                        conditions.append((f"dh_{i} sv_{j} do not commute at ({p},{q})",
-                                           [hd(p, q, i), vs(p - 1, q, j)],
-                                           [vs(p, q, j), hd(p, q + 1, i)]))
-                    if p < B.p_max and q >= 1:
-                        conditions.append((f"sh_{i} dv_{j} do not commute at ({p},{q})",
-                                           [hs(p, q, i), vd(p + 1, q, j)],
-                                           [vd(p, q, j), hs(p, q - 1, i)]))
-                    if p < B.p_max and q < B.q_max:
-                        conditions.append((f"sh_{i} sv_{j} do not commute at ({p},{q})",
-                                           [hs(p, q, i), vs(p + 1, q, j)],
-                                           [vs(p, q, j), hs(p, q + 1, i)]))
-                    yield xs, conditions
-
-    _check_conditions(r, commutations())
-    return r
-
-
 def transpose(B: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
     swap = lambda tables: _view(tables, {(q, p, i): (p, q, i) for p, q, i in tables})
     return TruncatedBisimplicialSet(B.q_max, B.p_max,
@@ -479,17 +380,7 @@ def diag(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
     """Diagonal simplicial set: level n = B(n, n), maps applied in both
     directions simultaneously.  The levels are B's own, and each table
     composes two of B's."""
-
-    def face(key, source, *_):
-        n, i = key
-        return _path(source, [(B.vfaces, (n, n, i)), (B.hfaces, (n, n - 1, i))])
-
-    def degen(key, source, *_):
-        n, i = key
-        return _path(source, [(B.vdegens, (n, n, i)), (B.hdegens, (n, n + 1, i))])
-
-    return build_simplicial(min(B.p_max, B.q_max), lambda n: B.cells[(n, n)],
-                            face, degen, name=f"Diag({B.name})")
+    return _diagonal(B)
 
 
 # ---------------------------------------------------------------------------
@@ -660,41 +551,110 @@ def tri_diag(T: TruncatedTrisimplicialSet) -> TruncatedSimplicialSet:
     """Diagonal simplicial set: level n = T(n, n, n), maps applied along all
     three axes.  The levels are T's own, and each table composes three of
     T's."""
-
-    def face(key, source, *_):
-        n, i = key
-        return _path(source, [(T.faces, (2, (n, n, n), i)), (T.faces, (1, (n, n, n - 1), i)),
-                              (T.faces, (0, (n, n - 1, n - 1), i))])
-
-    def degen(key, source, *_):
-        n, i = key
-        return _path(source, [(T.degens, (2, (n, n, n), i)), (T.degens, (1, (n, n, n + 1), i)),
-                              (T.degens, (0, (n, n + 1, n + 1), i))])
-
-    return build_simplicial(min(T.bounds), lambda n: T.cells[(n, n, n)], face, degen,
-                            name=f"Diag({T.name})")
+    return _diagonal(T)
 
 
-def check_trisimplicial_set(T: TruncatedTrisimplicialSet) -> ValidationReport:
-    r = ValidationReport()
-    for axis in range(3):
-        for value in range(T.bounds[axis] + 1):
-            rep = check_bisimplicial_set(tri_slice(T, axis, value))
-            for v in rep.violations:
-                r.add(f"slice axis{axis}={value}: {v}")
-    return r
+# ---------------------------------------------------------------------------
+# identities and diagonals of any set
+# ---------------------------------------------------------------------------
+
+def _axes(X) -> tuple:
+    """(levels, bounds, face, degen) of a simplicial, bisimplicial or
+    trisimplicial set: its levels keyed by index tuple, its bound along
+    each axis, and face(a, key, i) / degen(a, key, i), the step (tables,
+    key) of d_i / s_i along axis a at the level `key`.  The checker and the
+    diagonal read the three table layouts only through it."""
+    if isinstance(X, TruncatedSimplicialSet):
+        return ({(n,): X.level(n) for n in range(X.n_max + 1)}, (X.n_max,),
+                lambda a, key, i: (X.faces, (*key, i)),
+                lambda a, key, i: (X.degens, (*key, i)))
+    if isinstance(X, TruncatedBisimplicialSet):
+        return (X.cells, (X.p_max, X.q_max),
+                lambda a, key, i: ((X.hfaces, X.vfaces)[a], (*key, i)),
+                lambda a, key, i: ((X.hdegens, X.vdegens)[a], (*key, i)))
+    if isinstance(X, TruncatedTrisimplicialSet):
+        return (X.cells, X.bounds, lambda a, key, i: (X.faces, (a, key, i)),
+                lambda a, key, i: (X.degens, (a, key, i)))
+    raise TwoCatError(f"not a simplicial, bisimplicial or trisimplicial set: {type(X)!r}")
 
 
 def check_simplicial_identities(X) -> ValidationReport:
-    """Identity suite for any truncated (multi-)simplicial set."""
-    if isinstance(X, TruncatedSimplicialSet):
-        return check_simplicial_set(X)
-    if isinstance(X, TruncatedBisimplicialSet):
-        return check_bisimplicial_set(X)
-    if isinstance(X, TruncatedTrisimplicialSet):
-        return check_trisimplicial_set(X)
-    raise TwoCatError(f"check_simplicial_identities: unsupported {type(X)!r}")
+    """Identity suite for any truncated (multi-)simplicial set, each identity
+    checked once (see the module docstring).  With more than one axis a
+    violation names its axis or axes and its level key.  A missing table is
+    reported, and then nothing else is checked."""
+    levels, bounds, face, degen = _axes(X)
+    keys = list(product(*(range(b + 1) for b in bounds)))
+    axes = range(len(bounds))
+    where = (lambda a, key: "") if len(bounds) == 1 else (lambda a, key: f"axis {a} at {key}: ")
+    steps, r = {}, ValidationReport()  # (letter, a, key) -> [step of d_i or s_i for each i]
+    for letter, kind, step, shift in (("d", "face", face, -1), ("s", "degeneracy", degen, 1)):
+        for a in axes:
+            for key in keys:
+                n = key[a]
+                if 0 <= n + shift <= bounds[a]:
+                    steps[letter, a, key] = row = [step(a, key, i) for i in range(n + 1)]
+                    for i, (tables, k) in enumerate(row):
+                        if k not in tables:
+                            r.add(f"{where(a, key)}missing {kind} table {letter}_{i} at level {n}")
+    if not r.ok:
+        return r
 
+    def identities(a, key):
+        """The d d, s s and d s conditions along axis a at the level key."""
+        n, at = key[a], where(a, key)
+        lo, hi = _moved(key, a, -1), _moved(key, a, 1)
+        d, dlo, dhi = (steps.get(("d", a, k)) for k in (key, lo, hi))
+        s, slo, shi = (steps.get(("s", a, k)) for k in (key, lo, hi))
+        yield [(f"{at}d_{i} d_{j} identity fails at level {n}", [d[j], dlo[i]], [d[i], dlo[j - 1]])
+               for j in range(n + 1) for i in range(j)] if dlo else []
+        yield [(f"{at}s_{i} s_{j} identity fails at level {n}", [s[j], shi[i]], [s[i], shi[j + 1]])
+               for j in range(n + 1) for i in range(j + 1)] if shi else []
+        yield [(f"{at}d_{i} s_{j} identity fails at level {n}", [s[j], dhi[i]],
+                [d[i], slo[j - 1]] if i < j else [] if i <= j + 1 else [d[i - 1], slo[j]])
+               for j in range(n + 1) for i in range(n + 2)] if s else []
+
+    def conditions():
+        for a in axes:
+            at_key = [(levels[key], list(identities(a, key))) for key in keys]
+            for kind in range(3):
+                for level, groups in at_key:
+                    for condition in groups[kind]:
+                        yield level, [condition]
+        for a, b in combinations(axes, 2):
+            for key in keys:
+                squares = [(f"{u}{a}_{{}} {v}{b}_{{}} do not commute at {key}", steps[u, a, key],
+                            steps[v, b, _moved(key, a, su)], steps[v, b, key],
+                            steps[u, a, _moved(key, b, sv)])
+                           for (u, su), (v, sv) in product((("d", -1), ("s", 1)), repeat=2)
+                           if (u, a, key) in steps and (v, b, key) in steps]
+                for i in range(key[a] + 1):
+                    for j in range(key[b] + 1):
+                        yield levels[key], [(head.format(i, j), [ua[i], vb_a[j]], [vb[j], ua_b[i]])
+                                            for head, ua, vb_a, vb, ua_b in squares]
+
+    _check_conditions(r, conditions())
+    return r
+
+
+def _diagonal(X) -> TruncatedSimplicialSet:
+    """The diagonal of a bisimplicial or trisimplicial set: level n is its
+    level (n, ..., n), and d_i (s_i) composes the i-th face (degeneracy)
+    along every axis, last axis first."""
+    levels, bounds, face, degen = _axes(X)
+
+    def composite(step, shift):
+        def rule(key, source, *_):
+            n, i = key
+            at, path = [n] * len(bounds), []
+            for a in reversed(range(len(bounds))):
+                path.append(step(a, tuple(at), i))
+                at[a] += shift
+            return _path(source, path)
+        return rule
+
+    return build_simplicial(min(bounds), lambda n: levels[(n,) * len(bounds)],
+                            composite(face, -1), composite(degen, 1), name=f"Diag({X.name})")
 
 def bisimplicial_from_family(levels, hface_fn, hdegen_fn, name="") -> TruncatedBisimplicialSet:
     """Assemble a bisimplicial set from a family of simplicial sets indexed by

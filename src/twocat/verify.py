@@ -61,6 +61,7 @@ def _sorted(d):
 
 
 def suite_identities(m: Manifest, trunc: int, r: Runner):
+    reports = {name: _diagram_reports(D) for name, D in m.diagrams.items()}
     for name, C in _sorted(m.two_categories):
         r.run(f"validate[{name}]", lambda C=C: r.report_ok(validate(C), "axiom"))
     for name, F in _sorted(m.two_functors):
@@ -70,8 +71,8 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
         r.run(f"two_natural[{name}]",
               lambda s=s: r.report_ok(check_cell_map("two_natural", s), "axiom"))
     for name, D in _sorted(m.diagrams):
-        r.run(f"diagram[{name}]",
-              lambda D=D: r.report_ok(validate_diagram(D), "TwoDiagram invariant"))
+        r.run(f"diagram[{name}]", lambda diagram=reports[name][0]:
+              r.report_ok(diagram(), "TwoDiagram invariant"))
     for name, g in _sorted(m.diagram_morphisms):
         r.run(f"diagram_morphism[{name}]",
               lambda g=g: r.report_ok(validate_diagram_morphism(g), "naturality"))
@@ -88,9 +89,10 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f), "bijection"))(
                 repackage_staircase(C, max(trunc, 4))))))
     for name, D in _sorted(m.diagrams):
-        gate = _gate(_diagram_gates, D)
-        r.run(f"grothendieck_valid[{name}]", _gated(_gate(_valid_diagram, D), lambda D=D:
-              r.report_ok(validate(grothendieck(D)), "axiom")))
+        diagram, assembly = reports[name]
+        gate = _gate(_diagram_gates, diagram, assembly)
+        r.run(f"grothendieck_valid[{name}]", _gated(_gate(_valid_diagram, diagram),
+              lambda assembly=assembly: r.report_ok(assembly(), "axiom")))
         r.run(f"hocolim_checks[{name}]", _gated(gate, lambda D=D: r.report_ok(
             check_simplicial_two_category(hocolim(D, trunc)), "identity")))
         r.run(f"resolution_identities[{name}]", _gated(gate, lambda D=D: r.report_ok(
@@ -134,9 +136,10 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
 
 def suite_iso112(m: Manifest, trunc: int, r: Runner):
     for name, D in _sorted(m.diagrams):
-        r.run(f"validate_diagram[{name}]",
-              lambda D=D: r.report_ok(validate_diagram(D), "TwoDiagram invariant"))
-        r.run(f"iso112[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
+        reports = _diagram_reports(D)
+        r.run(f"validate_diagram[{name}]", lambda diagram=reports[0]:
+              r.report_ok(diagram(), "TwoDiagram invariant"))
+        r.run(f"iso112[{name}]", _gated(_gate(_diagram_gates, *reports), lambda D=D: (
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
                         f"levels {f.source.sizes()}"))(
                 hocolim_wbar_comparison(D, trunc)))))
@@ -144,9 +147,10 @@ def suite_iso112(m: Manifest, trunc: int, r: Runner):
 
 def suite_iso114(m: Manifest, trunc: int, r: Runner):
     for name, D in _sorted(m.diagrams):
-        r.run(f"validate_diagram[{name}]",
-              lambda D=D: r.report_ok(validate_diagram(D), "TwoDiagram invariant"))
-        r.run(f"iso114[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
+        reports = _diagram_reports(D)
+        r.run(f"validate_diagram[{name}]", lambda diagram=reports[0]:
+              r.report_ok(diagram(), "TwoDiagram invariant"))
+        r.run(f"iso114[{name}]", _gated(_gate(_diagram_gates, *reports), lambda D=D: (
             (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
                         f"levels {f.source.sizes()}"))(
                 grothendieck_wbar_comparison(D, trunc)))))
@@ -154,7 +158,8 @@ def suite_iso114(m: Manifest, trunc: int, r: Runner):
 
 def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
     functor_gate = {name: _gate(_functor_gates, F) for name, F in m.two_functors.items()}
-    diagram_gate = {name: _gate(_diagram_gates, D) for name, D in m.diagrams.items()}
+    diagram_gate = {name: _gate(_diagram_gates, *_diagram_reports(D))
+                    for name, D in m.diagrams.items()}
     for name, F in _sorted(m.two_functors):
         for side in (OVER, UNDER):
             def check(F=F, side=side):
@@ -254,16 +259,25 @@ def _category_gates(C):
     yield "category", validate(C)
 
 
-def _valid_diagram(D):
-    """`validate_diagram` validates the base and each fibre before
-    functoriality and reports them as `base: …` and `fibre c: …`."""
-    yield "diagram", validate_diagram(D)
+def _diagram_reports(D):
+    """Two thunks: the `validate_diagram` report of D and the `validate`
+    report of its assembly.  Each is worked out on its first call and then
+    shared by every check that reads it; an exception is not kept."""
+    return cache(lambda: validate_diagram(D)), cache(lambda: validate(grothendieck(D)))
 
 
-def _diagram_gates(D):
-    """The diagram, then its assembly."""
-    yield from _valid_diagram(D)
-    yield "grothendieck", validate(grothendieck(D))
+def _valid_diagram(diagram):
+    """The report of the thunk `diagram`.  `validate_diagram` validates the
+    base and each fibre before functoriality and reports them as `base: …`
+    and `fibre c: …`."""
+    yield "diagram", diagram()
+
+
+def _diagram_gates(diagram, assembly):
+    """The diagram, then its assembly, from the thunks of
+    `_diagram_reports`."""
+    yield from _valid_diagram(diagram)
+    yield "grothendieck", assembly()
 
 
 def _functor_gates(F):
@@ -273,8 +287,8 @@ def _functor_gates(F):
 
 
 def _morphism_gates(g):
-    yield from _diagram_gates(g.source)
-    yield from _diagram_gates(g.target)
+    yield from _diagram_gates(*_diagram_reports(g.source))
+    yield from _diagram_gates(*_diagram_reports(g.target))
     yield "diagram_morphism", validate_diagram_morphism(g)
 
 
@@ -284,8 +298,10 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
     for name, C in _sorted(m.two_categories):
         r.run(f"aw_homology[{name}]", _gated(_gate(_category_gates, C), lambda C=C: (
             is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees)))
+    diagram_gate = {name: _gate(_diagram_gates, *_diagram_reports(D))
+                    for name, D in m.diagrams.items()}
     for name, D in _sorted(m.diagrams):
-        r.run(f"aw_homology_groth[{name}]", _gated(_gate(_diagram_gates, D), lambda D=D: (
+        r.run(f"aw_homology_groth[{name}]", _gated(diagram_gate[name], lambda D=D: (
             is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)), trunc - 2),
             degrees)))
     for name, F in _sorted(m.two_functors):
@@ -305,7 +321,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
             return is_homology_iso_upto(f, trunc - 2), degrees
-        r.run(f"hocolim_invariance[{name}]", _gated(_gate(_diagram_gates, D), check))
+        r.run(f"hocolim_invariance[{name}]", _gated(diagram_gate[name], check))
 
 
 SUITE_FNS = {"identities": suite_identities,

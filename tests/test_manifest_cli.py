@@ -403,3 +403,72 @@ def test_degree_outside_truncation_is_input_error(monkeypatch, capsys):
     # the top degree of the range is accepted
     assert main(["--trunc", "2", "homology", "--name", "WTC", "--degree", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"][0]["detail"] == "H_1 = 0"
+
+
+def _construction_argvs(m):
+    """Every construction command on every entity of the manifest `m`, at
+    truncation 2."""
+    for name in sorted(m.two_categories):
+        for command in ("nerve", "wbar", "diag", "homology"):
+            yield [command, "--name", name]
+    for name in sorted(m.diagrams):
+        for command in ("groth", "hocolim"):
+            yield [command, "--name", name]
+    for name, F in sorted(m.two_functors.items()):
+        for obj in sorted(F.target.objects, key=repr):
+            for side in ("over", "under"):
+                yield ["comma", "--functor", name, "--object", str(obj), "--side", side]
+                yield ["homology", "--comma", f"{name}:{obj}:{side}"]
+
+
+def test_construction_commands_gate_on_validation(capsys):
+    # no mutant makes a construction command raise or report a construction
+    # of an invalid input: each exits 0, 1 or 2, and every check of a
+    # mutant's invalid entity fails at its gate
+    details = {}
+    for item in json.loads((MUTANTS / "index.json").read_text()):
+        path = MUTANTS / f"{item['name']}.manifest.json"
+        try:
+            m = parse(path)
+        except ManifestError:
+            continue
+        for argv in _construction_argvs(m):
+            code = main(["--manifest", str(path), "--trunc", "2", *argv])
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2), (item["name"], argv)
+            if code == 1:
+                checks = json.loads(out)["checks"]
+                assert all(c["detail"].startswith("precondition: ") for c in checks), \
+                    (item["name"], argv, out)
+            details[item["name"], " ".join(argv)] = out
+    m09 = json.loads(details["m09_functor_objects", "comma --functor F --object a --side over"])
+    assert m09["status"] == "fail"
+    assert m09["checks"][0]["detail"].startswith("precondition: two_functor: ")
+    m01 = json.loads(details["m01_table_entry", "nerve --name WTC"])
+    assert m01["checks"] == [{"name": "levels[WTC]", "status": "fail",
+                              "detail": "precondition: category: hcomp1 unit law fails at g; "
+                              "hcomp2[(eg, e1a)] has wrong boundary; "
+                              "hcomp2[(phi, e1a)] has wrong boundary"}]
+
+
+@pytest.mark.parametrize("suite", ["identities", "iso112", "iso114", "invariance"])
+def test_each_diagram_validated_once_per_suite(monkeypatch, suite):
+    # the diagram check, the assembly check and every gate of one diagram
+    # share one `validate_diagram` report and one assembly
+    calls = {"validate_diagram": 0, "grothendieck": 0}
+
+    def counted(name):
+        fn = getattr(verify, name)
+
+        def count(D):
+            calls[name] += 1
+            return fn(D)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counted(name))
+    m = parse(DATA)
+    assert run_suite(m, suite)["status"] == "pass"
+    assert calls["validate_diagram"] == len(m.diagrams) == 3
+    # invariance also assembles each diagram for the homology of its nerve
+    assert calls["grothendieck"] == len(m.diagrams) * (2 if suite == "invariance" else 1)

@@ -1,3 +1,4 @@
+import ast
 import random
 import re
 import threading
@@ -7,13 +8,14 @@ import pytest
 from conftest import constant_simplicial
 from twocat.builders import pt, walking_two_cell
 from twocat.core import TwoCatError, ValidationReport
+from twocat.hocolim import build_E
 from twocat.homology import normalized_chain_complex
 from twocat.nerves import diag_nn, double_nerve, nerve_simplicial_twocat
-from twocat.simplicial import (BudgetError, TruncatedSimplicialSet, aw_map,
-                               build_bisimplicial, build_simplicial, check_bisimplicial_set,
-                               check_simplicial_identities, check_simplicial_map,
-                               check_simplicial_set, diag, pointwise, simplex_budget,
-                               simplicial_map, transpose, tri_slice, verify_iso, wbar)
+from twocat.simplicial import (BudgetError, TruncatedBisimplicialSet, TruncatedSimplicialSet,
+                               aw_map, build_bisimplicial, build_simplicial,
+                               check_simplicial_identities, check_simplicial_map, diag,
+                               pointwise, simplex_budget, simplicial_map, transpose,
+                               tri_slice, verify_iso, wbar)
 
 
 def test_wbar_point_singletons():
@@ -163,8 +165,12 @@ def test_short_reprs():
 # -- position-list checkers against the per-simplex reference loops ---------
 #
 # The reference checkers below look up every face and degeneracy of every
-# simplex, one at a time; the library's checkers must return exactly their
-# violation lists, in the same order, on tables corrupted at random.
+# simplex, one at a time, on tables corrupted at random.  On a simplicial
+# set the library's checker must return exactly the reference's violation
+# list, in the same order.  The bi- and trisimplicial references check a
+# set through its rows and slices, so they name a violation differently and
+# the trisimplicial one finds each one-axis violation twice; there the
+# checker's list must hold each violation of the reference once.
 
 def _ref_simplicial_set(X):
     r = ValidationReport()
@@ -284,15 +290,69 @@ def _simplicial_targets(X):
     return (lambda k: X.level(k[0] - 1)), (lambda k: X.level(k[0] + 1))
 
 
+def _parsed(v):
+    """A violation of the checker or of a reference as (identity, axes, key,
+    simplex), the identity's letters and indices as in "d_0 s_1"."""
+    fixed = None
+    m = re.fullmatch(r"slice axis(\d)=(\d+): (.*)", v, re.S)
+    if m:
+        fixed, v = (int(m[1]), int(m[2])), m[3]
+    m = re.fullmatch(r"axis (\d) at (\(.*?\)): (.*) identity fails at level \d+ on (.*)", v, re.S)
+    if m:
+        return m[3], (int(m[1]),), ast.literal_eval(m[2]), m[4]
+    m = re.fullmatch(r"([ds])(\d)_(\d+) ([ds])(\d)_(\d+) do not commute at (\(.*?\)) on (.*)",
+                     v, re.S)
+    if m:
+        return (f"{m[1]}_{m[3]} {m[4]}_{m[6]}", (int(m[2]), int(m[5])),
+                ast.literal_eval(m[7]), m[8])
+    # the references' texts, on axes h = 0 and v = 1 of a set or of a slice
+    m = re.fullmatch(r"(vertical|horizontal) \([pq]=(\d+)\): (.*) identity fails at level (\d+) "
+                     r"on (.*)", v, re.S)
+    if m:
+        axes = (1,) if m[1] == "vertical" else (0,)
+        key = (int(m[2]), int(m[4])) if axes == (1,) else (int(m[4]), int(m[2]))
+        identity, simplex = m[3], m[5]
+    else:
+        m = re.fullmatch(r"([ds])h_(\d+) ([ds])v_(\d+) do not commute at \((\d+),(\d+)\) on (.*)",
+                         v, re.S)
+        identity, axes, key, simplex = (f"{m[1]}_{m[2]} {m[3]}_{m[4]}", (0, 1),
+                                        (int(m[5]), int(m[6])), m[7])
+    if fixed:
+        axis, value = fixed
+        rest = [a for a in range(3) if a != axis]
+        axes = tuple(rest[a] for a in axes)
+        whole = [value] * 3
+        whole[rest[0]], whole[rest[1]] = key
+        key = tuple(whole)
+    return identity, axes, key, simplex
+
+
+def _matches_reference(got, want):
+    """The checker's violations `got` are the reference's `want`, each once;
+    returns the kinds of identity they hit, as (letters, axes)."""
+    parsed = [_parsed(v) for v in got]
+    assert len(set(parsed)) == len(parsed)
+    assert set(parsed) == {_parsed(v) for v in want}
+    return {(re.sub(r"_\d+", "", identity), axes) for identity, axes, _, _ in parsed}
+
+
+def _kinds(n_axes):
+    """Every identity kind along every axis and every commutation kind of
+    every pair of axes."""
+    return ({(k, (a,)) for k in ("d d", "s s", "d s") for a in range(n_axes)}
+            | {(k, (a, b)) for k in ("d d", "d s", "s d", "s s")
+               for a in range(n_axes) for b in range(a + 1, n_axes)})
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_simplicial_checker_matches_reference(seed):
     rng = random.Random(seed)
     for X in (diag_nn(walking_two_cell(), 3), wbar(double_nerve(walking_two_cell(), 3))):
-        assert check_simplicial_set(X).violations == []
+        assert check_simplicial_identities(X).violations == []
         face_target, degen_target = _simplicial_targets(X)
         _corrupt(rng, X.faces, face_target, 3)
         _corrupt(rng, X.degens, degen_target, 3)
-        got = check_simplicial_set(X).violations
+        got = check_simplicial_identities(X).violations
         assert got and got == _ref_simplicial_set(X).violations
 
 
@@ -304,26 +364,53 @@ def test_bisimplicial_checker_matches_reference():
         for tables, dp, dq in ((B.hfaces, -1, 0), (B.hdegens, 1, 0),
                                (B.vfaces, 0, -1), (B.vdegens, 0, 1)):
             _corrupt(rng, tables, lambda k, dp=dp, dq=dq: B.level(k[0] + dp, k[1] + dq), 2)
-        got = check_bisimplicial_set(B).violations
-        assert got and got == _ref_bisimplicial_set(B).violations
-        for v in got:
-            m = re.match(r"(..)_\d+ (..)_\d+ do not commute", v)
-            if m:
-                kinds.add(m[1] + m[2])
-    # every commutation condition was violated at least once
-    assert kinds == {"dhdv", "dhsv", "shdv", "shsv"}
+        got = check_simplicial_identities(B).violations
+        assert got
+        kinds |= _matches_reference(got, _ref_bisimplicial_set(B).violations)
+    assert kinds == _kinds(2)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_trisimplicial_checker_matches_reference(seed):
-    rng = random.Random(seed)
-    T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2))
+def _corrupt_trisimplicial(rng, T):
     _corrupt(rng, T.faces, lambda k: T.level(_moved(k[1], k[0], -1)), 3)
     _corrupt(rng, T.degens, lambda k: T.level(_moved(k[1], k[0], 1)), 3)
-    got = check_simplicial_identities(T).violations
-    assert got and got == _ref_trisimplicial_set(T).violations
-    S = tri_slice(T, 1, 1)
-    assert check_bisimplicial_set(S).violations == _ref_bisimplicial_set(S).violations
+
+
+def _trisimplicial_kinds(cx, seed):
+    """Corrupt the nerve of constant WTC and E of Dcov, both at N = 2, check
+    each and one of its slices against the references, and return the
+    kinds of identity the whole sets' violations hit."""
+    kinds = set()
+    for T in (nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2)),
+              build_E(cx.Dcov, 2)):
+        _corrupt_trisimplicial(random.Random(seed), T)
+        got = check_simplicial_identities(T).violations
+        assert got
+        kinds |= _matches_reference(got, _ref_trisimplicial_set(T).violations)
+        S = tri_slice(T, 1, 1)
+        _matches_reference(check_simplicial_identities(S).violations,
+                           _ref_bisimplicial_set(S).violations)
+    return kinds
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trisimplicial_checker_matches_reference(cx, seed):
+    _trisimplicial_kinds(cx, seed)
+
+
+def test_trisimplicial_corruptions_hit_every_kind(cx):
+    assert set().union(*(_trisimplicial_kinds(cx, seed) for seed in range(6))) == _kinds(3)
+
+
+def test_missing_table_is_reported():
+    # a bisimplicial set without its table d_0 along axis 1 at (1, 2): the
+    # checker names it instead of failing on the lookup
+    B = double_nerve(walking_two_cell(), 2)
+    vfaces = {key: B.vfaces[key] for key in B.vfaces if key != (1, 2, 0)}
+    X = TruncatedBisimplicialSet(2, 2, B.cells, B.hfaces, B.hdegens, vfaces, B.vdegens)
+    assert check_simplicial_identities(X).violations == [
+        "axis 1 at (1, 2): missing face table d_0 at level 2"]
+    X = TruncatedSimplicialSet(1, {0: (0,), 1: (1,)}, {(1, 1): [0]}, {(0, 0): [0]})
+    assert check_simplicial_identities(X).violations == ["missing face table d_0 at level 1"]
 
 
 @pytest.mark.parametrize("seed", range(6))
