@@ -2,6 +2,8 @@
 bundled verification suites.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
+A construction command asks `verify.Gates` for the one gate on its input,
+the same gate the suites use, before it builds anything.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
 from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
 from .simplicial import BudgetError, simplex_budget
-from .verify import (LEAST_TRUNC, SUITES, _category_gates, _functor_gates,
-                     _precondition, _valid_diagram, run_suite)
+from .verify import LEAST_TRUNC, SUITES, Gates, run_suite
 
 
 def bundled_manifest_path():
@@ -73,12 +74,11 @@ def cmd_validate(args):
                        "checks": checks, "status": status})
 
 
-def _report(args, suite, names, gates, checks):
-    """The command's report, one check per name in `names`.  If a gate of
-    `gates` fails, every check fails with its `precondition:` detail and
+def _report(args, suite, names, bad, checks):
+    """The command's report, one check per name in `names`.  If `bad`, the
+    `precondition:` detail of a failed gate, every check fails with it and
     nothing is built; otherwise `checks()` gives each check's (status,
     detail)."""
-    bad = _precondition(gates)
     results = [("fail", bad)] * len(names) if bad else checks()
     return emit(args, {"suite": suite, "truncation": args.trunc,
                        "checks": [{"name": name, "status": status, "detail": detail}
@@ -89,7 +89,7 @@ def _report(args, suite, names, gates, checks):
 def _levels(args, suite, build):
     """The level sizes of build(C, truncation), C the named 2-category."""
     C = _require(load_manifest(args), "two_categories", args.name)
-    return _report(args, suite, [f"levels[{args.name}]"], _category_gates(C),
+    return _report(args, suite, [f"levels[{args.name}]"], Gates().category(C),
                    lambda: [("pass", str(build(C, args.trunc).sizes()))])
 
 
@@ -115,14 +115,12 @@ def cmd_groth(args):
         return [("pass", f"cells {G.counts()}") if rep.ok
                 else ("fail", "; ".join(map(str, rep.violations[:5])))]
 
-    return _report(args, "groth", [f"groth[{args.name}]"],
-                   _valid_diagram(functools.partial(validate_diagram, D)), checks)
+    return _report(args, "groth", [f"groth[{args.name}]"], Gates().diagram(D), checks)
 
 
 def cmd_hocolim(args):
     D = _require(load_manifest(args), "diagrams", args.name)
-    return _report(args, "hocolim", [f"hocolim[{args.name}]"],
-                   _valid_diagram(functools.partial(validate_diagram, D)),
+    return _report(args, "hocolim", [f"hocolim[{args.name}]"], Gates().diagram(D),
                    lambda: [("pass", str([L.counts() for L in hocolim(D, args.trunc).levels]))])
 
 
@@ -150,18 +148,18 @@ def cmd_comma(args):
         return [("pass" if validate(K).ok else "fail", f"cells {K.counts()}")]
 
     return _report(args, "comma", [f"comma[{args.functor},{args.object},{args.side}]"],
-                   _functor_gates(F), checks)
+                   Gates().functor(F), checks)
 
 
 def cmd_homology(args):
     m = load_manifest(args)
     if args.comma:
         F, obj, side = _comma(m, args.comma.rsplit(":", 2))
-        gates, label = _functor_gates(F), args.comma
+        bad, label = Gates().functor(F), args.comma
         build = lambda: comma(F, obj, side)
     else:
         C = _require(m, "two_categories", args.name)
-        gates, label = _category_gates(C), args.name
+        bad, label = Gates().category(C), args.name
         build = lambda: C
     degrees = [args.degree] if args.degree is not None else list(range(args.trunc))
 
@@ -169,7 +167,7 @@ def cmd_homology(args):
         cc = normalized_chain_complex(diag_nn(build(), args.trunc))
         return [("pass", str(homology(cc, i))) for i in degrees]
 
-    return _report(args, "homology", [f"H_{i}[{label}]" for i in degrees], gates, checks)
+    return _report(args, "homology", [f"H_{i}[{label}]" for i in degrees], bad, checks)
 
 
 def _suite(args) -> str:

@@ -448,13 +448,13 @@ def _check_two_functor(F: TwoFunctor) -> ValidationReport:
         ff = F.on_one.get(f)
         if ff not in B.one_cells:
             r.add(f"1-cell map misses {f}")
-        elif B.one_cells[ff] != (F.on_obj[s], F.on_obj[t]):
+        elif {s, t} <= F.on_obj.keys() and B.one_cells[ff] != (F.on_obj[s], F.on_obj[t]):
             r.add(f"1-cell map breaks endpoints at {f}")
     for a, (s, t) in A.two_cells.items():
         fa = F.on_two.get(a)
         if fa not in B.two_cells:
             r.add(f"2-cell map misses {a}")
-        elif B.two_cells[fa] != (F.on_one[s], F.on_one[t]):
+        elif {s, t} <= F.on_one.keys() and B.two_cells[fa] != (F.on_one[s], F.on_one[t]):
             r.add(f"2-cell map breaks boundary at {a}")
     if not r.ok:
         return r

@@ -16,6 +16,10 @@ from the transported x_{m-1} along the top base row into x_m and are
 re-whiskered by the top vertical face; contravariant columns run from
 x_{m-1} into the pullback of x_m along the bottom base row and are
 re-whiskered by the bottom vertical face.
+
+The colimit's checks read the cells of its levels, tagged with their
+dimension, as a simplicial set (`_cells`) and go through the simplicial
+identity and map checkers.
 """
 
 from __future__ import annotations
@@ -26,16 +30,17 @@ from dataclasses import dataclass
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
                    DiagramModification, TwoCatError, ValidationReport,
-                   check_cell_map, coproduct, compose_functors,
-                   diagram_over_opposite, functor_equal, functor_is_bijective,
-                   hom_category, identity_functor, product, discrete, validate)
+                   check_cell_map, coproduct, diagram_over_opposite,
+                   hom_category, product, discrete, validate)
 from .grothendieck import grothendieck
 from .nerves import (_col_vdegen, _col_vface, double_nerve, hom_chains,
                      map_dn_simplex, nerve_category, wbar_double_nerve)
 from .simplicial import (SimplicialMap, TruncatedBisimplicialSet,
-                         TruncatedTrisimplicialSet, bisimplicial_from_family,
-                         build_trisimplicial, diag, pointwise, simplicial_map,
-                         transpose, tri_slice, wbar)
+                         TruncatedSimplicialSet, TruncatedTrisimplicialSet,
+                         bisimplicial_from_family, build_simplicial,
+                         build_trisimplicial, check_simplicial_identities,
+                         check_simplicial_map, diag, pointwise, simplicial_map,
+                         transpose, tri_slice, verify_iso, wbar)
 
 
 @dataclass(eq=False)
@@ -56,49 +61,37 @@ class SimplicialTwoCategory:
         return self.degens[(p, i)]
 
 
+def _cells(S: SimplicialTwoCategory, index=lambda p, i: i) -> TruncatedSimplicialSet:
+    """The cells of S as a simplicial set: level p holds (0, object),
+    (1, 1-cell) and (2, 2-cell) for the cells of S.level(p), and d_i and
+    s_i apply S.face(p, index(p, i)) and S.degen(p, index(p, i)) cell by
+    cell."""
+    def level(p):
+        L = S.level(p)
+        return [(0, c) for c in L.objects] + [(1, f) for f in L.one_cells] \
+            + [(2, a) for a in L.two_cells]
+
+    def apply(F, x):
+        return x[0], (F.o, F.f1, F.f2)[x[0]](x[1])
+
+    return build_simplicial(S.n_max, level,
+                            pointwise(lambda p, i, x: apply(S.face(p, index(p, i)), x)),
+                            pointwise(lambda p, i, x: apply(S.degen(p, index(p, i)), x)),
+                            name=f"cells({S.name})")
+
+
 def check_simplicial_two_category(S: SimplicialTwoCategory) -> ValidationReport:
+    """Each level's axioms, then each structure map's 2-functor axioms, then
+    the simplicial identities of S's cells."""
     r = ValidationReport()
     for p, L in enumerate(S.levels):
-        rep = validate(L)
-        for v in rep.violations:
+        for v in validate(L).violations:
             r.add(f"level {p}: {v}")
-    for (p, i), F in list(S.faces.items()) + list(S.degens.items()):
-        rep = check_cell_map("two_functor", F)
-        for v in rep.violations:
-            r.add(f"structure map ({p},{i}): {v}")
-    if not r.ok:
-        return r
-    N = S.n_max
-
-    def eq(F, G, tag):
-        if not functor_equal(F, G):
-            r.add(f"simplicial identity fails: {tag}")
-
-    for p in range(2, N + 1):
-        for j in range(p + 1):
-            for i in range(j):
-                eq(compose_functors(S.face(p - 1, i), S.face(p, j)),
-                   compose_functors(S.face(p - 1, j - 1), S.face(p, i)),
-                   f"d_{i} d_{j} at {p}")
-    for p in range(N - 1):
-        for j in range(p + 1):
-            for i in range(j + 1):
-                eq(compose_functors(S.degen(p + 1, i), S.degen(p, j)),
-                   compose_functors(S.degen(p + 1, j + 1), S.degen(p, i)),
-                   f"s_{i} s_{j} at {p}")
-    for p in range(N):
-        for j in range(p + 1):
-            for i in range(p + 2):
-                left = compose_functors(S.face(p + 1, i), S.degen(p, j))
-                if i in (j, j + 1):
-                    eq(left, identity_functor(S.level(p)), f"d_{i} s_{j} at {p}")
-                elif i < j:
-                    eq(left, compose_functors(S.degen(p - 1, j - 1), S.face(p, i)),
-                       f"d_{i} s_{j} at {p}")
-                else:
-                    eq(left, compose_functors(S.degen(p - 1, j), S.face(p, i - 1)),
-                       f"d_{i} s_{j} at {p}")
-    return r
+    for kind, maps in (("face d", S.faces), ("degeneracy s", S.degens)):
+        for (p, i), F in maps.items():
+            for v in check_cell_map("two_functor", F).violations:
+                r.add(f"{kind}_{i} at level {p}: {v}")
+    return check_simplicial_identities(_cells(S)) if r.ok else r
 
 
 # ---------------------------------------------------------------------------
@@ -590,33 +583,19 @@ def reversal_bridge_report(D: TwoDiagram, n_max: int) -> ValidationReport:
         return r
     S1 = hocolim(D, n_max)
     S2 = hocolim(diagram_over_opposite(D), n_max)
-
-    def rho(p):
-        src, tgt = S1.level(p), S2.level(p)
-        flip = lambda cell: (cell[0][::-1], cell[1][::-1])
-        return TwoFunctor(src, tgt,
-                          {o: flip(o) for o in src.objects},
-                          {f: flip(f) for f in src.one_cells},
-                          {t: flip(t) for t in src.two_cells},
-                          name=f"rev_{p}")
-
-    rhos = [rho(p) for p in range(n_max + 1)]
-    for p, R in enumerate(rhos):
-        rep = check_cell_map("two_functor", R)
-        for v in rep.violations:
+    flip = lambda cell: (cell[0][::-1], cell[1][::-1])
+    for p in range(n_max + 1):
+        src = S1.level(p)
+        R = TwoFunctor(src, S2.level(p), {o: flip(o) for o in src.objects},
+                       {f: flip(f) for f in src.one_cells},
+                       {t: flip(t) for t in src.two_cells}, name=f"rev_{p}")
+        for v in check_cell_map("two_functor", R).violations:
             r.add(f"reversal at level {p}: {v}")
-        if not functor_is_bijective(R):
-            r.add(f"reversal at level {p} is not bijective")
     if not r.ok:
         return r
-    for p in range(1, n_max + 1):
-        for i in range(p + 1):
-            if not functor_equal(compose_functors(rhos[p - 1], S1.face(p, i)),
-                                 compose_functors(S2.face(p, p - i), rhos[p])):
-                r.add(f"reversal does not exchange d_{i} at level {p}")
-    for p in range(n_max):
-        for i in range(p + 1):
-            if not functor_equal(compose_functors(rhos[p + 1], S1.degen(p, i)),
-                                 compose_functors(S2.degen(p, p - i), rhos[p])):
-                r.add(f"reversal does not exchange s_{i} at level {p}")
+    f = simplicial_map(_cells(S1), _cells(S2, lambda p, i: p - i),
+                       lambda p, x: (x[0], flip(x[1])), name=f"rev({D.name})")
+    r = check_simplicial_map(f)
+    if not verify_iso(f):
+        r.add("reversal is not a levelwise bijection")
     return r

@@ -5,13 +5,12 @@ Each check produces (name, status, detail) with status "pass", "fail" or
 Reports are deterministic: entities are visited in sorted name order and
 all details are plain strings.  A check that builds a construction
 first validates its inputs; if they are invalid it fails with a
-`precondition:` detail and builds nothing.  The checks of one entity in a
-suite share the validation of its inputs.
+`precondition:` detail and builds nothing.  One `Gates` table per run
+holds every validation report, so each input is validated once per run,
+whichever suites and checks read it.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
                    constant_diagram, functor_equal, functor_is_bijective,
@@ -37,9 +36,60 @@ SUITES = ("identities", "iso112", "iso114", "retractions", "oplax",
           "contractibility", "invariance", "all")
 
 
+class Gates:
+    """The validation reports of one run, keyed by kind and input and made
+    on first use; an exception is not kept, so each check that meets it
+    reports it.  Each gate method gives the `precondition: <what>: …`
+    detail of its first failed gate, or None; a gate's report is made only
+    once the gates before it have passed."""
+
+    def __init__(self):
+        self._reports = {}
+
+    def report(self, kind, x):
+        """The report of x as a `category`, `diagram`, `grothendieck`
+        (its assembly), `two_functor` or `diagram_morphism`."""
+        key = (kind, x)
+        if key not in self._reports:
+            self._reports[key] = {
+                "category": lambda: validate(x),
+                "diagram": lambda: validate_diagram(x),
+                "grothendieck": lambda: validate(grothendieck(x)),
+                "two_functor": lambda: check_cell_map("two_functor", x),
+                "diagram_morphism": lambda: validate_diagram_morphism(x)}[kind]()
+        return self._reports[key]
+
+    def _gate(self, kind, x, what=None):
+        rep = self.report(kind, x)
+        return None if rep.ok else \
+            f"precondition: {what or kind}: " + "; ".join(map(str, rep.violations[:3]))
+
+    def category(self, C, what="category"):
+        return self._gate("category", C, what)
+
+    def diagram(self, D):
+        """D alone: `validate_diagram` validates the base and each fibre
+        before functoriality and reports them as `base: …` and `fibre c: …`."""
+        return self._gate("diagram", D)
+
+    def assembled(self, D):
+        return self.diagram(D) or self._gate("grothendieck", D)
+
+    def functor(self, F):
+        return (self.category(F.source, "source") or self.category(F.target, "target")
+                or self._gate("two_functor", F))
+
+    def morphism(self, g):
+        return (self.assembled(g.source) or self.assembled(g.target)
+                or self._gate("diagram_morphism", g))
+
+
 class Runner:
+    """The checks of one run, in order, and the `Gates` they share."""
+
     def __init__(self):
         self.checks = []
+        self.gates = Gates()
 
     def run(self, name, fn):
         """Record fn's (ok, detail) as a pass or a fail; an exception out of
@@ -60,24 +110,28 @@ def _sorted(d):
     return sorted(d.items(), key=lambda kv: kv[0])
 
 
+def _is_iso(f) -> bool:
+    return check_simplicial_map(f).ok and verify_iso(f)
+
+
 def suite_identities(m: Manifest, trunc: int, r: Runner):
-    reports = {name: _diagram_reports(D) for name, D in m.diagrams.items()}
+    gates = r.gates
     for name, C in _sorted(m.two_categories):
-        r.run(f"validate[{name}]", lambda C=C: r.report_ok(validate(C), "axiom"))
+        r.run(f"validate[{name}]", lambda C=C: r.report_ok(gates.report("category", C), "axiom"))
     for name, F in _sorted(m.two_functors):
         r.run(f"two_functor[{name}]",
-              lambda F=F: r.report_ok(check_cell_map("two_functor", F), "axiom"))
+              lambda F=F: r.report_ok(gates.report("two_functor", F), "axiom"))
     for name, s in _sorted(m.transformations):
         r.run(f"two_natural[{name}]",
               lambda s=s: r.report_ok(check_cell_map("two_natural", s), "axiom"))
     for name, D in _sorted(m.diagrams):
-        r.run(f"diagram[{name}]", lambda diagram=reports[name][0]:
-              r.report_ok(diagram(), "TwoDiagram invariant"))
+        r.run(f"diagram[{name}]", lambda D=D:
+              r.report_ok(gates.report("diagram", D), "TwoDiagram invariant"))
     for name, g in _sorted(m.diagram_morphisms):
         r.run(f"diagram_morphism[{name}]",
-              lambda g=g: r.report_ok(validate_diagram_morphism(g), "naturality"))
+              lambda g=g: r.report_ok(gates.report("diagram_morphism", g), "naturality"))
     for name, C in _sorted(m.two_categories):
-        gate = _gate(_category_gates, C)
+        gate = lambda C=C: gates.category(C)
         if is_category(C):
             r.run(f"nerve_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
                 check_simplicial_identities(nerve_category(C, trunc)), "identity")))
@@ -86,13 +140,11 @@ def suite_identities(m: Manifest, trunc: int, r: Runner):
         r.run(f"wbar_identities[{name}]", _gated(gate, lambda C=C: r.report_ok(
             check_simplicial_identities(wbar_double_nerve(C, trunc)), "identity")))
         r.run(f"wbar_repackage[{name}]", _gated(gate, lambda C=C: (
-            (lambda f: (check_simplicial_map(f).ok and verify_iso(f), "bijection"))(
-                repackage_staircase(C, max(trunc, 4))))))
+            _is_iso(repackage_staircase(C, max(trunc, 4))), "bijection")))
     for name, D in _sorted(m.diagrams):
-        diagram, assembly = reports[name]
-        gate = _gate(_diagram_gates, diagram, assembly)
-        r.run(f"grothendieck_valid[{name}]", _gated(_gate(_valid_diagram, diagram),
-              lambda assembly=assembly: r.report_ok(assembly(), "axiom")))
+        gate = lambda D=D: gates.assembled(D)
+        r.run(f"grothendieck_valid[{name}]", _gated(lambda D=D: gates.diagram(D),
+              lambda D=D: r.report_ok(gates.report("grothendieck", D), "axiom")))
         r.run(f"hocolim_checks[{name}]", _gated(gate, lambda D=D: r.report_ok(
             check_simplicial_two_category(hocolim(D, trunc)), "identity")))
         r.run(f"resolution_identities[{name}]", _gated(gate, lambda D=D: r.report_ok(
@@ -116,10 +168,6 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
         return
     base, value = bases[0], values[0][1]
 
-    def gates():
-        yield "base", validate(base)
-        yield "value", validate(value)
-
     def check():
         D = constant_diagram(base, value)
         S = hocolim(D, trunc)
@@ -130,36 +178,30 @@ def _constant_level_checks(m: Manifest, trunc: int, r: Runner):
                 return False, f"level {p} not isomorphic to the product"
         return True, "ok"
 
-    r.run(f"constant_levels[{value.name} over {base.name}]",
-          _gated(_gate(gates), check))
+    r.run(f"constant_levels[{value.name} over {base.name}]", _gated(
+        lambda: r.gates.category(base, "base") or r.gates.category(value, "value"), check))
+
+
+def _iso_suite(m: Manifest, trunc: int, r: Runner, suite, comparison):
+    """Each diagram's validation, then whether `comparison(D, trunc)` is a
+    simplicial isomorphism."""
+    for name, D in _sorted(m.diagrams):
+        r.run(f"validate_diagram[{name}]", lambda D=D:
+              r.report_ok(r.gates.report("diagram", D), "TwoDiagram invariant"))
+        r.run(f"{suite}[{name}]", _gated(lambda D=D: r.gates.assembled(D), lambda D=D: (
+            (lambda f: (_is_iso(f), f"levels {f.source.sizes()}"))(comparison(D, trunc)))))
 
 
 def suite_iso112(m: Manifest, trunc: int, r: Runner):
-    for name, D in _sorted(m.diagrams):
-        reports = _diagram_reports(D)
-        r.run(f"validate_diagram[{name}]", lambda diagram=reports[0]:
-              r.report_ok(diagram(), "TwoDiagram invariant"))
-        r.run(f"iso112[{name}]", _gated(_gate(_diagram_gates, *reports), lambda D=D: (
-            (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
-                        f"levels {f.source.sizes()}"))(
-                hocolim_wbar_comparison(D, trunc)))))
+    _iso_suite(m, trunc, r, "iso112", hocolim_wbar_comparison)
 
 
 def suite_iso114(m: Manifest, trunc: int, r: Runner):
-    for name, D in _sorted(m.diagrams):
-        reports = _diagram_reports(D)
-        r.run(f"validate_diagram[{name}]", lambda diagram=reports[0]:
-              r.report_ok(diagram(), "TwoDiagram invariant"))
-        r.run(f"iso114[{name}]", _gated(_gate(_diagram_gates, *reports), lambda D=D: (
-            (lambda f: (check_simplicial_map(f).ok and verify_iso(f),
-                        f"levels {f.source.sizes()}"))(
-                grothendieck_wbar_comparison(D, trunc)))))
+    _iso_suite(m, trunc, r, "iso114", grothendieck_wbar_comparison)
 
 
 def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
-    functor_gate = {name: _gate(_functor_gates, F) for name, F in m.two_functors.items()}
-    diagram_gate = {name: _gate(_diagram_gates, *_diagram_reports(D))
-                    for name, D in m.diagrams.items()}
+    gates = r.gates
     for name, F in _sorted(m.two_functors):
         for side in (OVER, UNDER):
             def check(F=F, side=side):
@@ -171,10 +213,10 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                     return ok and rep.ok, "Pi iota = 1 and witness axioms" if ok and rep.ok \
                         else "; ".join(map(str, rep.violations[:3])) or "Pi iota != 1"
                 return ok, "Pi iota = 1" if ok else "Pi iota != 1"
-            r.run(f"projection[{name},{side}]", _gated(functor_gate[name], check))
+            r.run(f"projection[{name},{side}]", _gated(lambda F=F: gates.functor(F), check))
     for name, g in _sorted(m.diagram_morphisms):
         side = OVER if g.source.variance == COVARIANT else UNDER
-        gate = _gate(_morphism_gates, g)
+        gate = lambda g=g: gates.morphism(g)
         for c in sorted(g.source.base.objects, key=repr):
             for y in sorted(g.target.ob[c].objects, key=repr):
                 def check(g=g, c=c, y=y, side=side):
@@ -205,8 +247,7 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
                                  if ok and rep.ok and jrep.ok else "violation")
                         return ok, "pibar i_z = 1" if ok else "pibar i_z != 1"
                     r.run(f"section[{fname},{dname},{c},{z}]", _gated(
-                        lambda f=functor_gate[fname], d=diagram_gate[dname]: f() or d(),
-                        check))
+                        lambda F=F, D=D: gates.functor(F) or gates.assembled(D), check))
 
 
 def suite_oplax(m: Manifest, trunc: int, r: Runner):
@@ -216,7 +257,7 @@ def suite_oplax(m: Manifest, trunc: int, r: Runner):
 def suite_contractibility(m: Manifest, trunc: int, r: Runner):
     for name, C in _sorted(m.two_categories):
         I = identity_functor(C)
-        gate = _gate(_category_gates, C)
+        gate = lambda C=C: r.gates.category(C)
         for c in sorted(C.objects, key=repr):
             for side in (OVER, UNDER):
                 def check(C=C, I=I, c=c, side=side):
@@ -229,23 +270,6 @@ def suite_contractibility(m: Manifest, trunc: int, r: Runner):
                 r.run(f"contractible[{name},{c},{side}]", _gated(gate, check))
 
 
-def _precondition(gates):
-    """The detail of the first gate whose report has a violation, else None.
-    `gates` yields (what, report) pairs, so a gate runs only once the gates
-    before it have passed."""
-    for what, rep in gates:
-        if not rep.ok:
-            return f"precondition: {what}: " + "; ".join(map(str, rep.violations[:3]))
-    return None
-
-
-def _gate(gates, *args):
-    """The `_precondition` detail of `gates(*args)`, worked out on the first
-    call and then shared by every check gated on it.  An exception is not
-    kept, so each check that meets it reports it."""
-    return cache(lambda: _precondition(gates(*args)))
-
-
 def _gated(gate, check):
     """A check that runs `check` only if `gate()` finds that every gate has
     passed, and otherwise fails with that detail."""
@@ -255,60 +279,21 @@ def _gated(gate, check):
     return run
 
 
-def _category_gates(C):
-    yield "category", validate(C)
-
-
-def _diagram_reports(D):
-    """Two thunks: the `validate_diagram` report of D and the `validate`
-    report of its assembly.  Each is worked out on its first call and then
-    shared by every check that reads it; an exception is not kept."""
-    return cache(lambda: validate_diagram(D)), cache(lambda: validate(grothendieck(D)))
-
-
-def _valid_diagram(diagram):
-    """The report of the thunk `diagram`.  `validate_diagram` validates the
-    base and each fibre before functoriality and reports them as `base: …`
-    and `fibre c: …`."""
-    yield "diagram", diagram()
-
-
-def _diagram_gates(diagram, assembly):
-    """The diagram, then its assembly, from the thunks of
-    `_diagram_reports`."""
-    yield from _valid_diagram(diagram)
-    yield "grothendieck", assembly()
-
-
-def _functor_gates(F):
-    yield "source", validate(F.source)
-    yield "target", validate(F.target)
-    yield "two_functor", check_cell_map("two_functor", F)
-
-
-def _morphism_gates(g):
-    yield from _diagram_gates(*_diagram_reports(g.source))
-    yield from _diagram_gates(*_diagram_reports(g.target))
-    yield "diagram_morphism", validate_diagram_morphism(g)
-
-
 def suite_invariance(m: Manifest, trunc: int, r: Runner):
     """Homology comparisons of each named entity, behind its gates."""
-    degrees = f"degrees 0..{trunc - 2}"
+    gates, degrees = r.gates, f"degrees 0..{trunc - 2}"
     for name, C in _sorted(m.two_categories):
-        r.run(f"aw_homology[{name}]", _gated(_gate(_category_gates, C), lambda C=C: (
+        r.run(f"aw_homology[{name}]", _gated(lambda C=C: gates.category(C), lambda C=C: (
             is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees)))
-    diagram_gate = {name: _gate(_diagram_gates, *_diagram_reports(D))
-                    for name, D in m.diagrams.items()}
     for name, D in _sorted(m.diagrams):
-        r.run(f"aw_homology_groth[{name}]", _gated(diagram_gate[name], lambda D=D: (
+        r.run(f"aw_homology_groth[{name}]", _gated(lambda D=D: gates.assembled(D), lambda D=D: (
             is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)), trunc - 2),
             degrees)))
     for name, F in _sorted(m.two_functors):
         def check(F=F):
             fib, G, Pi, iota, wit = projections(F, OVER)
             return is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2), degrees
-        r.run(f"projection_homology[{name}]", _gated(_gate(_functor_gates, F), check))
+        r.run(f"projection_homology[{name}]", _gated(lambda F=F: gates.functor(F), check))
     for name, D in _sorted(m.diagrams):
         def check(D=D):
             g = renaming_morphism(D)
@@ -321,7 +306,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
             return is_homology_iso_upto(f, trunc - 2), degrees
-        r.run(f"hocolim_invariance[{name}]", _gated(diagram_gate[name], check))
+        r.run(f"hocolim_invariance[{name}]", _gated(lambda D=D: gates.assembled(D), check))
 
 
 SUITE_FNS = {"identities": suite_identities,
@@ -346,16 +331,16 @@ def run_suite(m: Manifest, suite: str, trunc: int = None) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
-    checks = []
+    r = Runner()
     for s in names:
-        r = Runner()
+        start = len(r.checks)
         SUITE_FNS[s](m, trunc if trunc is not None else DEFAULT_TRUNC[s], r)
-        for c in r.checks:
-            c["name"] = f"{s}:{c['name']}" if suite == "all" else c["name"]
-        checks.extend(r.checks)
-    status = all(c["status"] == "pass" for c in checks)
+        if suite == "all":
+            for c in r.checks[start:]:
+                c["name"] = f"{s}:{c['name']}"
+    status = all(c["status"] == "pass" for c in r.checks)
     return {"suite": suite,
             "truncation": trunc if trunc is not None else
             (DEFAULT_TRUNC.get(suite, 3) if suite != "all" else "per-suite"),
-            "checks": checks,
+            "checks": r.checks,
             "status": "pass" if status else "fail"}

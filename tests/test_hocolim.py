@@ -1,7 +1,8 @@
 import random
+import sys
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
-from twocat.core import (check_cell_map, compose_functors, constant_diagram,
+from twocat.core import (TwoFunctor, check_cell_map, compose_functors, constant_diagram,
                          functor_equal, functor_is_bijective)
 from twocat.corpus import renaming_morphism
 from twocat.hocolim import (build_E, build_E_pull,
@@ -199,3 +200,45 @@ def test_comparison_isos_covariant_base_with_two_cells(cx):
     assert check_simplicial_map(f).ok and verify_iso(f)
     g = grothendieck_wbar_comparison(D, 3)
     assert check_simplicial_map(g).ok and verify_iso(g)
+
+
+def _swap_faces(S, p, i, j):
+    """S with its faces d_i and d_j at level p exchanged."""
+    S.faces[(p, i)], S.faces[(p, j)] = S.faces[(p, j)], S.faces[(p, i)]
+    return S
+
+
+def test_hocolim_checks_catch_swapped_faces(cx):
+    for D in (cx.Dcov, cx.Drep):
+        rep = check_simplicial_two_category(_swap_faces(hocolim(D, 3), 2, 0, 1))
+        assert not rep.ok, D.name
+        assert any("d_0 d_2" in v for v in rep.violations), (D.name, rep.violations[:3])
+
+
+def test_reversal_bridge_catches_swapped_opposite_faces(cx, monkeypatch):
+    # the covariant colimit over the opposite base gets d_0 and d_2 swapped
+    # at level 2, so the reversal no longer exchanges d_0 with d_2 there
+    hocolim_module = sys.modules["twocat.hocolim"]  # the package's `hocolim` is the function
+    build = hocolim_module.hocolim
+
+    def broken(D, n_max):
+        S = build(D, n_max)
+        return _swap_faces(S, 2, 0, 2) if D.name.endswith("_redux") else S
+
+    monkeypatch.setattr(hocolim_module, "hocolim", broken)
+    rep = reversal_bridge_report(cx.Drep, 3)
+    assert not rep.ok
+    assert any("d_0" in v and "level 2" in v for v in rep.violations), rep.violations[:3]
+
+
+def test_hocolim_checks_name_the_broken_structure_map(cx):
+    # faces and degeneracies share their (p, i) keys; the report tells them apart
+    for maps, kind in (("faces", "face d_0"), ("degens", "degeneracy s_0")):
+        S = hocolim(cx.Dcov, 3)
+        F = getattr(S, maps)[(1, 0)]
+        lost = next(iter(F.on_obj))
+        getattr(S, maps)[(1, 0)] = TwoFunctor(
+            F.source, F.target, {c: v for c, v in F.on_obj.items() if c != lost},
+            F.on_one, F.on_two)
+        rep = check_simplicial_two_category(S)
+        assert rep.violations[0] == f"{kind} at level 1: object map misses {lost}"

@@ -451,10 +451,13 @@ def test_construction_commands_gate_on_validation(capsys):
                               "hcomp2[(phi, e1a)] has wrong boundary"}]
 
 
-@pytest.mark.parametrize("suite", ["identities", "iso112", "iso114", "invariance"])
+@pytest.mark.parametrize("suite", ["identities", "iso112", "iso114", "retractions", "oplax",
+                                   "invariance", "all"])
 def test_each_diagram_validated_once_per_suite(monkeypatch, suite):
-    # the diagram check, the assembly check and every gate of one diagram
-    # share one `validate_diagram` report and one assembly
+    # the diagram check, the assembly check and every gate of one diagram,
+    # in every suite of the run, share one `validate_diagram` report and one
+    # assembly; retractions and oplax reach Dcov and Dpt through the
+    # diagram morphism `collapse` too
     calls = {"validate_diagram": 0, "grothendieck": 0}
 
     def counted(name):
@@ -471,4 +474,37 @@ def test_each_diagram_validated_once_per_suite(monkeypatch, suite):
     assert run_suite(m, suite)["status"] == "pass"
     assert calls["validate_diagram"] == len(m.diagrams) == 3
     # invariance also assembles each diagram for the homology of its nerve
-    assert calls["grothendieck"] == len(m.diagrams) * (2 if suite == "invariance" else 1)
+    assert calls["grothendieck"] == len(m.diagrams) * (2 if suite in ("invariance", "all") else 1)
+
+
+def _partial_functor_manifests(tmp_path):
+    """The corpus with F's 1-cell map missing a, and with its object map
+    missing 0, each with the precondition detail it must fail with."""
+    corpus = json.loads(DATA.read_text())
+    for where, cell, detail in (("on_one_cells", "a", "1-cell map misses a"),
+                                ("on_objects", "0", "object map misses 0")):
+        data = json.loads(json.dumps(corpus))
+        del data["two_functors"]["F"][where][cell]
+        path = tmp_path / f"partial_{where}.manifest.json"
+        path.write_text(json.dumps(data))
+        yield path, f"precondition: two_functor: {detail}"
+
+
+def test_partial_functor_fails_its_gates_without_crashes(tmp_path, capsys):
+    # a 2-functor whose cell maps are not total is reported by its axiom
+    # check and stopped by every gate on it; nothing indexes a missing cell
+    for path, detail in _partial_functor_manifests(tmp_path):
+        m = parse(path)
+        for suite in verify.SUITE_FNS:
+            rep = run_suite(m, suite)
+            assert not [c for c in rep["checks"] if c["status"] == "error"], (path.name, suite)
+        failed = {c["name"]: c["detail"] for c in run_suite(m, "all")["checks"]
+                  if c["status"] == "fail"}
+        axiom = detail.replace("precondition: two_functor", "axiom")
+        assert failed.pop("identities:two_functor[F]") == axiom
+        assert failed and all(d == detail for d in failed.values()), failed
+        for side in ("over", "under"):
+            assert main(["--manifest", str(path), "comma", "--functor", "F", "--object", "b",
+                         "--side", side]) == 1
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            assert [c["detail"] for c in checks] == [detail]
