@@ -20,7 +20,7 @@ from __future__ import annotations
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, OplaxTransformation,
                    TwoCatError, hom_category, identity_functor,
-                   compose_functors, functor_equal)
+                   compose_functors)
 from .grothendieck import (grothendieck, pullback_diagram, projection_functor,
                            base_change, grothendieck_morphism)
 
@@ -232,7 +232,7 @@ def _projection_witness(F, side, G, Pi, iota):
         phi = m[1][1]  # the comma datum of the inner 1-cell
         inner_al = A.id2[m[1][0]]
         nat[m] = _assembled_two_cell(G, phi, inner_al, gf_side, ff_side)
-    return OplaxTransformation(Fw, Gw, comp, nat, direction="gf_first",
+    return OplaxTransformation(Fw, Gw, comp, nat,
                                name=f"proj_witness({F.name},{side})")
 
 
@@ -381,7 +381,7 @@ def _retraction_witness(gamma, c, y, side, K, R, section, GD, GE, intG):
         al = m[1][0]
         theta = _groth_identity_base(D, GD, al, gf_side[0], ff_side[0])
         nat[m] = forced_two_cell(K, theta, gf_side, ff_side)
-    return OplaxTransformation(Fw, Gw, comp, nat, direction="gf_first",
+    return OplaxTransformation(Fw, Gw, comp, nat,
                                name=f"retr_witness({gamma.name})")
 
 
@@ -528,30 +528,5 @@ def _section_witness(F, D, side, K1, pibar, i_z, GD, GFD, Fbar):
         if theta not in GFD.two_cells:
             raise TwoCatError(f"section witness: naturality base missing at {m!r}")
         nat[m] = forced_two_cell(K1, theta, gf_side, ff_side)
-    return OplaxTransformation(Fw, Gw, comp, nat, direction="gf_first",
+    return OplaxTransformation(Fw, Gw, comp, nat,
                                name="section_witness")
-
-
-# ---------------------------------------------------------------------------
-# base change between comma 2-categories
-# ---------------------------------------------------------------------------
-
-def comma_base_change(F: TwoFunctor, G: TwoFunctor, H: TwoFunctor,
-                      T: TwoFunctor, d, side: str = OVER) -> TwoFunctor:
-    """For a strictly commuting square T o G = H o F, the induced 2-functor
-    between the homotopy fibres of G at d and of H at T(d), acting by
-    (a, p) -> (Fa, Tp); it commutes with both projections."""
-    if not functor_equal(compose_functors(T, G), compose_functors(H, F)):
-        raise TwoCatError("comma_base_change: square does not commute")
-    src = comma(G, d, side)
-    tgt = comma(H, T.o(d), side)
-    on_obj = {(a, p): (F.o(a), T.f1(p)) for (a, p) in src.objects}
-    on_one = {(u, phi, p, p2): (F.f1(u), T.f2(phi), T.f1(p), T.f1(p2))
-              for (u, phi, p, p2) in src.one_cells}
-    on_two = {}
-    for (al, e, f1, f2, p, p2) in src.two_cells:
-        cell = (F.f2(al), T.f2(e), T.f2(f1), T.f2(f2), T.f1(p), T.f1(p2))
-        if cell not in tgt.two_cells:
-            raise TwoCatError(f"comma_base_change: image cell missing at {al!r}")
-        on_two[(al, e, f1, f2, p, p2)] = cell
-    return TwoFunctor(src, tgt, on_obj, on_one, on_two, name=f"bar({F.name})@{d}")

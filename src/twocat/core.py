@@ -301,7 +301,7 @@ def validate(C: TwoCategory) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# 2-functors, transformations, modifications
+# 2-functors and transformations
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -370,30 +370,14 @@ class OplaxTransformation:
     """Transformation whose naturality holds up to directed 2-cells.
 
     For each 1-cell f: a -> b of the source, nat[f] is a 2-cell of the
-    target.  direction "gf_first" means nat[f]: Gf o eta_a => eta_b o Ff;
-    "ff_first" means nat[f]: eta_b o Ff => Gf o eta_a.  All witnesses
-    produced by this library use "gf_first"; the direction is stored per
-    witness rather than normalized.
+    target, nat[f]: Gf o eta_a => eta_b o Ff.
     """
 
     F: TwoFunctor
     G: TwoFunctor
     comp: dict
     nat: dict
-    direction: str = "gf_first"
     name: str = ""
-
-    def at(self, c):
-        return self.comp[c]
-
-
-@dataclass(eq=False)
-class Modification:
-    """Modification between parallel 2-natural transformations."""
-
-    sigma: TwoNaturalTransformation
-    tau: TwoNaturalTransformation
-    comp: dict  # object -> 2-cell of the target
 
     def at(self, c):
         return self.comp[c]
@@ -502,22 +486,17 @@ def _check_oplax(s: OplaxTransformation) -> ValidationReport:
     r = ValidationReport()
     F, G = s.F, s.G
     A, B = F.source, F.target
-    if s.direction not in ("gf_first", "ff_first"):
-        r.add(f"unknown direction {s.direction}")
-        return r
     for c in A.objects:
         e = s.comp.get(c)
         if e not in B.one_cells or B.one_cells[e] != (F.on_obj[c], G.on_obj[c]):
             r.add(f"component at {c} is not a 1-cell Fa -> Ga")
+    if not r.ok:
+        return r
     for f, (a, b) in A.one_cells.items():
         n = s.nat.get(f)
         if n not in B.two_cells:
             r.add(f"naturality component missing at {f}")
-            continue
-        gf_side = B.comp1(G.f1(f), s.comp[a])
-        ff_side = B.comp1(s.comp[b], F.f1(f))
-        want = (gf_side, ff_side) if s.direction == "gf_first" else (ff_side, gf_side)
-        if B.two_cells[n] != want:
+        elif B.two_cells[n] != (B.comp1(G.f1(f), s.comp[a]), B.comp1(s.comp[b], F.f1(f))):
             r.add(f"naturality component at {f} has wrong boundary")
     if not r.ok:
         return r
@@ -525,55 +504,26 @@ def _check_oplax(s: OplaxTransformation) -> ValidationReport:
         if s.nat[A.id1[c]] != B.id2[s.comp[c]]:
             r.add(f"unit axiom fails at {c}")
     for (g, f), gf in A.hcomp1.items():
-        if s.direction == "gf_first":
-            # G(gf) o eta => eta o F(gf) factoring through eta_b
-            step1 = B.hcomp(B.unit2(G.f1(g)), s.nat[f])
-            step2 = B.hcomp(s.nat[g], B.unit2(F.f1(f)))
-            if s.nat[gf] != B.vcomp(step2, step1):
-                r.add(f"composition axiom fails at ({g}, {f})")
-        else:
-            step1 = B.hcomp(s.nat[g], B.unit2(F.f1(f)))
-            step2 = B.hcomp(B.unit2(G.f1(g)), s.nat[f])
-            if s.nat[gf] != B.vcomp(step2, step1):
-                r.add(f"composition axiom fails at ({g}, {f})")
+        # G(gf) o eta => eta o F(gf) factoring through eta_b
+        step1 = B.hcomp(B.unit2(G.f1(g)), s.nat[f])
+        step2 = B.hcomp(s.nat[g], B.unit2(F.f1(f)))
+        if s.nat[gf] != B.vcomp(step2, step1):
+            r.add(f"composition axiom fails at ({g}, {f})")
     for al, (f, g) in A.two_cells.items():
         a, b = A.one_cells[f]
-        if s.direction == "gf_first":
-            lhs = B.vcomp(B.hcomp(B.unit2(s.comp[b]), F.f2(al)), s.nat[f])
-            rhs = B.vcomp(s.nat[g], B.hcomp(G.f2(al), B.unit2(s.comp[a])))
-        else:
-            lhs = B.vcomp(B.hcomp(G.f2(al), B.unit2(s.comp[a])), s.nat[f])
-            rhs = B.vcomp(s.nat[g], B.hcomp(B.unit2(s.comp[b]), F.f2(al)))
+        lhs = B.vcomp(B.hcomp(B.unit2(s.comp[b]), F.f2(al)), s.nat[f])
+        rhs = B.vcomp(s.nat[g], B.hcomp(G.f2(al), B.unit2(s.comp[a])))
         if lhs != rhs:
             r.add(f"2-cell compatibility fails at {al}")
     return r
 
 
-def _check_modification(m: Modification) -> ValidationReport:
-    r = ValidationReport()
-    s, t = m.sigma, m.tau
-    A, B = s.F.source, s.F.target
-    for c in A.objects:
-        x = m.comp.get(c)
-        if x not in B.two_cells or B.two_cells[x] != (s.comp[c], t.comp[c]):
-            r.add(f"component at {c} is not a 2-cell sigma_c => tau_c")
-    if not r.ok:
-        return r
-    for f, (a, b) in A.one_cells.items():
-        lhs = B.hcomp(B.unit2(s.G.f1(f)), m.comp[a])
-        rhs = B.hcomp(m.comp[b], B.unit2(s.F.f1(f)))
-        if lhs != rhs:
-            r.add(f"modification axiom fails at {f}")
-    return r
-
-
 def check_cell_map(kind: str, data) -> ValidationReport:
-    """Validate a 2-functor, 2-natural transformation, oplax transformation,
-    or modification against the full axiom set of its kind."""
+    """Validate a 2-functor, 2-natural transformation or oplax transformation
+    against the full axiom set of its kind."""
     checkers = {"two_functor": _check_two_functor,
                 "two_natural": _check_two_natural,
-                "oplax": _check_oplax,
-                "modification": _check_modification}
+                "oplax": _check_oplax}
     if kind not in checkers:
         raise TwoCatError(f"check_cell_map: unknown kind {kind!r}")
     return checkers[kind](data)
@@ -824,43 +774,4 @@ def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
             rhs = whisker_natural_functor(E.two[al], G.comp[b])
         if not natural_equal(lhs, rhs):
             r.add(f"naturality fails at 2-cell {al}")
-    return r
-
-
-@dataclass(eq=False)
-class DiagramModification:
-    """Modification between parallel diagram morphisms: components are
-    2-natural transformations between the component 2-functors."""
-
-    sigma: DiagramMorphism
-    tau: DiagramMorphism
-    comp: dict  # base object -> TwoNaturalTransformation
-
-    def at(self, c) -> TwoNaturalTransformation:
-        return self.comp[c]
-
-
-def validate_diagram_modification(m: DiagramModification) -> ValidationReport:
-    r = ValidationReport()
-    D = m.sigma.source
-    C = D.base
-    cov = D.variance == COVARIANT
-    for c in C.objects:
-        s = m.comp.get(c)
-        if s is None or not (functor_equal(s.F, m.sigma.comp[c]) and functor_equal(s.G, m.tau.comp[c])):
-            r.add(f"component at {c} missing or wrongly typed")
-            continue
-        r.merge(check_cell_map("two_natural", s))
-    if not r.ok:
-        return r
-    E = m.sigma.target
-    for f, (a, b) in C.one_cells.items():
-        if cov:
-            lhs = whisker_functor_natural(E.one[f], m.comp[a])
-            rhs = whisker_natural_functor(m.comp[b], D.one[f])
-        else:
-            lhs = whisker_functor_natural(E.one[f], m.comp[b])
-            rhs = whisker_natural_functor(m.comp[a], D.one[f])
-        if not natural_equal(lhs, rhs):
-            r.add(f"modification axiom fails at {f}")
     return r

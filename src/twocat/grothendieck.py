@@ -12,8 +12,7 @@ the source fibre and phi: al^*y o u => v.
 from __future__ import annotations
 
 from .core import (COVARIANT, TwoCategory, TwoDiagram, TwoFunctor,
-                   TwoNaturalTransformation, DiagramMorphism,
-                   DiagramModification, TwoCatError, make_two_category,
+                   DiagramMorphism, TwoCatError, make_two_category,
                    same_category)
 
 
@@ -161,20 +160,6 @@ def grothendieck_morphism(gamma: DiagramMorphism, GD=None, GE=None) -> TwoFuncto
     return TwoFunctor(GD, GE, on_obj, on_one, on_two, name=f"int({gamma.name})")
 
 
-def grothendieck_modification(m: DiagramModification, Fm: TwoFunctor = None,
-                              Gm: TwoFunctor = None) -> TwoNaturalTransformation:
-    """The induced 2-natural transformation, with component (1_a, m_a x)."""
-    D = m.sigma.source
-    C = D.base
-    Fm = Fm if Fm is not None else grothendieck_morphism(m.sigma)
-    Gm = Gm if Gm is not None else grothendieck_morphism(m.tau)
-    comp = {}
-    for (a, x) in Fm.source.objects:
-        comp[(a, x)] = (C.id1[a], m.at(a).at(x),
-                        m.sigma.at(a).o(x), m.tau.at(a).o(x))
-    return TwoNaturalTransformation(Fm, Gm, comp, name=f"int({id(m)})")
-
-
 def fibre_embedding(D: TwoDiagram, c, G: TwoCategory = None) -> TwoFunctor:
     """Embedding of the fibre over c, constant at c on the base side."""
     if G is None:
@@ -203,13 +188,12 @@ def pullback_diagram(F: TwoFunctor, D: TwoDiagram) -> TwoDiagram:
                       name=f"{F.name}^*{D.name}")
 
 
-def base_change(F: TwoFunctor, D: TwoDiagram, GFD=None, GD=None):
+def base_change(F: TwoFunctor, D: TwoDiagram):
     """The pulled-back diagram together with the comparison 2-functor into
     the assembled 2-category over the original base; the square with the two
     projections commutes strictly."""
     FD = pullback_diagram(F, D)
-    GFD = GFD if GFD is not None else grothendieck(FD)
-    GD = GD if GD is not None else grothendieck(D)
+    GFD, GD = grothendieck(FD), grothendieck(D)
     on_obj = {(a, x): (F.o(a), x) for (a, x) in GFD.objects}
     on_one = {(f, u, x, y): (F.f1(f), u, x, y) for (f, u, x, y) in GFD.one_cells}
     on_two = {(al, phi, u, v, x, y): (F.f2(al), phi, u, v, x, y)

@@ -28,8 +28,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
-                   TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
-                   DiagramModification, TwoCatError, ValidationReport,
+                   TwoFunctor, DiagramMorphism, TwoCatError, ValidationReport,
                    check_cell_map, coproduct, diagram_over_opposite,
                    hom_category, product, discrete, validate)
 from .grothendieck import grothendieck
@@ -81,14 +80,17 @@ def _cells(S: SimplicialTwoCategory, index=lambda p, i: i) -> TruncatedSimplicia
 
 
 def check_simplicial_two_category(S: SimplicialTwoCategory) -> ValidationReport:
-    """Each level's axioms, then each structure map's 2-functor axioms, then
-    the simplicial identities of S's cells."""
+    """Each level's axioms, then each structure map's levels and 2-functor
+    axioms, then the simplicial identities of S's cells."""
     r = ValidationReport()
     for p, L in enumerate(S.levels):
         for v in validate(L).violations:
             r.add(f"level {p}: {v}")
-    for kind, maps in (("face d", S.faces), ("degeneracy s", S.degens)):
+    for kind, maps, step in (("face d", S.faces, -1), ("degeneracy s", S.degens, 1)):
         for (p, i), F in maps.items():
+            if F.source is not S.level(p) or F.target is not S.level(p + step):
+                r.add(f"{kind}_{i} at level {p}: wrong source or target")
+                continue
             for v in check_cell_map("two_functor", F).violations:
                 r.add(f"{kind}_{i} at level {p}: {v}")
     return check_simplicial_identities(_cells(S)) if r.ok else r
@@ -231,24 +233,6 @@ def hocolim_map(gamma: DiagramMorphism, SD: SimplicialTwoCategory,
             {f: (f[0], data_fn(f[0], f[1], "one")) for f in src.one_cells},
             {t: (t[0], data_fn(t[0], t[1], "two")) for t in src.two_cells},
             name=f"{gamma.name}_{p}"))
-    return out
-
-
-def hocolim_modification(m: DiagramModification, maps_sigma, maps_tau):
-    """Levelwise 2-natural transformations induced by a modification."""
-    D = m.sigma.source
-    cov = D.variance == COVARIANT
-    C = D.base
-    out = []
-    for p, (F, G) in enumerate(zip(maps_sigma, maps_tau)):
-        comp = {}
-        for o in F.source.objects:
-            ch, d = o
-            end = ch[0] if cov else ch[-1]
-            seed = m.at(end).at(d[0] if cov else d[-1])
-            ids = tuple(C.id2[h] for h in (d[1:] if cov else d[:-1]))
-            comp[o] = (ch, (seed,) + ids if cov else ids + (seed,))
-        out.append(TwoNaturalTransformation(F, G, comp, name=f"m_{p}"))
     return out
 
 

@@ -34,8 +34,22 @@ class Manifest:
     suites: list = field(default_factory=list)
 
 
-def _table_from_json(obj) -> dict:
-    return {(g, f): v for g, row in obj.items() for f, v in row.items()}
+def _object(value, where) -> dict:
+    """value, which must be a JSON object; otherwise an input error at where."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _entries(doc, key):
+    """The (name, entry) pairs of the section doc[key], each entry an object."""
+    for name, sub in _object(doc.get(key, {}), key).items():
+        yield name, _object(sub, f"{key}.{name}")
+
+
+def _table_from_json(obj, where) -> dict:
+    return {(g, f): v for g, row in _object(obj, where).items()
+            for f, v in _object(row, f"{where}.{g}").items()}
 
 
 def _table_to_json(table) -> dict:
@@ -49,12 +63,11 @@ def _category_from_json(name, doc, errors, where):
     try:
         C = TwoCategory(
             tuple(doc["objects"]),
-            {f: tuple(st) for f, st in doc["one_cells"].items()},
-            {a: tuple(st) for a, st in doc["two_cells"].items()},
+            {f: tuple(st) for f, st in _object(doc["one_cells"], f"{where}.one_cells").items()},
+            {a: tuple(st) for a, st in _object(doc["two_cells"], f"{where}.two_cells").items()},
             dict(doc["id1"]), dict(doc["id2"]),
-            _table_from_json(doc.get("hcomp1", {})),
-            _table_from_json(doc.get("vcomp2", {})),
-            _table_from_json(doc.get("hcomp2", {})),
+            *(_table_from_json(doc.get(t, {}), f"{where}.{t}")
+              for t in ("hcomp1", "vcomp2", "hcomp2")),
             name=name)
     except (KeyError, TypeError) as exc:
         errors.append(f"{where}: malformed 2-category ({exc})")
@@ -96,7 +109,7 @@ def resolve(doc: dict) -> Manifest:
     m = Manifest(truncation=doc.get("truncation", 4),
                  suites=list(doc.get("suites", [])))
 
-    for name, sub in doc.get("two_categories", {}).items():
+    for name, sub in _entries(doc, "two_categories"):
         C = _category_from_json(name, sub, errors, f"two_categories.{name}")
         if C is not None:
             m.two_categories[name] = C
@@ -107,14 +120,14 @@ def resolve(doc: dict) -> Manifest:
             return None
         return m.two_categories[name]
 
-    for name, sub in doc.get("two_functors", {}).items():
+    for name, sub in _entries(doc, "two_functors"):
         src = named_cat(sub.get("source"), f"two_functors.{name}.source")
         tgt = named_cat(sub.get("target"), f"two_functors.{name}.target")
         if src is None or tgt is None:
             continue
-        F = TwoFunctor(src, tgt, dict(sub.get("on_objects", {})),
-                       dict(sub.get("on_one_cells", {})),
-                       dict(sub.get("on_two_cells", {})), name=name)
+        F = TwoFunctor(src, tgt, *(dict(_object(sub.get(k, {}), f"two_functors.{name}.{k}"))
+                                   for k in ("on_objects", "on_one_cells", "on_two_cells")),
+                       name=name)
         for c, v in F.on_obj.items():
             if c not in src.objects or v not in tgt.objects:
                 errors.append(f"two_functors.{name}.on_objects.{c}: unknown identifier")
@@ -126,16 +139,17 @@ def resolve(doc: dict) -> Manifest:
                 errors.append(f"two_functors.{name}.on_two_cells.{a}: unknown identifier")
         m.two_functors[name] = F
 
-    for name, sub in doc.get("transformations", {}).items():
+    for name, sub in _entries(doc, "transformations"):
         Fn, Gn = sub.get("source_functor"), sub.get("target_functor")
         if Fn not in m.two_functors or Gn not in m.two_functors:
             errors.append(f"transformations.{name}: unknown functor reference")
             continue
         m.transformations[name] = TwoNaturalTransformation(
             m.two_functors[Fn], m.two_functors[Gn],
-            dict(sub.get("components", {})), name=name)
+            dict(_object(sub.get("components", {}), f"transformations.{name}.components")),
+            name=name)
 
-    for name, sub in doc.get("diagrams", {}).items():
+    for name, sub in _entries(doc, "diagrams"):
         base = named_cat(sub.get("base"), f"diagrams.{name}.base")
         if base is None:
             continue
@@ -143,8 +157,10 @@ def resolve(doc: dict) -> Manifest:
         if variance not in (COVARIANT, CONTRAVARIANT):
             errors.append(f"diagrams.{name}.variance: must be covariant or contravariant")
             continue
+        fibres, on_one, on_two = (_object(sub.get(k, {}), f"diagrams.{name}.{k}")
+                                  for k in ("fibres", "on_one_cells", "on_two_cells"))
         ob = {}
-        for c, catname in sub.get("fibres", {}).items():
+        for c, catname in fibres.items():
             fib = named_cat(catname, f"diagrams.{name}.fibres.{c}")
             if fib is not None:
                 ob[c] = fib
@@ -154,7 +170,7 @@ def resolve(doc: dict) -> Manifest:
         one = {}
         cov = variance == COVARIANT
         for f, (a, b) in base.one_cells.items():
-            ref = sub.get("on_one_cells", {}).get(f)
+            ref = on_one.get(f)
             if ref is None:
                 if f in base.id1.values():
                     c = base.dom1(f)
@@ -168,7 +184,7 @@ def resolve(doc: dict) -> Manifest:
             one[f] = m.two_functors[ref]
         two = {}
         for al, (f, g) in base.two_cells.items():
-            ref = sub.get("on_two_cells", {}).get(al)
+            ref = on_two.get(al)
             if ref is None:
                 if al in base.id2.values() and f in one:
                     two[al] = identity_natural(one[f])
@@ -192,7 +208,7 @@ def resolve(doc: dict) -> Manifest:
         else:
             errors.append(f"diagrams.{name}: unresolved transports")
 
-    for name, sub in doc.get("diagram_morphisms", {}).items():
+    for name, sub in _entries(doc, "diagram_morphisms"):
         Dn, En = sub.get("source"), sub.get("target")
         if Dn not in m.diagrams or En not in m.diagrams:
             errors.append(f"diagram_morphisms.{name}: unknown diagram reference")
@@ -203,7 +219,8 @@ def resolve(doc: dict) -> Manifest:
             continue
         comp = {}
         ok = True
-        for c, ref in sub.get("components", {}).items():
+        for c, ref in _object(sub.get("components", {}),
+                              f"diagram_morphisms.{name}.components").items():
             if ref not in m.two_functors:
                 errors.append(f"diagram_morphisms.{name}.components.{c}: "
                               f"unknown functor {ref!r}")
@@ -226,9 +243,12 @@ def parse(path) -> Manifest:
         except json.JSONDecodeError as exc:
             raise ManifestError([f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"]) from None
     p = str(path)
+    _object(doc, p)
     if p.endswith(".2cat"):
         doc = {"two_categories": {doc.get("name", "main"): doc}}
     elif p.endswith(".2diag"):
+        if "diagram" not in doc:
+            raise ManifestError(f"{p}: no diagram entry")
         doc = {"truncation": doc.get("truncation", 4),
                "two_categories": doc.get("two_categories", {}),
                "two_functors": doc.get("two_functors", {}),

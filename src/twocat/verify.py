@@ -200,34 +200,27 @@ def suite_iso114(m: Manifest, trunc: int, r: Runner):
     _iso_suite(m, trunc, r, "iso114", grothendieck_wbar_comparison)
 
 
-def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
-    gates = r.gates
+def _claims(m: Manifest, gates: Gates):
+    """(name, gate, build) of each projection, retraction and section claim;
+    build() gives whether the claimed composite is the identity, that
+    composite's name, and the witness cell maps to check as (kind, map)."""
     for name, F in _sorted(m.two_functors):
         for side in (OVER, UNDER):
-            def check(F=F, side=side):
+            def build(F=F, side=side):
                 fib, G, Pi, iota, wit = projections(F, side)
-                ok = functor_equal(compose_functors(Pi, iota),
-                                   identity_functor(F.source))
-                if with_oplax:
-                    rep = check_cell_map("oplax", wit)
-                    return ok and rep.ok, "Pi iota = 1 and witness axioms" if ok and rep.ok \
-                        else "; ".join(map(str, rep.violations[:3])) or "Pi iota != 1"
-                return ok, "Pi iota = 1" if ok else "Pi iota != 1"
-            r.run(f"projection[{name},{side}]", _gated(lambda F=F: gates.functor(F), check))
+                return (functor_equal(compose_functors(Pi, iota), identity_functor(F.source)),
+                        "Pi iota", [("oplax", wit)])
+            yield f"projection[{name},{side}]", lambda F=F: gates.functor(F), build
     for name, g in _sorted(m.diagram_morphisms):
         side = OVER if g.source.variance == COVARIANT else UNDER
-        gate = lambda g=g: gates.morphism(g)
         for c in sorted(g.source.base.objects, key=repr):
             for y in sorted(g.target.ob[c].objects, key=repr):
-                def check(g=g, c=c, y=y, side=side):
+                def build(g=g, c=c, y=y, side=side):
                     K, L, R, sec, wit = retraction_R(g, c, y, side)
-                    ok = functor_equal(compose_functors(R, sec), identity_functor(L))
-                    if with_oplax:
-                        rep = check_cell_map("oplax", wit)
-                        return ok and rep.ok, ("R section = 1 and witness axioms"
-                                               if ok and rep.ok else "violation")
-                    return ok, "R section = 1" if ok else "R section != 1"
-                r.run(f"retraction[{name},{c},{y},{side}]", _gated(gate, check))
+                    return (functor_equal(compose_functors(R, sec), identity_functor(L)),
+                            "R section", [("oplax", wit)])
+                yield (f"retraction[{name},{c},{y},{side}]",
+                       lambda g=g: gates.morphism(g), build)
     for fname, F in _sorted(m.two_functors):
         for dname, D in _sorted(m.diagrams):
             if not same_category(D.base, F.target):
@@ -235,23 +228,33 @@ def suite_retractions(m: Manifest, trunc: int, r: Runner, with_oplax=False):
             side = OVER if D.variance == CONTRAVARIANT else UNDER
             for c in sorted(D.base.objects, key=repr):
                 for z in sorted(D.ob[c].objects, key=repr):
-                    def check(F=F, D=D, c=c, z=z, side=side):
+                    def build(F=F, D=D, c=c, z=z, side=side):
                         K0, K1, jz, pibar, iz, wit = section_jz_iz(F, D, c, z, side)
-                        ok = functor_equal(compose_functors(pibar, iz),
-                                           identity_functor(K0))
-                        if with_oplax:
-                            rep = check_cell_map("oplax", wit)
-                            jrep = check_cell_map("two_functor", jz)
-                            return ok and rep.ok and jrep.ok, \
-                                ("pibar i_z = 1 and witness axioms"
-                                 if ok and rep.ok and jrep.ok else "violation")
-                        return ok, "pibar i_z = 1" if ok else "pibar i_z != 1"
-                    r.run(f"section[{fname},{dname},{c},{z}]", _gated(
-                        lambda F=F, D=D: gates.functor(F) or gates.assembled(D), check))
+                        return (functor_equal(compose_functors(pibar, iz), identity_functor(K0)),
+                                "pibar i_z", [("oplax", wit), ("two_functor", jz)])
+                    yield (f"section[{fname},{dname},{c},{z}]",
+                           lambda F=F, D=D: gates.functor(F) or gates.assembled(D), build)
+
+
+def suite_retractions(m: Manifest, trunc: int, r: Runner):
+    for name, gate, build in _claims(m, r.gates):
+        def check(build=build):
+            ok, composite, _ = build()
+            return ok, f"{composite} = 1" if ok else f"{composite} != 1"
+        r.run(name, _gated(gate, check))
 
 
 def suite_oplax(m: Manifest, trunc: int, r: Runner):
-    suite_retractions(m, trunc, r, with_oplax=True)
+    """As `suite_retractions`, and the witnesses' axioms hold; a failure
+    names the first three violations."""
+    for name, gate, build in _claims(m, r.gates):
+        def check(build=build):
+            ok, composite, cells = build()
+            bad = [v for kind, x in cells for v in check_cell_map(kind, x).violations]
+            if ok and not bad:
+                return True, f"{composite} = 1 and witness axioms"
+            return False, "; ".join(map(str, bad[:3])) or f"{composite} != 1"
+        r.run(name, _gated(gate, check))
 
 
 def suite_contractibility(m: Manifest, trunc: int, r: Runner):

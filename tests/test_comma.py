@@ -1,14 +1,14 @@
 import pytest
 
 from twocat.builders import pt, walking_two_cell
-from twocat.comma import (OVER, UNDER, comma, comma_base_change,
-                          comma_diagram, comma_projection, fibre_diagram,
+from twocat.comma import (OVER, UNDER, comma, comma_diagram,
+                          comma_projection, fibre_diagram,
                           induced_fibre_functor, induced_fibre_transformation,
                           projections, representable_diagram, retraction_R,
                           section_jz_iz)
-from twocat.core import (TwoCatError, check_cell_map, compose_functors,
-                         functor_equal, identity_functor, validate,
-                         validate_diagram)
+from twocat.core import (OplaxTransformation, TwoCatError, check_cell_map,
+                         compose_functors, functor_equal, identity_functor,
+                         validate, validate_diagram)
 from twocat.corpus import renaming_morphism, wtc_to_wa_collapse
 from twocat.grothendieck import grothendieck
 from twocat.homology import homology, normalized_chain_complex
@@ -106,6 +106,34 @@ def test_projections_retraction_and_witness(cx):
         assert check_cell_map("oplax", wit).ok
 
 
+def _broken_projection_witness(cx, slot):
+    """The witness of projections(F, OVER) with its first `slot` entry
+    ("comp" or "nat") replaced by a cell of the wrong boundary."""
+    wit = projections(cx.F, OVER)[4]
+    B = wit.F.target
+    comp, nat = dict(wit.comp), dict(wit.nat)
+    if slot == "comp":
+        key = sorted(comp, key=repr)[0]
+        cells, table = B.one_cells, comp
+    else:
+        key = sorted(nat, key=repr)[0]
+        cells, table = B.two_cells, nat
+    table[key] = next(x for x in sorted(cells, key=repr)
+                      if cells[x] != cells[table[key]])
+    return OplaxTransformation(wit.F, wit.G, comp, nat, name=wit.name), key
+
+
+def test_oplax_checker_rejects_a_naturality_cell_of_the_wrong_boundary(cx):
+    bad, m = _broken_projection_witness(cx, "nat")
+    rep = check_cell_map("oplax", bad)
+    assert rep.violations == [f"naturality component at {m} has wrong boundary"]
+
+
+def test_oplax_checker_rejects_a_component_of_the_wrong_endpoints(cx):
+    bad, o = _broken_projection_witness(cx, "comp")
+    rep = check_cell_map("oplax", bad)
+    assert rep.violations == [f"component at {o} is not a 1-cell Fa -> Ga"]
+
 def test_retraction_R_covariant(cx):
     for c in cx.collapse.source.base.objects:
         for y in cx.collapse.target.ob[c].objects:
@@ -154,23 +182,6 @@ def test_jz_commutes_with_projections(cx):
     prFD = projection_functor(FD, Fbar.source)
     assert functor_equal(compose_functors(prFD, jz),
                          comma_projection(cx.F, "b", OVER, K0))
-
-
-def test_comma_base_change_triangle(cx):
-    idw = identity_functor(cx.wtc)
-    for side in (OVER, UNDER):
-        for d in cx.wtc.objects:
-            bc = comma_base_change(cx.F, cx.F, idw, idw, d, side)
-            assert check_cell_map("two_functor", bc).ok
-            lhs = compose_functors(comma_projection(idw, d, side), bc)
-            rhs = compose_functors(cx.F, comma_projection(cx.F, d, side))
-            assert functor_equal(lhs, rhs)
-
-
-def test_comma_base_change_identity_square(cx):
-    idw = identity_functor(cx.wtc)
-    bc = comma_base_change(idw, idw, idw, idw, "b", OVER)
-    assert functor_equal(bc, identity_functor(bc.source))
 
 
 def test_slices_weakly_contractible(cx):

@@ -1,11 +1,10 @@
 from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
-from twocat.core import (check_cell_map, constant_diagram, discrete,
-                         hom_category, identity_functor, opposite, product,
-                         validate, validate_diagram, validate_diagram_morphism,
-                         validate_diagram_modification, DiagramModification,
-                         DiagramMorphism, TwoFunctor, TwoNaturalTransformation)
+from twocat.core import (check_cell_map, discrete, hom_category,
+                         identity_functor, opposite, product, validate,
+                         validate_diagram, validate_diagram_morphism,
+                         OplaxTransformation, TwoFunctor)
 
 
 def test_terminal_validates():
@@ -133,58 +132,15 @@ def test_discrete_counts(n):
     assert validate(C).ok
 
 
-def test_modification_axiom():
-    from twocat.core import Modification, TwoNaturalTransformation
-    P, C = pt(), walking_two_cell()
-    Fa = TwoFunctor(P, C, {"*": "a"}, {"1": "1a"}, {"11": "e1a"}, name="ka")
-    Fb = TwoFunctor(P, C, {"*": "b"}, {"1": "1b"}, {"11": "e1b"}, name="kb")
-    eta_f = TwoNaturalTransformation(Fa, Fb, {"*": "f"})
-    eta_g = TwoNaturalTransformation(Fa, Fb, {"*": "g"})
-    assert check_cell_map("two_natural", eta_f).ok
-    good = Modification(eta_f, eta_g, {"*": "phi"})
-    assert check_cell_map("modification", good).ok
-    bad = Modification(eta_f, eta_g, {"*": "ef"})
-    rep = check_cell_map("modification", bad)
-    assert not rep.ok
-
-
-def test_diagram_modification_axiom():
-    # over the arrow 0 -> 1, the constant diagram at WTC; the diagram morphism
-    # that collapses WTC to a, and the one that collapses it to b
-    C = walking_two_cell()
-    D = constant_diagram(walking_arrow(), C)
-
-    def collapse(x):
-        return TwoFunctor(C, C, {o: x for o in C.objects},
-                          {f: C.id1[x] for f in C.one_cells},
-                          {a: C.id2[C.id1[x]] for a in C.two_cells}, name=f"k{x}")
-
-    ka, kb = collapse("a"), collapse("b")
-    sigma = DiagramMorphism(D, D, {"0": ka, "1": ka})
-    tau = DiagramMorphism(D, D, {"0": kb, "1": kb})
-    assert validate_diagram_morphism(sigma).ok and validate_diagram_morphism(tau).ok
-    by_f, by_g = (TwoNaturalTransformation(ka, kb, {o: h for o in C.objects})
-                  for h in ("f", "g"))
-    assert check_cell_map("two_natural", by_f).ok and check_cell_map("two_natural", by_g).ok
-    assert validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f, "1": by_f})).ok
-    rep = validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f, "1": by_g}))
-    assert rep.violations == ["modification axiom fails at a"]
-    rep = validate_diagram_modification(DiagramModification(sigma, tau, {"0": by_f}))
-    assert rep.violations == ["component at 1 missing or wrongly typed"]
-    rep = validate_diagram_modification(DiagramModification(sigma, sigma, {"0": by_f, "1": by_f}))
-    assert not rep.ok
-
-
-def test_oplax_direction_field_checked():
-    from twocat.core import OplaxTransformation
+def test_oplax_transformation_has_one_orientation():
+    # nat[f]: Gf o eta_a => eta_b o Ff is the only convention; no field
+    # chooses another
     C = walking_two_cell()
     I = identity_functor(C)
     unit = OplaxTransformation(I, I, {c: C.id1[c] for c in C.objects},
-                               {f: C.id2[f] for f in C.one_cells},
-                               direction="gf_first")
+                               {f: C.id2[f] for f in C.one_cells})
     assert check_cell_map("oplax", unit).ok
-    unit.direction = "sideways"
-    assert not check_cell_map("oplax", unit).ok
+    assert not hasattr(unit, "direction")
 
 
 @given(st.data())

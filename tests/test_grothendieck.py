@@ -4,7 +4,6 @@ from twocat.core import (check_cell_map, compose_functors, constant_diagram,
                          identity_functor, validate)
 from twocat.corpus import collapse_morphism
 from twocat.grothendieck import (base_change, fibre_embedding, grothendieck,
-                                 grothendieck_modification,
                                  grothendieck_morphism, projection_functor)
 
 
@@ -84,18 +83,6 @@ def test_collapse_assembles_to_projection_shape(cx):
     # first components survive, second components collapse
     for (a, x), (b, y) in F.on_obj.items():
         assert a == b and y == "*"
-
-
-def test_modification_assembles(cx):
-    from twocat.core import DiagramModification, identity_natural, check_cell_map
-    D = cx.Dcov
-    ident = cx.renaming
-    m = DiagramModification(ident, ident,
-                            {c: identity_natural(ident.at(c))
-                             for c in D.base.objects})
-    F = grothendieck_morphism(ident)
-    s = grothendieck_modification(m, F, F)
-    assert check_cell_map("two_natural", s).ok
 
 
 def test_base_change_square_commutes(cx):

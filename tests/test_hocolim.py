@@ -9,8 +9,7 @@ from twocat.hocolim import (build_E, build_E_pull,
                             check_simplicial_two_category,
                             grothendieck_wbar_comparison, hocolim,
                             hocolim_level_product_iso, hocolim_map,
-                            hocolim_modification, hocolim_wbar_comparison,
-                            reversal_bridge_report)
+                            hocolim_wbar_comparison, reversal_bridge_report)
 from twocat.nerves import map_dn_simplex, nerve_simplicial_twocat
 from twocat.simplicial import (check_simplicial_identities,
                                check_simplicial_map, simplicial_map, tri_diag,
@@ -85,19 +84,6 @@ def test_hocolim_map_commutes(cx):
         for i in range(p + 1):
             assert functor_equal(compose_functors(SE.degen(p, i), maps[p]),
                                  compose_functors(maps[p + 1], SD.degen(p, i)))
-
-
-def test_hocolim_modification(cx):
-    from twocat.core import DiagramModification, identity_natural
-    g = renaming_morphism(cx.Dcov)
-    SD = hocolim(cx.Dcov, 2)
-    SE = hocolim(g.target, 2)
-    maps = hocolim_map(g, SD, SE)
-    m = DiagramModification(g, g, {c: identity_natural(g.at(c))
-                                   for c in cx.Dcov.base.objects})
-    nats = hocolim_modification(m, maps, maps)
-    for s in nats:
-        assert check_cell_map("two_natural", s).ok
 
 
 def test_resolution_identities(cx):
@@ -242,3 +228,11 @@ def test_hocolim_checks_name_the_broken_structure_map(cx):
             F.on_one, F.on_two)
         rep = check_simplicial_two_category(S)
         assert rep.violations[0] == f"{kind} at level 1: object map misses {lost}"
+
+
+def test_hocolim_checks_fail_on_a_structure_map_between_the_wrong_levels(cx):
+    # a degeneracy level 0 -> 1 put where the face d_0 level 1 -> 0 belongs
+    S = hocolim(cx.Dcov, 3)
+    S.faces[(1, 0)] = S.degens[(0, 0)]
+    rep = check_simplicial_two_category(S)
+    assert rep.violations == ["face d_0 at level 1: wrong source or target"]

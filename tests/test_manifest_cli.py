@@ -10,6 +10,7 @@ import pytest
 import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
+from twocat.core import OplaxTransformation
 from twocat.manifest import ManifestError, parse, resolve, serialize
 from twocat.verify import Runner, run_suite
 
@@ -150,6 +151,48 @@ def test_verify_all_report_matches_golden():
     assert out == (GOLDEN / "verify_all.json").read_text()
 
 
+def mutant_records():
+    """For each bundled mutant, the exit code of `verify all` under string-hash
+    seed 0 and either every check as one `name<TAB>status<TAB>detail` line
+    or the input-error list; `tests/golden/mutants.json` holds this dict."""
+    records = {}
+    for path in sorted(MUTANTS.glob("m*.manifest.json")):
+        code, out = run_cli("--manifest", str(path), "verify", "all", hash_seed=0)
+        rep = json.loads(out)
+        body = ({"checks": [f"{c['name']}\t{c['status']}\t{c['detail']}"
+                            for c in rep["checks"]]} if "checks" in rep
+                else {"errors": rep["errors"]})
+        records[path.name.removesuffix(".manifest.json")] = {"exit": code, **body}
+    return records
+
+
+def test_mutant_reports_match_golden():
+    # every mutant's full `verify all` report, pinned like the corpus report
+    assert mutant_records() == json.loads((GOLDEN / "mutants.json").read_text())
+
+
+def test_oplax_retraction_detail_names_the_witness_violation(monkeypatch):
+    # each retraction witness with one naturality 2-cell of the wrong
+    # boundary: the oplax check names that violation
+    real, want = verify.retraction_R, {}
+
+    def broken(g, c, y, side):
+        K, L, R, sec, wit = real(g, c, y, side)
+        m = sorted(wit.nat, key=repr)[0]
+        bad = next(t for t in sorted(K.two_cells, key=repr)
+                   if K.two_cells[t] != K.two_cells[wit.nat[m]])
+        want[f"retraction[{g.name},{c},{y},{side}]"] = \
+            f"naturality component at {m} has wrong boundary"
+        return K, L, R, sec, OplaxTransformation(wit.F, wit.G, wit.comp,
+                                                 {**wit.nat, m: bad}, name=wit.name)
+
+    monkeypatch.setattr(verify, "retraction_R", broken)
+    rep = run_suite(parse(DATA), "oplax")
+    got = {c["name"]: (c["status"], c["detail"]) for c in rep["checks"]
+           if c["name"].startswith("retraction[")}
+    assert got and got == {name: ("fail", v) for name, v in want.items()}
+
+
 def test_invariance_rejects_invalid_inputs_before_building():
     # m10 corrupts a vertical composite of WAf, which is also a fibre of Dcov
     rep = run_suite(parse(MUTANTS / "m10_vertical_composite.manifest.json"), "invariance")
@@ -288,6 +331,43 @@ def test_raising_check_is_an_error(monkeypatch, capsys):
         {"name": "false", "status": "fail", "detail": "counterexample"},
         {"name": "crashes", "status": "error", "detail": "KeyError: 'missing'"}]
 
+
+def _set(doc, path, value):
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("source,path,error", [
+    (DATA, (), "{file}: expected an object, got list"),
+    (DATA, ("two_functors",), "two_functors: expected an object, got list"),
+    (DATA, ("two_categories", "WA", "hcomp1"),
+     "two_categories.WA.hcomp1: expected an object, got list"),
+    (DATA, ("two_functors", "F", "on_objects"),
+     "two_functors.F.on_objects: expected an object, got list"),
+    (DATA, ("diagrams", "Dcov", "on_one_cells"),
+     "diagrams.Dcov.on_one_cells: expected an object, got list"),
+    (DATA, ("diagram_morphisms", "collapse", "components"),
+     "diagram_morphisms.collapse.components: expected an object, got list"),
+    (DATA.parent / "fibre-diagram.2diag", ("diagram",), "{file}: no diagram entry"),
+], ids=["top-level", "section", "table", "functor-map", "diagram-transports",
+        "morphism-components", "2diag-without-diagram"])
+def test_malformed_manifest_shape_is_input_error(tmp_path, capsys, source, path, error):
+    # a JSON list where an object belongs, or a missing diagram, is an input
+    # error naming where it is, not a traceback
+    doc = json.loads(source.read_text())
+    if path == ("diagram",):
+        del doc["diagram"]
+    elif path:
+        _set(doc, path, [])
+    else:
+        doc = [doc]
+    bad = tmp_path / source.name
+    bad.write_text(json.dumps(doc))
+    assert main(["--manifest", str(bad), "validate"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "input-error", "errors": [error.format(file=bad)]}
 
 def test_cli_report_written(tmp_path):
     out_path = tmp_path / "report.json"
