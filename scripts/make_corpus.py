@@ -32,8 +32,6 @@ def build_document():
     homab, hombb = Drep.ob["a"], Drep.ob["b"]
 
     doc = {
-        "truncation": 3,
-        "suites": ["all"],
         "two_categories": {
             "PT": _category_to_json(P),
             "WA": _category_to_json(wa),
@@ -129,7 +127,7 @@ def main():
         json.dump(wtc_doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-    fib = {"name": "Dcov", "truncation": 3,
+    fib = {"name": "Dcov",
            "two_categories": {k: doc["two_categories"][k]
                               for k in ("PT", "WA", "WAf", "WTC")},
            "two_functors": {"push": doc["two_functors"]["push"]},
@@ -142,7 +140,6 @@ def main():
     for name, suite, mutate in MUTATIONS:
         mdoc = copy.deepcopy(doc)
         mutate(mdoc)
-        mdoc["suites"] = [suite]
         with open(DATA / "mutants" / f"{name}.manifest.json", "w") as fh:
             json.dump(mdoc, fh, indent=1, sort_keys=True)
             fh.write("\n")

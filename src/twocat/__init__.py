@@ -8,9 +8,8 @@ from .core import (TwoCategory, TwoFunctor, TwoNaturalTransformation,
                    constant_diagram, identity_functor, compose_functors,
                    COVARIANT, CONTRAVARIANT)
 from .builders import walking_arrow, walking_two_cell, pt
-from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
-                         TruncatedTrisimplicialSet, SimplicialMap,
-                         check_simplicial_identities, check_simplicial_map,
+from .simplicial import (TruncatedSimplicialSet, TruncatedMultisimplicialSet,
+                         SimplicialMap, check_simplicial_identities, check_simplicial_map,
                          diag, tri_diag, wbar, aw_map, verify_iso, transpose)
 from .nerves import (nerve_category, double_nerve, wbar_double_nerve,
                      nerve_simplicial_twocat, repackage_staircase, diag_nn,

@@ -1,6 +1,8 @@
-"""The homotopy colimit of a 2-diagram, its auxiliary trisimplicial
-resolution, and the two explicit comparison isomorphisms onto the
-codiagonal models of the colimit nerve and of the assembled 2-category.
+"""The homotopy colimit of a 2-diagram, its auxiliary resolution E (a
+multisimplicial set with three axes, see `build_E`), and the two explicit
+comparison isomorphisms onto the codiagonal models of the colimit nerve and
+of the assembled 2-category; the families over E's axis 0 are bisimplicial
+sets read through the axis view of `simplicial` (`tri_slice`, `transpose`).
 
 A level-p cell of the colimit is (chain, data): for a covariant diagram the
 data is (x, h_1, ..., h_p) with x in the fibre over chain[0] and h_i cells
@@ -9,7 +11,7 @@ a contravariant diagram the data is (h_1, ..., h_p, x) with x over chain[p]
 and the twisted face at the top index pulling x back along h_p.
 
 Auxiliary simplices are tuples (base, xs, ucols, phicols): base a double
-nerve simplex of the base 2-category at bidegree (p, q), xs fibre objects
+nerve simplex of the base 2-category at level (p, q), xs fibre objects
 over its object chain, and column m carrying parallel fibre 1-cells
 u^0..u^n with 2-cells phi^1..phi^n between them.  Covariant columns run
 from the transported x_{m-1} along the top base row into x_m and are
@@ -32,14 +34,14 @@ from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    check_cell_map, coproduct, diagram_over_opposite,
                    hom_category, product, discrete, validate)
 from .grothendieck import grothendieck
-from .nerves import (_col_vdegen, _col_vface, double_nerve, hom_chains,
+from .nerves import (_col_degen, _col_face, double_nerve, hom_chains,
                      map_dn_simplex, nerve_category, wbar_double_nerve)
-from .simplicial import (SimplicialMap, TruncatedBisimplicialSet,
-                         TruncatedSimplicialSet, TruncatedTrisimplicialSet,
-                         bisimplicial_from_family, build_simplicial,
-                         build_trisimplicial, check_simplicial_identities,
-                         check_simplicial_map, diag, pointwise, simplicial_map,
-                         transpose, tri_slice, verify_iso, wbar)
+from .simplicial import (SimplicialMap, TruncatedMultisimplicialSet,
+                         TruncatedSimplicialSet, bisimplicial_from_family,
+                         build_simplicial, build_trisimplicial,
+                         check_simplicial_identities, check_simplicial_map,
+                         diag, pointwise, simplicial_map, transpose, tri_slice,
+                         verify_iso, wbar)
 
 
 @dataclass(eq=False)
@@ -267,7 +269,7 @@ def hocolim_level_product_iso(S: SimplicialTwoCategory, D: TwoDiagram, p: int):
 # the auxiliary trisimplicial resolution
 # ---------------------------------------------------------------------------
 
-def build_E(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
+def build_E(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
     """Covariant auxiliary trisimplicial set: axis 0 indexes base columns,
     axis 1 the fibre chain depth, axis 2 the base 2-cell depth."""
     if D.variance != COVARIANT:
@@ -275,14 +277,14 @@ def build_E(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
     return _build_aux(D, n_max)
 
 
-def build_E_pull(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
+def build_E_pull(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
     """Contravariant counterpart with pullback-oriented fibre columns."""
     if D.variance != CONTRAVARIANT:
         raise TwoCatError("build_E_pull: requires a contravariant diagram")
     return _build_aux(D, n_max)
 
 
-def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
+def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
     C = D.base
     cov = D.variance == COVARIANT
     dn = double_nerve(C, n_max)
@@ -303,7 +305,7 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
     def level(key):
         p, n, q = key
         out = []
-        for base in dn.level(p, q):
+        for base in dn.level((p, q)):
             objs = base[0]
             for xs in itertools.product(*(D.ob[c].objects for c in objs)):
                 cols = []
@@ -322,7 +324,7 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
         base, xs, ucols, phicols = x
         objs, fcols, acols = base
         if axis == 0:
-            nbase = dn.hface(p, q, i, base)
+            nbase = dn.face(0, (p, q), i, base)
             if i == 0:
                 return (nbase, xs[1:], ucols[1:], phicols[1:])
             if i == p:
@@ -344,11 +346,11 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
                     ucols[:i - 1] + (us,) + ucols[i + 1:],
                     phicols[:i - 1] + (ph,) + phicols[i + 1:])
         if axis == 1:
-            ncols = [_col_vface(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
+            ncols = [_col_face(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
                      for m in range(1, p + 1)]
             return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
         # axis 2
-        nbase = dn.vface(p, q, i, base)
+        nbase = dn.face(1, (p, q), i, base)
         twisted = (cov and i == q) or ((not cov) and i == 0)
         if not twisted:
             return (nbase, xs, ucols, phicols)
@@ -370,7 +372,7 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
         base, xs, ucols, phicols = x
         objs = base[0]
         if axis == 0:
-            nbase = dn.hdegen(p, q, i, base)
+            nbase = dn.degen(0, (p, q), i, base)
             fib = D.ob[objs[i]]
             e = fib.id1[xs[i]]
             idcol = ((e,) * (n + 1), (fib.id2[e],) * n)
@@ -378,10 +380,10 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
                     ucols[:i] + (idcol[0],) + ucols[i:],
                     phicols[:i] + (idcol[1],) + phicols[i:])
         if axis == 1:
-            ncols = [_col_vdegen(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
+            ncols = [_col_degen(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
                      for m in range(1, p + 1)]
             return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
-        return (dn.vdegen(p, q, i, base), xs, ucols, phicols)
+        return (dn.degen(1, (p, q), i, base), xs, ucols, phicols)
 
     return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
                                pointwise(degen), name=f"E({D.name})")
@@ -391,7 +393,7 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedTrisimplicialSet:
 # outer codiagonal assemblies
 # ---------------------------------------------------------------------------
 
-def _family_diag_E(E: TruncatedTrisimplicialSet) -> TruncatedBisimplicialSet:
+def _family_diag_E(E: TruncatedMultisimplicialSet) -> TruncatedMultisimplicialSet:
     N = E.bounds[0]
     levels = [diag(tri_slice(E, 0, p)) for p in range(N + 1)]
     return bisimplicial_from_family(
@@ -401,7 +403,7 @@ def _family_diag_E(E: TruncatedTrisimplicialSet) -> TruncatedBisimplicialSet:
         name=f"[p]Diag{E.name}")
 
 
-def _family_wbar_E(E: TruncatedTrisimplicialSet, transposed: bool) -> TruncatedBisimplicialSet:
+def _family_wbar_E(E: TruncatedMultisimplicialSet, transposed: bool) -> TruncatedMultisimplicialSet:
     N = E.bounds[0]
     slices = [tri_slice(E, 0, p) for p in range(N + 1)]
     if transposed:
@@ -424,7 +426,7 @@ def _family_wbar_E(E: TruncatedTrisimplicialSet, transposed: bool) -> TruncatedB
         name=f"[p]Wbar{E.name}")
 
 
-def _family_wbar_hocolim(S: SimplicialTwoCategory) -> TruncatedBisimplicialSet:
+def _family_wbar_hocolim(S: SimplicialTwoCategory) -> TruncatedMultisimplicialSet:
     N = S.n_max
     levels = [wbar_double_nerve(S.level(p), N) for p in range(N + 1)]
     return bisimplicial_from_family(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
                    composable1, hcomposable2, identity_functor,
-                   identity_natural, natural_equal, vcomposable2)
+                   identity_natural, vcomposable2)
 
 
 class ManifestError(Exception):
@@ -25,13 +25,11 @@ class ManifestError(Exception):
 
 @dataclass
 class Manifest:
-    truncation: int
     two_categories: dict = field(default_factory=dict)
     two_functors: dict = field(default_factory=dict)
     transformations: dict = field(default_factory=dict)
     diagrams: dict = field(default_factory=dict)
     diagram_morphisms: dict = field(default_factory=dict)
-    suites: list = field(default_factory=list)
 
 
 def _object(value, where) -> dict:
@@ -45,6 +43,21 @@ def _entries(doc, key):
     """The (name, entry) pairs of the section doc[key], each entry an object."""
     for name, sub in _object(doc.get(key, {}), key).items():
         yield name, _object(sub, f"{key}.{name}")
+
+
+def _names(values, where, errors) -> bool:
+    """Whether every value of the dict `values` is a string; an input error
+    at where.<key> for each that is not."""
+    bad = [f"{where}.{k}: expected a name, got {type(v).__name__}"
+           for k, v in values.items() if not isinstance(v, str)]
+    errors.extend(bad)
+    return not bad
+
+
+def _known(ref, section) -> bool:
+    """Whether ref is a string naming an entry of section; a JSON list or
+    object names nothing."""
+    return isinstance(ref, str) and ref in section
 
 
 def _table_from_json(obj, where) -> dict:
@@ -61,17 +74,38 @@ def _table_to_json(table) -> dict:
 
 def _category_from_json(name, doc, errors, where):
     try:
-        C = TwoCategory(
-            tuple(doc["objects"]),
-            {f: tuple(st) for f, st in _object(doc["one_cells"], f"{where}.one_cells").items()},
-            {a: tuple(st) for a, st in _object(doc["two_cells"], f"{where}.two_cells").items()},
-            dict(doc["id1"]), dict(doc["id2"]),
-            *(_table_from_json(doc.get(t, {}), f"{where}.{t}")
-              for t in ("hcomp1", "vcomp2", "hcomp2")),
-            name=name)
-    except (KeyError, TypeError) as exc:
+        objects = doc["objects"]
+        one_cells, two_cells, id1, id2 = (_object(doc[k], f"{where}.{k}")
+                                          for k in ("one_cells", "two_cells", "id1", "id2"))
+    except KeyError as exc:
         errors.append(f"{where}: malformed 2-category ({exc})")
         return None
+    if not isinstance(objects, list):
+        errors.append(f"{where}.objects: expected a list, got {type(objects).__name__}")
+        return None
+    tables = {t: _table_from_json(doc.get(t, {}), f"{where}.{t}")
+              for t in ("hcomp1", "vcomp2", "hcomp2")}
+    # every cell, identity and composite is a name, every boundary a pair of
+    # names, and every object and 1-cell has its identity
+    before = len(errors)
+    pair = lambda st: isinstance(st, list) and len(st) == 2 and all(isinstance(v, str) for v in st)
+    _names(dict(enumerate(objects)), f"{where}.objects", errors)
+    for key, cells in (("one_cells", one_cells), ("two_cells", two_cells)):
+        errors.extend(f"{where}.{key}.{f}: boundary must be a pair of names"
+                      for f, st in cells.items() if not pair(st))
+    _names(id1, f"{where}.id1", errors)
+    _names(id2, f"{where}.id2", errors)
+    for t, table in tables.items():
+        _names({f"{g}.{f}": v for (g, f), v in table.items()}, f"{where}.{t}", errors)
+    if len(errors) == before:
+        for key, ids, cells in (("id1", id1, objects), ("id2", id2, one_cells)):
+            errors.extend(f"{where}.{key}: non-total table, missing {c}"
+                          for c in cells if c not in ids)
+    if len(errors) > before:
+        return None
+    C = TwoCategory(tuple(objects), {f: tuple(st) for f, st in one_cells.items()},
+                    {a: tuple(st) for a, st in two_cells.items()}, dict(id1), dict(id2),
+                    *tables.values(), name=name)
     # reference resolution and table totality
     objs = set(C.objects)
     for f, (s, t) in C.one_cells.items():
@@ -106,8 +140,7 @@ def resolve(doc: dict) -> Manifest:
     """Build a fully resolved Manifest from a JSON document, collecting all
     reference and totality errors."""
     errors = []
-    m = Manifest(truncation=doc.get("truncation", 4),
-                 suites=list(doc.get("suites", [])))
+    m = Manifest()
 
     for name, sub in _entries(doc, "two_categories"):
         C = _category_from_json(name, sub, errors, f"two_categories.{name}")
@@ -115,7 +148,7 @@ def resolve(doc: dict) -> Manifest:
             m.two_categories[name] = C
 
     def named_cat(name, where):
-        if name not in m.two_categories:
+        if not _known(name, m.two_categories):
             errors.append(f"{where}: unknown 2-category {name!r}")
             return None
         return m.two_categories[name]
@@ -129,25 +162,26 @@ def resolve(doc: dict) -> Manifest:
                                    for k in ("on_objects", "on_one_cells", "on_two_cells")),
                        name=name)
         for c, v in F.on_obj.items():
-            if c not in src.objects or v not in tgt.objects:
+            if c not in src.objects or not _known(v, tgt.objects):
                 errors.append(f"two_functors.{name}.on_objects.{c}: unknown identifier")
         for f, v in F.on_one.items():
-            if f not in src.one_cells or v not in tgt.one_cells:
+            if f not in src.one_cells or not _known(v, tgt.one_cells):
                 errors.append(f"two_functors.{name}.on_one_cells.{f}: unknown identifier")
         for a, v in F.on_two.items():
-            if a not in src.two_cells or v not in tgt.two_cells:
+            if a not in src.two_cells or not _known(v, tgt.two_cells):
                 errors.append(f"two_functors.{name}.on_two_cells.{a}: unknown identifier")
         m.two_functors[name] = F
 
     for name, sub in _entries(doc, "transformations"):
         Fn, Gn = sub.get("source_functor"), sub.get("target_functor")
-        if Fn not in m.two_functors or Gn not in m.two_functors:
+        if not (_known(Fn, m.two_functors) and _known(Gn, m.two_functors)):
             errors.append(f"transformations.{name}: unknown functor reference")
             continue
-        m.transformations[name] = TwoNaturalTransformation(
-            m.two_functors[Fn], m.two_functors[Gn],
-            dict(_object(sub.get("components", {}), f"transformations.{name}.components")),
-            name=name)
+        where = f"transformations.{name}.components"
+        comp = _object(sub.get("components", {}), where)
+        if _names(comp, where, errors):
+            m.transformations[name] = TwoNaturalTransformation(
+                m.two_functors[Fn], m.two_functors[Gn], dict(comp), name=name)
 
     for name, sub in _entries(doc, "diagrams"):
         base = named_cat(sub.get("base"), f"diagrams.{name}.base")
@@ -178,7 +212,7 @@ def resolve(doc: dict) -> Manifest:
                     continue
                 errors.append(f"diagrams.{name}.on_one_cells.{f}: missing transport")
                 continue
-            if ref not in m.two_functors:
+            if not _known(ref, m.two_functors):
                 errors.append(f"diagrams.{name}.on_one_cells.{f}: unknown functor {ref!r}")
                 continue
             one[f] = m.two_functors[ref]
@@ -192,6 +226,8 @@ def resolve(doc: dict) -> Manifest:
                 errors.append(f"diagrams.{name}.on_two_cells.{al}: missing transport")
                 continue
             if isinstance(ref, dict):
+                if not _names(ref, f"diagrams.{name}.on_two_cells.{al}", errors):
+                    continue
                 if f in one and g in one:
                     two[al] = TwoNaturalTransformation(one[f], one[g],
                                                        dict(ref), name=f"{name}.{al}")
@@ -199,7 +235,7 @@ def resolve(doc: dict) -> Manifest:
                     errors.append(f"diagrams.{name}.on_two_cells.{al}: "
                                   f"boundary transports unresolved")
                 continue
-            if ref not in m.transformations:
+            if not _known(ref, m.transformations):
                 errors.append(f"diagrams.{name}.on_two_cells.{al}: unknown transformation {ref!r}")
                 continue
             two[al] = m.transformations[ref]
@@ -210,7 +246,7 @@ def resolve(doc: dict) -> Manifest:
 
     for name, sub in _entries(doc, "diagram_morphisms"):
         Dn, En = sub.get("source"), sub.get("target")
-        if Dn not in m.diagrams or En not in m.diagrams:
+        if not (_known(Dn, m.diagrams) and _known(En, m.diagrams)):
             errors.append(f"diagram_morphisms.{name}: unknown diagram reference")
             continue
         D, E = m.diagrams[Dn], m.diagrams[En]
@@ -221,7 +257,7 @@ def resolve(doc: dict) -> Manifest:
         ok = True
         for c, ref in _object(sub.get("components", {}),
                               f"diagram_morphisms.{name}.components").items():
-            if ref not in m.two_functors:
+            if not _known(ref, m.two_functors):
                 errors.append(f"diagram_morphisms.{name}.components.{c}: "
                               f"unknown functor {ref!r}")
                 ok = False
@@ -249,59 +285,9 @@ def parse(path) -> Manifest:
     elif p.endswith(".2diag"):
         if "diagram" not in doc:
             raise ManifestError(f"{p}: no diagram entry")
-        doc = {"truncation": doc.get("truncation", 4),
-               "two_categories": doc.get("two_categories", {}),
+        doc = {"two_categories": doc.get("two_categories", {}),
                "two_functors": doc.get("two_functors", {}),
                "transformations": doc.get("transformations", {}),
                "diagrams": {doc.get("name", "main"): doc["diagram"]}}
     return resolve(doc)
 
-
-def serialize(m: Manifest) -> dict:
-    """Inverse of resolve(); parse(serialize(m)) reproduces the manifest."""
-    doc = {"truncation": m.truncation, "suites": list(m.suites),
-           "two_categories": {}, "two_functors": {}, "transformations": {},
-           "diagrams": {}, "diagram_morphisms": {}}
-    catnames = {}
-    for name, C in m.two_categories.items():
-        doc["two_categories"][name] = _category_to_json(C)
-        catnames[id(C)] = name
-    funnames = {}
-    for name, F in m.two_functors.items():
-        doc["two_functors"][name] = {
-            "source": catnames[id(F.source)], "target": catnames[id(F.target)],
-            "on_objects": dict(F.on_obj), "on_one_cells": dict(F.on_one),
-            "on_two_cells": dict(F.on_two)}
-        funnames[id(F)] = name
-    for name, s in m.transformations.items():
-        doc["transformations"][name] = {
-            "source_functor": funnames[id(s.F)], "target_functor": funnames[id(s.G)],
-            "components": dict(s.comp)}
-    diagnames = {}
-    for name, D in m.diagrams.items():
-        doc["diagrams"][name] = {
-            "base": catnames[id(D.base)], "variance": D.variance,
-            "fibres": {c: catnames[id(fib)] for c, fib in D.ob.items()},
-            "on_one_cells": {f: funnames[id(F)] for f, F in D.one.items()
-                             if id(F) in funnames},
-            "on_two_cells": {al: dict(s.comp) for al, s in D.two.items()
-                             if not _is_identity_transport(D, al)}}
-        diagnames[id(D)] = name
-    for name, g in m.diagram_morphisms.items():
-        doc["diagram_morphisms"][name] = {
-            "source": diagnames[id(g.source)], "target": diagnames[id(g.target)],
-            "components": {c: funnames[id(F)] for c, F in g.comp.items()}}
-    return doc
-
-
-def _is_identity_transport(D: TwoDiagram, al) -> bool:
-    if al not in set(D.base.id2.values()):
-        return False
-    f = D.base.dom2(al)
-    return natural_equal(D.two[al], identity_natural(D.one[f]))
-
-
-def dump(m: Manifest, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(serialize(m), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -1,6 +1,7 @@
-"""Nerves: of a category, of a 2-category (double nerve), of a simplicial
-2-category, and the explicit staircase model of the codiagonal of a double
-nerve.
+"""Nerves: of a category, of a 2-category (the double nerve, a
+multisimplicial set with axis 0 horizontal and axis 1 vertical), of a
+simplicial 2-category (three axes), and the explicit staircase model of the
+codiagonal of a double nerve.
 
 Every simplex here is a string of columns (objects, fcols, acols): p+1
 objects and p columns, column m a chain of 2-cells f^0 => ... => f^q from
@@ -9,7 +10,7 @@ its q 2-cells (acols[m][k] goes from fcols[m][k] to fcols[m][k+1]).  Each
 level of a construction is fixed by its depth tuple, the depths q of its
 columns in turn:
 
-    double nerve, bidegree (p, q)      (q,) * p
+    double nerve, level (p, q)         (q,) * p
     its diagonal, level n              (n,) * n
     staircase codiagonal, level n      (0, 1, ..., n-1)
     nerve of a category, level p       (0,) * p
@@ -33,14 +34,13 @@ the set's usual window text.  The diagonals enumerate only their own levels
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from math import inf
 
 from .core import TwoCategory, TwoFunctor, TwoCatError
-from .simplicial import (TruncatedSimplicialSet, TruncatedBisimplicialSet,
-                         TruncatedTrisimplicialSet, SimplicialMap,
-                         build_simplicial, build_bisimplicial,
+from .simplicial import (TruncatedSimplicialSet, TruncatedMultisimplicialSet,
+                         SimplicialMap, build_simplicial, build_bisimplicial,
                          build_trisimplicial, pointwise, simplicial_map, wbar)
 
 
@@ -84,7 +84,7 @@ def _identity_col(C, c, q):
     return ((e,) * (q + 1), (C.id2[e],) * q)
 
 
-def _col_vface(C, col, j):
+def _col_face(C, col, j):
     fs, asq = col
     q = len(fs) - 1
     if j == 0:
@@ -94,7 +94,7 @@ def _col_vface(C, col, j):
     merged = C.vcomp(asq[j], asq[j - 1])
     return fs[:j] + fs[j + 1:], asq[:j - 1] + (merged,) + asq[j + 1:]
 
-def _col_vdegen(C, col, j):
+def _col_degen(C, col, j):
     fs, asq = col
     return (fs[:j + 1] + (fs[j],) + fs[j + 1:],
             asq[:j] + (C.id2[fs[j]],) + asq[j:])
@@ -216,15 +216,15 @@ class _Strings:
     def _follows(self, ds):
         return [[self.cols(q).out[b] for b in self.cols(p).cod] for p, q in zip(ds, ds[1:])]
 
-    def vface(self, q, j) -> list:
+    def face_codes(self, q, j) -> list:
         """The position among the depth-(q-1) columns of the j-th vertical
         face of each depth-q column, or None where it is not one."""
-        return self._keep(("vface", q, j), self._vertical, _col_vface, q, q - 1, j)
+        return self._keep(("face_codes", q, j), self._vertical, _col_face, q, q - 1, j)
 
-    def vdegen(self, q, j) -> list:
+    def degen_codes(self, q, j) -> list:
         """Likewise the j-th vertical degeneracy, among the depth-(q+1)
         columns."""
-        return self._keep(("vdegen", q, j), self._vertical, _col_vdegen, q, q + 1, j)
+        return self._keep(("degen_codes", q, j), self._vertical, _col_degen, q, q + 1, j)
 
     def _vertical(self, rule, q, to, j):
         S, T = self.cols(q), self.cols(to)
@@ -344,13 +344,13 @@ def _compose(g1, g2) -> list:
 # nerve of a category, double nerve and its diagonal
 # ---------------------------------------------------------------------------
 
-def _hface(S, p, q, i) -> list:
+def _string_face(S, p, q, i) -> list:
     """The i-th horizontal face of the strings of p depth-q columns."""
     ds = (q,) * p
     return _face_positions(S, S, ds, ds[1:], i, [None] * p, None, S.cols(q).merge)
 
 
-def _hdegen(S, p, q, i) -> list:
+def _string_degen(S, p, q, i) -> list:
     """The i-th horizontal degeneracy of the strings of p depth-q columns."""
     ds = (q,) * p
     return _degen_positions(S, S, ds, ds + (q,), i, [None] * p, None, S.cols(q).identities)
@@ -364,37 +364,41 @@ def nerve_category(A: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
         raise TwoCatError("nerve_category: input has non-identity 2-cells")
     S = _Strings(A)
     return build_simplicial(n_max, lambda p: S.level((0,) * p),
-                            _ranked(lambda p, i: _hface(S, p, 0, i)),
-                            _ranked(lambda p, i: _hdegen(S, p, 0, i)), name=f"N({A.name})")
+                            _ranked(lambda p, i: _string_face(S, p, 0, i)),
+                            _ranked(lambda p, i: _string_degen(S, p, 0, i)), name=f"N({A.name})")
 
 
-def double_nerve(C: TwoCategory, n_max: int) -> TruncatedBisimplicialSet:
+def double_nerve(C: TwoCategory, n_max: int) -> TruncatedMultisimplicialSet:
     """Bisimplicial set with (p, q)-simplices the p-columns of q-deep 2-cell
-    chains: horizontal faces delete an object and compose columns, vertical
-    faces compose the 2-cell stacks columnwise."""
+    chains: horizontal faces (axis 0) delete an object and compose columns,
+    vertical faces (axis 1) compose the 2-cell stacks columnwise."""
     S = _Strings(C)
 
     def vertical(p, q, to, table):
         return _map_positions(S, S, (q,) * p, (to,) * p, [table] * p, None)
 
-    return build_bisimplicial(
-        n_max, n_max, lambda p, q: S.level((q,) * p),
-        _ranked(partial(_hface, S)), _ranked(partial(_hdegen, S)),
-        _ranked(lambda p, q, j: vertical(p, q, q - 1, S.vface(q, j))),
-        _ranked(lambda p, q, j: vertical(p, q, q + 1, S.vdegen(q, j))),
-        name=f"NN({C.name})")
+    def face(axis, key, i):
+        p, q = key
+        return vertical(p, q, q - 1, S.face_codes(q, i)) if axis else _string_face(S, p, q, i)
+
+    def degen(axis, key, i):
+        p, q = key
+        return vertical(p, q, q + 1, S.degen_codes(q, i)) if axis else _string_degen(S, p, q, i)
+
+    return build_bisimplicial(n_max, n_max, lambda key: S.level((key[1],) * key[0]),
+                              _ranked(face), _ranked(degen), name=f"NN({C.name})")
 
 
 def _diag_nn(S: _Strings, n_max) -> TruncatedSimplicialSet:
     """`diag_nn` of the 2-category S.C, from its strings S."""
 
     def face(n, i):
-        T, g = S.cols(n - 1), S.vface(n, i)
+        T, g = S.cols(n - 1), S.face_codes(n, i)
         return _face_positions(S, S, (n,) * n, (n - 1,) * (n - 1), i, [g] * n,
                                None, lambda c, d: T.merge(g[c], g[d]))
 
     def degen(n, i):
-        return _degen_positions(S, S, (n,) * n, (n + 1,) * (n + 1), i, [S.vdegen(n, i)] * n,
+        return _degen_positions(S, S, (n,) * n, (n + 1,) * (n + 1), i, [S.degen_codes(n, i)] * n,
                                 None, S.cols(n + 1).identities)
 
     return build_simplicial(n_max, lambda n: S.level((n,) * n), _ranked(face), _ranked(degen),
@@ -426,16 +430,16 @@ def wbar_double_nerve(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
 
     def face(n, i):
         # column i merged with the top face of column i + 1, d^v_i beyond
-        g = [None if q <= i else S.vface(q, i) for q in range(n)]
+        g = [None if q <= i else S.face_codes(q, i) for q in range(n)]
         merged = None
         if 0 < i < n:
-            top, M = S.vface(i, i), S.cols(i - 1)
+            top, M = S.face_codes(i, i), S.cols(i - 1)
             merged = lambda c, d: M.merge(c, top[d])
         return _face_positions(S, S, stairs(n), stairs(n - 1), i, g, None, merged)
 
     def degen(n, i):
         # the depth-i identity column inserted, s^v_i beyond
-        g = [None if q < i else S.vdegen(q, i) for q in range(n)]
+        g = [None if q < i else S.degen_codes(q, i) for q in range(n)]
         return _degen_positions(S, S, stairs(n), stairs(n + 1), i, g, None, S.cols(i).identities)
 
     return build_simplicial(n_max, lambda n: S.level(stairs(n)), _ranked(face),
@@ -491,7 +495,7 @@ def diag_nn_map(F: TwoFunctor, n_max: int) -> SimplicialMap:
 # nerve of a simplicial 2-category
 # ---------------------------------------------------------------------------
 
-def nerve_simplicial_twocat(S) -> TruncatedTrisimplicialSet:
+def nerve_simplicial_twocat(S) -> TruncatedMultisimplicialSet:
     """Trisimplicial nerve of a simplicial 2-category: axis 0 is the outer
     simplicial direction, axis 1 the 2-cell depth, axis 2 the 1-cell chain
     length of the levelwise double nerves."""
@@ -500,23 +504,16 @@ def nerve_simplicial_twocat(S) -> TruncatedTrisimplicialSet:
 
     def level(key):
         p, n, q = key
-        return dns[p].level(q, n)
+        return dns[p].level((q, n))
 
+    # axes 1 and 2 of the nerve are axes 1 and 0 of each double nerve
     def face(axis, key, i, x):
         p, n, q = key
-        if axis == 0:
-            return map_dn_simplex(S.face(p, i), x)
-        if axis == 1:
-            return dns[p].vface(q, n, i, x)
-        return dns[p].hface(q, n, i, x)
+        return dns[p].face(2 - axis, (q, n), i, x) if axis else map_dn_simplex(S.face(p, i), x)
 
     def degen(axis, key, i, x):
         p, n, q = key
-        if axis == 0:
-            return map_dn_simplex(S.degen(p, i), x)
-        if axis == 1:
-            return dns[p].vdegen(q, n, i, x)
-        return dns[p].hdegen(q, n, i, x)
+        return dns[p].degen(2 - axis, (q, n), i, x) if axis else map_dn_simplex(S.degen(p, i), x)
 
     return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
                                pointwise(degen), name=f"NN({S.name})")
@@ -535,7 +532,7 @@ def tri_diag_nn(S) -> TruncatedSimplicialSet:
     def face(n, i):
         A, T = strings[n], strings[n - 1]
         h, f = A.cols(n - 1).image(T.cols(n - 1), S.face(n, i))
-        g, M = _compose(A.vface(n, i), f), A.cols(n)
+        g, M = _compose(A.face_codes(n, i), f), A.cols(n)
 
         def merged(c, d):
             k = M.merge(c, d)
@@ -546,7 +543,7 @@ def tri_diag_nn(S) -> TruncatedSimplicialSet:
     def degen(n, i):
         A, T = strings[n], strings[n + 1]
         h, f = A.cols(n + 1).image(T.cols(n + 1), S.degen(n, i))
-        g = _compose(A.vdegen(n, i), f)
+        g = _compose(A.degen_codes(n, i), f)
         return _degen_positions(A, T, square(n), square(n + 1), i, [g] * n, h,
                                 _compose(A.cols(n).identities, g))
 

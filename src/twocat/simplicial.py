@@ -1,4 +1,4 @@
-"""Truncated simplicial, bisimplicial and trisimplicial sets.
+"""Truncated simplicial and multisimplicial sets.
 
 Every level is enumerated when a set is built, in the order its level rule
 yields the simplices (duplicates dropped), and checked against the simplex
@@ -16,14 +16,19 @@ without images.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
 through the source level's index and return the target level's own
 simplex.
 
-`_axes` gives the three set types one view: levels keyed by index tuple,
-a bound per axis, and the face and degeneracy steps along each axis.  One
-checker and one diagonal are written against it.  `diag` and `tri_diag`
-read the diagonal of a set that is already materialized: they share its
-levels, and each of their tables composes the set's own, built only as
-far as the diagonal's faces pass through them.  Transposes and slices
-share the levels and tables of the set they view and build nothing
-themselves.
+A set with two or more axes is a `TruncatedMultisimplicialSet`: levels
+keyed by index tuple, tables keyed (axis, key, i), one builder.  A
+bisimplicial set is the two-axis case, axis 0 horizontal and axis 1
+vertical.  `transpose` and `tri_slice` are one view, which reads a set
+along some of its axes and holds the others fixed; it shares the set's
+levels and tables and builds nothing.
+
+`_axes` reads simplicial and multisimplicial sets alike: levels keyed by
+index tuple, a bound per axis, and the face and degeneracy steps along each
+axis.  One checker and one diagonal are written against it.  `diag` and
+`tri_diag` read the diagonal of a set that is already materialized: they
+share its levels, and each of their tables composes the set's own, built
+only as far as the diagonal's faces pass through them.
 
 `check_simplicial_identities` checks each identity once: along each axis
 the d d, s s and d s identities, and for each pair of axes the four
@@ -304,111 +309,141 @@ def verify_iso(f: SimplicialMap) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bisimplicial sets
+# multisimplicial sets
 # ---------------------------------------------------------------------------
 
+def _moved(key, axis, step) -> tuple:
+    """`key` with `step` added at `axis`."""
+    out = list(key)
+    out[axis] += step
+    return tuple(out)
+
+
 @dataclass(eq=False)
-class TruncatedBisimplicialSet:
-    p_max: int
-    q_max: int
-    cells: dict      # (p, q) -> Level
-    hfaces: Mapping  # (p, q, i) -> positions in level (p-1, q)
-    hdegens: Mapping
-    vfaces: Mapping  # (p, q, j) -> positions in level (p, q-1)
-    vdegens: Mapping
+class TruncatedMultisimplicialSet:
+    """Two or more simplicial directions labelled 0, 1, ..., each with its
+    own bound.  A bisimplicial set has axis 0 horizontal and axis 1
+    vertical."""
+
+    bounds: tuple   # one bound per axis
+    cells: dict     # index tuple -> Level
+    faces: Mapping  # (axis, key, i) -> positions in level key - e_axis
+    degens: Mapping  # (axis, key, i) -> positions in level key + e_axis
     name: str = ""
 
-    def level(self, p, q) -> tuple:
-        return self.cells.get((p, q), ())
+    def level(self, key) -> tuple:
+        return self.cells.get(key, ())
 
-    def hface(self, p, q, i, x):
-        k = self.hfaces[(p, q, i)][self.cells[(p, q)].index[x]]
-        return self.cells[(p - 1, q)][k]
+    def face(self, axis, key, i, x):
+        k = self.faces[(axis, key, i)][self.cells[key].index[x]]
+        return self.cells[_moved(key, axis, -1)][k]
 
-    def vface(self, p, q, j, x):
-        k = self.vfaces[(p, q, j)][self.cells[(p, q)].index[x]]
-        return self.cells[(p, q - 1)][k]
-
-    def hdegen(self, p, q, i, x):
-        k = self.hdegens[(p, q, i)][self.cells[(p, q)].index[x]]
-        return self.cells[(p + 1, q)][k]
-
-    def vdegen(self, p, q, j, x):
-        k = self.vdegens[(p, q, j)][self.cells[(p, q)].index[x]]
-        return self.cells[(p, q + 1)][k]
+    def degen(self, axis, key, i, x):
+        k = self.degens[(axis, key, i)][self.cells[key].index[x]]
+        return self.cells[_moved(key, axis, 1)][k]
 
     def __repr__(self):
         size = sum(map(len, self.cells.values()))
-        return f"<bisSet {self.name} p,q<={self.p_max},{self.q_max} simplices={size}>"
+        return f"<msSet {self.name} bounds={self.bounds} simplices={size}>"
 
 
-def build_bisimplicial(p_max, q_max, level_fn, hface_fn, hdegen_fn,
-                       vface_fn, vdegen_fn, name="") -> TruncatedBisimplicialSet:
-    """A truncated bisimplicial set from an enumeration rule and table rules
-    (see `pointwise`) keyed (p, q, i): levels now, each table on its first
-    read."""
-    cells = {(p, q): _ordered(level_fn(p, q))
-             for p in range(p_max + 1) for q in range(q_max + 1)}
+def _build(bounds, level_fn, face_fn, degen_fn, name) -> TruncatedMultisimplicialSet:
+    """A truncated multisimplicial set from an enumeration rule `level_fn(key)`
+    and table rules (see `pointwise`) keyed (axis, key, i): levels now, each
+    table on its first read."""
+    bounds = tuple(bounds)
+    keys = list(product(*(range(b + 1) for b in bounds)))
+    cells = {key: _ordered(level_fn(key)) for key in keys}
 
-    def tables(fn, dp, dq, keys):
-        def build(key):
-            p, q, _ = key
-            return fn(key, cells[(p, q)], cells[(p + dp, q + dq)],
-                      lambda x: f"{name}: map {key} leaves window at {x!r}")
-        return LazyTables(keys, build)
+    def tables(rule, step, what):
+        def build(k):
+            axis, key, i = k
+            return rule(k, cells[key], cells[_moved(key, axis, step)],
+                        lambda x: f"{name}: {what[0]} axis{axis} {what[1]}_{i} "
+                                  f"leaves window at {key} {x!r}")
+        return LazyTables(((axis, key, i) for key in keys for axis in range(len(bounds))
+                           if 0 <= key[axis] + step <= bounds[axis]
+                           for i in range(key[axis] + 1)), build)
 
-    P, Q = range(p_max + 1), range(q_max + 1)
-    return TruncatedBisimplicialSet(
-        p_max, q_max, cells,
-        tables(hface_fn, -1, 0, ((p, q, i) for p in P[1:] for q in Q for i in range(p + 1))),
-        tables(hdegen_fn, 1, 0, ((p, q, i) for p in P[:-1] for q in Q for i in range(p + 1))),
-        tables(vface_fn, 0, -1, ((p, q, j) for p in P for q in Q[1:] for j in range(q + 1))),
-        tables(vdegen_fn, 0, 1, ((p, q, j) for p in P for q in Q[:-1] for j in range(q + 1))),
-        name=name)
+    return TruncatedMultisimplicialSet(bounds, cells, tables(face_fn, -1, ("face", "d")),
+                                       tables(degen_fn, 1, ("degeneracy", "s")), name=name)
 
 
-def transpose(B: TruncatedBisimplicialSet) -> TruncatedBisimplicialSet:
-    swap = lambda tables: _view(tables, {(q, p, i): (p, q, i) for p, q, i in tables})
-    return TruncatedBisimplicialSet(B.q_max, B.p_max,
-                                    {(q, p): v for (p, q), v in B.cells.items()},
-                                    swap(B.vfaces), swap(B.vdegens),
-                                    swap(B.hfaces), swap(B.hdegens),
-                                    name=f"{B.name}^T")
+def build_bisimplicial(h_max, v_max, level_fn, face_fn, degen_fn, name="") -> TruncatedMultisimplicialSet:
+    """`_build` with axis 0 (horizontal) up to h_max and axis 1 (vertical) up to v_max."""
+    return _build((h_max, v_max), level_fn, face_fn, degen_fn, name)
 
 
-def diag(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
+def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> TruncatedMultisimplicialSet:
+    """`_build` with the three bounds `bounds`."""
+    return _build(bounds, level_fn, face_fn, degen_fn, name)
+
+
+def _axis_view(X, axes, fixed, name) -> TruncatedMultisimplicialSet:
+    """X read along `axes`, in that order, with each other axis a held at
+    fixed[a].  Its levels and tables are X's own."""
+
+    def own(key):
+        at = {**fixed, **dict(zip(axes, key))}
+        return tuple(at[a] for a in range(len(X.bounds)))
+
+    bounds = tuple(X.bounds[a] for a in axes)
+    keys = {key: own(key) for key in product(*(range(b + 1) for b in bounds))}
+
+    def along(tables):
+        return _view(tables, {(b, key, i): (a, at, i) for key, at in keys.items()
+                              for b, a in enumerate(axes) for i in range(key[b] + 1)
+                              if (a, at, i) in tables})
+
+    return TruncatedMultisimplicialSet(bounds, {key: X.cells[at] for key, at in keys.items()},
+                                       along(X.faces), along(X.degens), name=name)
+
+
+def transpose(B: TruncatedMultisimplicialSet) -> TruncatedMultisimplicialSet:
+    """B with its two axes swapped."""
+    return _axis_view(B, (1, 0), {}, f"{B.name}^T")
+
+
+def tri_slice(T: TruncatedMultisimplicialSet, axis, value) -> TruncatedMultisimplicialSet:
+    """Freeze one axis; the remaining two become (horizontal, vertical) in
+    increasing axis order."""
+    return _axis_view(T, tuple(a for a in range(3) if a != axis), {axis: value},
+                      f"{T.name}|axis{axis}={value}")
+
+
+def diag(B: TruncatedMultisimplicialSet) -> TruncatedSimplicialSet:
     """Diagonal simplicial set: level n = B(n, n), maps applied in both
     directions simultaneously.  The levels are B's own, and each table
     composes two of B's."""
     return _diagonal(B)
 
 
+def tri_diag(T: TruncatedMultisimplicialSet) -> TruncatedSimplicialSet:
+    """Diagonal simplicial set: level n = T(n, n, n), maps applied along all
+    three axes.  The levels are T's own, and each table composes three of
+    T's."""
+    return _diagonal(T)
+
+
 # ---------------------------------------------------------------------------
 # codiagonal (total complex)
 # ---------------------------------------------------------------------------
 
-def wbar(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
+def wbar(B: TruncatedMultisimplicialSet) -> TruncatedSimplicialSet:
     """Codiagonal: level n is the set of staircase tuples (t_{n,0},...,t_{0,n})
     with dh_0 t_{p,q} = dv_{q+1} t_{p-1,q+1}; faces and degeneracies mix the
     two directions positionwise."""
 
     def level(n):
-        if n == 0:
-            return [(t,) for t in B.level(0, 0)]
-        # index cells at (p-1, q+1) by their top vertical face
-        stairs = [(t,) for t in B.level(n, 0)]
-        for k in range(1, n + 1):
-            p, q = n - k, k
-            index = {}
-            for t in B.level(p, q):
-                index.setdefault(B.vface(p, q, q, t), []).append(t)
-            nxt = []
-            for tup in stairs:
-                prev = tup[-1]
-                key = B.hface(n - k + 1, k - 1, 0, prev)
-                for t in index.get(key, ()):
-                    nxt.append(tup + (t,))
-            stairs = nxt
+        stairs = [(t,) for t in B.level((n, 0))]
+        for q in range(1, n + 1):
+            # the cells at (p, q), by their top vertical face, extend each
+            # staircase ending at (p+1, q-1) through its horizontal 0-face
+            p, index = n - q, {}
+            for t in B.level((p, q)):
+                index.setdefault(B.face(1, (p, q), q, t), []).append(t)
+            stairs = [tup + (t,) for tup in stairs
+                      for t in index.get(B.face(0, (p + 1, q - 1), 0, tup[-1]), ())]
         return stairs
 
     def face(n, i, tup):
@@ -416,9 +451,9 @@ def wbar(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
         for pos in range(n):
             p, q = n - pos, pos
             if pos < i:
-                out.append(B.hface(p, q, i - pos, tup[pos]))
+                out.append(B.face(0, (p, q), i - pos, tup[pos]))
             else:
-                out.append(B.vface(p - 1, q + 1, i, tup[pos + 1]))
+                out.append(B.face(1, (p - 1, q + 1), i, tup[pos + 1]))
         return tuple(out)
 
     def degen(n, i, tup):
@@ -426,17 +461,17 @@ def wbar(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
         for pos in range(n + 2):
             if pos <= i:
                 p, q = n - pos, pos
-                out.append(B.hdegen(p, q, i - pos, tup[pos]))
+                out.append(B.degen(0, (p, q), i - pos, tup[pos]))
             else:
                 p, q = n + 1 - pos, pos - 1
-                out.append(B.vdegen(p, q, i, tup[pos - 1]))
+                out.append(B.degen(1, (p, q), i, tup[pos - 1]))
         return tuple(out)
 
-    return build_simplicial(min(B.p_max, B.q_max), level, pointwise(face),
+    return build_simplicial(min(B.bounds), level, pointwise(face),
                             pointwise(degen), name=f"Wbar({B.name})")
 
 
-def aw_map(B: TruncatedBisimplicialSet) -> SimplicialMap:
+def aw_map(B: TruncatedMultisimplicialSet) -> SimplicialMap:
     """Alexander-Whitney-style comparison Diag B -> Wbar B, sending a diagonal
     simplex t to the tuple of its iterated extreme faces."""
     D = diag(B)
@@ -449,10 +484,10 @@ def aw_map(B: TruncatedBisimplicialSet) -> SimplicialMap:
             x = t
             pp, qq = n, n
             for _ in range(q):
-                x = B.hface(pp, qq, 0, x)
+                x = B.face(0, (pp, qq), 0, x)
                 pp -= 1
             for _ in range(n - q):
-                x = B.vface(pp, qq, q + 1, x)
+                x = B.face(1, (pp, qq), q + 1, x)
                 qq -= 1
             out.append(x)
         return tuple(out)
@@ -461,121 +496,23 @@ def aw_map(B: TruncatedBisimplicialSet) -> SimplicialMap:
 
 
 # ---------------------------------------------------------------------------
-# trisimplicial sets
-# ---------------------------------------------------------------------------
-
-def _moved(key, axis, step) -> tuple:
-    """`key` with `step` added at `axis`."""
-    out = list(key)
-    out[axis] += step
-    return tuple(out)
-
-
-@dataclass(eq=False)
-class TruncatedTrisimplicialSet:
-    """Three simplicial directions labelled 0, 1, 2, each with its own bound."""
-
-    bounds: tuple   # (b0, b1, b2)
-    cells: dict     # (i0, i1, i2) -> Level
-    faces: Mapping  # (axis, key, i) -> positions in level key - e_axis
-    degens: Mapping  # (axis, key, i) -> positions in level key + e_axis
-    name: str = ""
-
-    def level(self, key) -> tuple:
-        return self.cells.get(tuple(key), ())
-
-    def face(self, axis, key, i, x):
-        key = tuple(key)
-        k = self.faces[(axis, key, i)][self.cells[key].index[x]]
-        return self.cells[_moved(key, axis, -1)][k]
-
-    def degen(self, axis, key, i, x):
-        key = tuple(key)
-        k = self.degens[(axis, key, i)][self.cells[key].index[x]]
-        return self.cells[_moved(key, axis, 1)][k]
-
-    def __repr__(self):
-        size = sum(map(len, self.cells.values()))
-        return f"<triSet {self.name} bounds={self.bounds} simplices={size}>"
-
-
-def build_trisimplicial(bounds, level_fn, face_fn, degen_fn, name="") -> TruncatedTrisimplicialSet:
-    """A truncated trisimplicial set from an enumeration rule and table rules
-    (see `pointwise`) keyed (axis, key, i): levels now, each table on its
-    first read."""
-    bounds = tuple(bounds)
-    keys = list(product(*(range(b + 1) for b in bounds)))
-    cells = {key: _ordered(level_fn(key)) for key in keys}
-
-    def face(k):
-        axis, key, i = k
-        return face_fn(k, cells[key], cells[_moved(key, axis, -1)],
-                       lambda x: f"{name}: face axis{axis} d_{i} leaves window at {key} {x!r}")
-
-    def degen(k):
-        axis, key, i = k
-        return degen_fn(k, cells[key], cells[_moved(key, axis, 1)],
-                        lambda x: f"{name}: degeneracy axis{axis} s_{i} leaves window at {key} {x!r}")
-
-    faces = LazyTables(((axis, key, i) for key in keys for axis in range(3)
-                        if key[axis] >= 1 for i in range(key[axis] + 1)), face)
-    degens = LazyTables(((axis, key, i) for key in keys for axis in range(3)
-                         if key[axis] < bounds[axis] for i in range(key[axis] + 1)), degen)
-    return TruncatedTrisimplicialSet(bounds, cells, faces, degens, name=name)
-
-
-def tri_slice(T: TruncatedTrisimplicialSet, axis, value) -> TruncatedBisimplicialSet:
-    """Freeze one axis; the remaining two become (horizontal, vertical) in
-    increasing axis order."""
-    rest = [a for a in range(3) if a != axis]
-    h, v = rest
-
-    def key_of(p, q):
-        key = [None, None, None]
-        key[axis], key[h], key[v] = value, p, q
-        return tuple(key)
-
-    def along(tables, a):
-        return _view(tables, {(key[h], key[v], i): (ax, key, i) for ax, key, i in tables
-                              if ax == a and key[axis] == value})
-
-    cells = {(p, q): T.level(key_of(p, q))
-             for p in range(T.bounds[h] + 1) for q in range(T.bounds[v] + 1)}
-    return TruncatedBisimplicialSet(T.bounds[h], T.bounds[v], cells,
-                                    along(T.faces, h), along(T.degens, h),
-                                    along(T.faces, v), along(T.degens, v),
-                                    name=f"{T.name}|axis{axis}={value}")
-
-
-def tri_diag(T: TruncatedTrisimplicialSet) -> TruncatedSimplicialSet:
-    """Diagonal simplicial set: level n = T(n, n, n), maps applied along all
-    three axes.  The levels are T's own, and each table composes three of
-    T's."""
-    return _diagonal(T)
-
-
-# ---------------------------------------------------------------------------
 # identities and diagonals of any set
 # ---------------------------------------------------------------------------
 
 def _axes(X) -> tuple:
-    """(levels, bounds, face, degen) of a simplicial, bisimplicial or
-    trisimplicial set: its levels keyed by index tuple, its bound along
-    each axis, and face(a, key, i) / degen(a, key, i), the step (tables,
-    key) of d_i / s_i along axis a at the level `key`.  The checker and the
-    diagonal read the three table layouts only through it."""
+    """(levels, bounds, face, degen) of a simplicial or multisimplicial set:
+    its levels keyed by index tuple, its bound along each axis, and
+    face(a, key, i) / degen(a, key, i), the step (tables, key) of d_i / s_i
+    along axis a at the level `key`.  The checker and the diagonal read the
+    two table layouts only through it."""
     if isinstance(X, TruncatedSimplicialSet):
         return ({(n,): X.level(n) for n in range(X.n_max + 1)}, (X.n_max,),
                 lambda a, key, i: (X.faces, (*key, i)),
                 lambda a, key, i: (X.degens, (*key, i)))
-    if isinstance(X, TruncatedBisimplicialSet):
-        return (X.cells, (X.p_max, X.q_max),
-                lambda a, key, i: ((X.hfaces, X.vfaces)[a], (*key, i)),
-                lambda a, key, i: ((X.hdegens, X.vdegens)[a], (*key, i)))
-    if isinstance(X, TruncatedTrisimplicialSet):
+    if isinstance(X, TruncatedMultisimplicialSet):
         return (X.cells, X.bounds, lambda a, key, i: (X.faces, (a, key, i)),
                 lambda a, key, i: (X.degens, (a, key, i)))
-    raise TwoCatError(f"not a simplicial, bisimplicial or trisimplicial set: {type(X)!r}")
+    raise TwoCatError(f"not a simplicial or multisimplicial set: {type(X)!r}")
 
 
 def check_simplicial_identities(X) -> ValidationReport:
@@ -638,8 +575,8 @@ def check_simplicial_identities(X) -> ValidationReport:
 
 
 def _diagonal(X) -> TruncatedSimplicialSet:
-    """The diagonal of a bisimplicial or trisimplicial set: level n is its
-    level (n, ..., n), and d_i (s_i) composes the i-th face (degeneracy)
+    """The diagonal of a multisimplicial set: level n is its level
+    (n, ..., n), and d_i (s_i) composes the i-th face (degeneracy)
     along every axis, last axis first."""
     levels, bounds, face, degen = _axes(X)
 
@@ -656,28 +593,25 @@ def _diagonal(X) -> TruncatedSimplicialSet:
     return build_simplicial(min(bounds), lambda n: levels[(n,) * len(bounds)],
                             composite(face, -1), composite(degen, 1), name=f"Diag({X.name})")
 
-def bisimplicial_from_family(levels, hface_fn, hdegen_fn, name="") -> TruncatedBisimplicialSet:
+
+def bisimplicial_from_family(levels, face_fn, degen_fn, name="") -> TruncatedMultisimplicialSet:
     """Assemble a bisimplicial set from a family of simplicial sets indexed by
     the horizontal degree, with supplied horizontal structure maps.
 
-    levels[p] provides the column (p, *); hface_fn(p, i, q, x) maps a cell of
-    levels[p] at vertical level q into levels[p-1]; hdegen_fn likewise upward.
+    levels[p] provides the column (p, *) with its own vertical tables;
+    face_fn(p, i, q, x), the horizontal d_i, maps a cell of levels[p] at
+    vertical level q into levels[p-1]; degen_fn likewise upward.
     """
-    p_max = len(levels) - 1
-    q_max = min(X.n_max for X in levels)
 
-    def level(p, q):
-        return levels[p].level(q)
+    def tables(vertical, horizontal):
+        def rule(k, source, target, fail):
+            axis, (p, q), i = k
+            if axis:
+                return vertical(levels[p])[(q, i)]
+            return _table(partial(horizontal, p, i, q), source, target, fail)
+        return rule
 
-    def vface(key, *_):
-        p, q, j = key
-        return levels[p].faces[(q, j)]
-
-    def vdegen(key, *_):
-        p, q, j = key
-        return levels[p].degens[(q, j)]
-
-    return build_bisimplicial(p_max, q_max, level,
-                              pointwise(lambda p, q, i, x: hface_fn(p, i, q, x)),
-                              pointwise(lambda p, q, i, x: hdegen_fn(p, i, q, x)),
-                              vface, vdegen, name=name)
+    return build_bisimplicial(len(levels) - 1, min(X.n_max for X in levels),
+                              lambda key: levels[key[0]].level(key[1]),
+                              tables(lambda X: X.faces, face_fn),
+                              tables(lambda X: X.degens, degen_fn), name=name)

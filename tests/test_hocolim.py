@@ -174,7 +174,7 @@ def test_hocolim_constant_terminal_levels_are_nerve_levels(cx):
     from twocat.nerves import double_nerve
     dn = double_nerve(cx.wtc, 3)
     for p in range(4):
-        assert len(S.level(p).objects) == len(dn.level(p, 0))
+        assert len(S.level(p).objects) == len(dn.level((p, 0)))
 
 
 def test_comparison_isos_covariant_base_with_two_cells(cx):

@@ -86,9 +86,9 @@ def test_double_nerve_wtc_level_counts():
             total += prod
         return total
 
-    assert len(dn.level(1, 1)) == 5 == level(1, 1)
-    assert len(dn.level(2, 1)) == 8 == level(2, 1)
-    assert len(dn.level(0, 3)) == 2
+    assert len(dn.level((1, 1))) == 5 == level(1, 1)
+    assert len(dn.level((2, 1))) == 8 == level(2, 1)
+    assert len(dn.level((0, 3))) == 2
 
 
 def test_double_nerve_identities():
@@ -97,8 +97,8 @@ def test_double_nerve_identities():
 
 def test_double_nerve_fault_injection_detected():
     dn = double_nerve(walking_two_cell(), 3)
-    table = dn.hfaces[(2, 0, 1)]
-    table[0] = next(k for k in range(len(dn.level(1, 0))) if k != table[0])
+    table = dn.faces[(0, (2, 0), 1)]
+    table[0] = next(k for k in range(len(dn.level((1, 0)))) if k != table[0])
     rep = check_simplicial_identities(dn)
     assert not rep.ok
 
@@ -201,7 +201,8 @@ def _bad_wtc():
 # fills from column codes must equal the one `_table` makes from them.
 
 def _ref_double_nerve_rules(C):
-    """(level, hface, hdegen, vface, vdegen) of the double nerve of C."""
+    """(level, dh, sh, dv, sv) of the double nerve of C: its levels and its
+    horizontal (axis 0) and vertical (axis 1) faces and degeneracies."""
 
     @cache
     def hom(a, b, q):
@@ -224,7 +225,7 @@ def _ref_double_nerve_rules(C):
             grow((a,), [])
         return out
 
-    def hface(p, q, i, x):
+    def dh(p, q, i, x):
         objs, fcols, acols = x
         if i == 0:
             return objs[1:], fcols[1:], acols[1:]
@@ -234,13 +235,13 @@ def _ref_double_nerve_rules(C):
         return (objs[:i] + objs[i + 1:], fcols[:i - 1] + (fs,) + fcols[i + 1:],
                 acols[:i - 1] + (asq,) + acols[i + 1:])
 
-    def hdegen(p, q, i, x):
+    def sh(p, q, i, x):
         objs, fcols, acols = x
         fs, asq = _identity_col(C, objs[i], q)
         return (objs[:i + 1] + (objs[i],) + objs[i + 1:], fcols[:i] + (fs,) + fcols[i:],
                 acols[:i] + (asq,) + acols[i:])
 
-    def vface(p, q, j, x):
+    def dv(p, q, j, x):
         objs, fcols, acols = x
         if j == 0:
             return objs, tuple(fs[1:] for fs in fcols), tuple(asq[1:] for asq in acols)
@@ -250,21 +251,21 @@ def _ref_double_nerve_rules(C):
                 tuple(asq[:j - 1] + (C.vcomp(asq[j], asq[j - 1]),) + asq[j + 1:]
                       for asq in acols))
 
-    def vdegen(p, q, j, x):
+    def sv(p, q, j, x):
         objs, fcols, acols = x
         return (objs, tuple(fs[:j + 1] + (fs[j],) + fs[j + 1:] for fs in fcols),
                 tuple(asq[:j] + (C.id2[fs[j]],) + asq[j:] for fs, asq in zip(fcols, acols)))
 
-    return level, hface, hdegen, vface, vdegen
+    return level, dh, sh, dv, sv
 
 
 def _ref_diag_rules(C):
     """(level, face, degen) of Diag of the double nerve of C: d_i = dh_i dv_i
     and s_i = sh_i sv_i per simplex, the intermediate never looked up."""
-    level, hface, hdegen, vface, vdegen = _ref_double_nerve_rules(C)
+    level, dh, sh, dv, sv = _ref_double_nerve_rules(C)
     return (lambda n: level(n, n),
-            lambda n, i, x: hface(n, n - 1, i, vface(n, n, i, x)),
-            lambda n, i, x: hdegen(n, n + 1, i, vdegen(n, n, i, x)))
+            lambda n, i, x: dh(n, n - 1, i, dv(n, n, i, x)),
+            lambda n, i, x: sh(n, n + 1, i, sv(n, n, i, x)))
 
 
 def _ref_tri_diag_rules(S):
@@ -272,12 +273,12 @@ def _ref_tri_diag_rules(S):
     rules = [_ref_double_nerve_rules(S.level(p)) for p in range(S.n_max + 1)]
 
     def face(n, i, x):
-        _, hface, _, vface, _ = rules[n]
-        return map_dn_simplex(S.face(n, i), vface(n - 1, n, i, hface(n, n, i, x)))
+        _, dh, _, dv, _ = rules[n]
+        return map_dn_simplex(S.face(n, i), dv(n - 1, n, i, dh(n, n, i, x)))
 
     def degen(n, i, x):
-        _, _, hdegen, _, vdegen = rules[n]
-        return map_dn_simplex(S.degen(n, i), vdegen(n + 1, n, i, hdegen(n, n, i, x)))
+        _, _, sh, _, sv = rules[n]
+        return map_dn_simplex(S.degen(n, i), sv(n + 1, n, i, sh(n, n, i, x)))
 
     return lambda n: rules[n][0](n, n), face, degen
 
@@ -297,15 +298,15 @@ def assert_simplicial_tables_match(X, level, face, degen):
 
 @pytest.mark.parametrize("C,N", two_category_cases())
 def test_double_nerve_tables_equal_reference_rules(C, N):
-    level, hface, hdegen, vface, vdegen = _ref_double_nerve_rules(C)
+    level, dh, sh, dv, sv = _ref_double_nerve_rules(C)
     B = double_nerve(C, N)
     for (p, q), cells in B.cells.items():
         assert list(cells) == level(p, q), (p, q)
-    for tables, rule, dp, dq in ((B.hfaces, hface, -1, 0), (B.hdegens, hdegen, 1, 0),
-                                 (B.vfaces, vface, 0, -1), (B.vdegens, vdegen, 0, 1)):
-        for (p, q, i), table in tables.items():
-            want = _ref_table(rule, (p, q, i), B.cells[(p, q)], B.cells[(p + dp, q + dq)])
-            assert table == want, (p, q, i)
+    for tables, rules, step in ((B.faces, (dh, dv), -1), (B.degens, (sh, sv), 1)):
+        for (axis, (p, q), i), table in tables.items():
+            target = (p + step, q) if axis == 0 else (p, q + step)
+            want = _ref_table(rules[axis], (p, q, i), B.cells[(p, q)], B.cells[target])
+            assert table == want, (axis, (p, q), i)
 
 
 @pytest.mark.parametrize("C,N", two_category_cases())
@@ -323,8 +324,7 @@ def test_tri_diag_nn_tables_equal_reference_rules(name, N):
 def _every_table(sets):
     """Every table of every set in `sets`, read in a fixed order."""
     return [tables[key] for X in sets
-            for family in ("faces", "degens", "hfaces", "hdegens", "vfaces", "vdegens")
-            for tables in [getattr(X, family, {})] for key in tables]
+            for tables in (X.faces, X.degens) for key in tables]
 
 
 def test_threads_reading_one_set_get_identical_tables():
@@ -361,12 +361,12 @@ def test_double_nerve_rule_leaving_window_raises_on_read():
     B = double_nerve(C, 2)
     assert {k: len(v) for k, v in B.cells.items()} == \
         {k: len(v) for k, v in double_nerve(walking_two_cell(), 2).cells.items()}
-    hface = _ref_double_nerve_rules(C)[1]
+    dh = _ref_double_nerve_rules(C)[1]
     where = B.cells[(1, 0)].index
-    first = next(x for x in B.level(2, 0) if hface(2, 0, 1, x) not in where)
+    first = next(x for x in B.level((2, 0)) if dh(2, 0, 1, x) not in where)
     with pytest.raises(TwoCatError) as exc:
-        B.hface(2, 0, 1, B.level(2, 0)[-1])
-    assert str(exc.value) == f"NN(WTC): map (2, 0, 1) leaves window at {first!r}"
+        B.face(0, (2, 0), 1, B.level((2, 0))[-1])
+    assert str(exc.value) == f"NN(WTC): face axis0 d_1 leaves window at (2, 0) {first!r}"
 
 
 def test_tri_diag_nn_rule_leaving_window_raises_on_read():

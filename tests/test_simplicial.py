@@ -11,7 +11,7 @@ from twocat.core import TwoCatError, ValidationReport
 from twocat.hocolim import build_E
 from twocat.homology import normalized_chain_complex
 from twocat.nerves import diag_nn, double_nerve, nerve_simplicial_twocat
-from twocat.simplicial import (BudgetError, TruncatedBisimplicialSet, TruncatedSimplicialSet,
+from twocat.simplicial import (BudgetError, TruncatedMultisimplicialSet, TruncatedSimplicialSet,
                                aw_map, build_bisimplicial, build_simplicial,
                                check_simplicial_identities, check_simplicial_map, diag,
                                pointwise, simplex_budget, simplicial_map, transpose,
@@ -36,8 +36,8 @@ def test_wbar_members_satisfy_compatibility():
         for tup in W.level(n):
             for k in range(1, n + 1):
                 p, q = n - k, k
-                assert B.hface(p + 1, q - 1, 0, tup[k - 1]) == \
-                    B.vface(p, q, q, tup[k])
+                assert B.face(0, (p + 1, q - 1), 0, tup[k - 1]) == \
+                    B.face(1, (p, q), q, tup[k])
 
 
 def test_aw_map_is_simplicial():
@@ -83,7 +83,7 @@ def test_fault_injected_face_reported():
 def test_transpose_swaps_directions():
     B = double_nerve(walking_two_cell(), 3)
     T = transpose(B)
-    assert T.level(1, 2) == B.level(2, 1)
+    assert T.level((1, 2)) == B.level((2, 1))
     assert check_simplicial_identities(T).ok
 
 
@@ -102,28 +102,28 @@ def test_diag_wbar_agree_at_level_zero_and_for_categories():
 # -- tables built on first read ----------------------------------------------
 
 def _poisoned_double_nerve(C, n_max, bad):
-    """The double nerve of C rebuilt with an hface rule that raises on the
+    """The double nerve of C rebuilt with a face rule that raises on the
     table key `bad`."""
     B = double_nerve(C, n_max)
 
-    def hface(p, q, i, x):
-        if (p, q, i) == bad:
+    def face(axis, key, i, x):
+        if (axis, key, i) == bad:
             raise RuntimeError(f"table {bad} was built")
-        return B.hface(p, q, i, x)
+        return B.face(axis, key, i, x)
 
-    return build_bisimplicial(n_max, n_max, B.level, *map(pointwise, (hface, B.hdegen,
-                              B.vface, B.vdegen)), name="poisoned")
+    return build_bisimplicial(n_max, n_max, B.level, pointwise(face), pointwise(B.degen),
+                              name="poisoned")
 
 
 def test_unread_table_is_never_built():
-    # the diagonal reads hface only at (n, n-1): (1, 3, 0) stays unbuilt
-    X = _poisoned_double_nerve(walking_two_cell(), 3, (1, 3, 0))
+    # the diagonal reads axis-0 faces only at (n, n-1): (0, (1, 3), 0) stays unbuilt
+    X = _poisoned_double_nerve(walking_two_cell(), 3, (0, (1, 3), 0))
     D = diag(X)
     assert D.sizes() == [2, 5, 10, 17]
     assert check_simplicial_identities(D).ok
     normalized_chain_complex(D)
     with pytest.raises(RuntimeError, match="was built"):
-        X.hfaces[(1, 3, 0)]
+        X.faces[(0, (1, 3), 0)]
 
 
 def test_table_leaving_window_raises_on_read():
@@ -137,11 +137,11 @@ def test_table_leaving_window_raises_on_read():
 
 def test_table_read_twice_is_the_same_object():
     B = double_nerve(walking_two_cell(), 3)
-    assert B.hfaces[(2, 1, 0)] is B.hfaces[(2, 1, 0)]
+    assert B.faces[(0, (2, 1), 0)] is B.faces[(0, (2, 1), 0)]
     # views share the tables of the set they view
-    assert transpose(B).vfaces[(1, 2, 0)] is B.hfaces[(2, 1, 0)]
+    assert transpose(B).faces[(1, (1, 2), 0)] is B.faces[(0, (2, 1), 0)]
     T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2))
-    assert tri_slice(T, 0, 1).vfaces[(2, 1, 0)] is T.faces[(2, (1, 2, 1), 0)]
+    assert tri_slice(T, 0, 1).faces[(1, (2, 1), 0)] is T.faces[(2, (1, 2, 1), 0)]
 
 
 def test_table_membership_does_not_build():
@@ -157,9 +157,9 @@ def test_table_membership_does_not_build():
 def test_short_reprs():
     B = double_nerve(walking_two_cell(), 2)
     T = nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 1))
-    for obj in (B, T, B.hfaces, T.faces, transpose(B).vfaces, diag(B), aw_map(B)):
+    for obj in (B, T, B.faces, T.faces, transpose(B).faces, diag(B), aw_map(B)):
         assert len(repr(obj)) < 200 and "0x" not in repr(obj)
-    assert repr(B).startswith("<bisSet NN(WTC) ")
+    assert repr(B).startswith("<msSet NN(WTC) bounds=(2, 2) ")
 
 
 # -- position-list checkers against the per-simplex reference loops ---------
@@ -205,40 +205,42 @@ def _ref_simplicial_set(X):
 
 
 def _ref_row(B, p):
-    cells = {q: B.level(p, q) for q in range(B.q_max + 1)}
-    faces = {(q, j): B.vfaces[(pp, q, j)] for pp, q, j in B.vfaces if pp == p}
-    degens = {(q, j): B.vdegens[(pp, q, j)] for pp, q, j in B.vdegens if pp == p}
-    return TruncatedSimplicialSet(B.q_max, cells, faces, degens)
+    """Row p of B: its levels and tables along axis 1."""
+    cells = {q: B.level((p, q)) for q in range(B.bounds[1] + 1)}
+    faces = {(q, j): B.faces[(a, (pp, q), j)] for a, (pp, q), j in B.faces if (a, pp) == (1, p)}
+    degens = {(q, j): B.degens[(a, (pp, q), j)] for a, (pp, q), j in B.degens if (a, pp) == (1, p)}
+    return TruncatedSimplicialSet(B.bounds[1], cells, faces, degens)
 
 
 def _ref_bisimplicial_set(B):
     r = ValidationReport()
-    for p in range(B.p_max + 1):
+    P, Q = B.bounds
+    for p in range(P + 1):
         for v in _ref_simplicial_set(_ref_row(B, p)).violations:
             r.add(f"vertical (p={p}): {v}")
     T = transpose(B)
-    for q in range(T.p_max + 1):
+    for q in range(Q + 1):
         for v in _ref_simplicial_set(_ref_row(T, q)).violations:
             r.add(f"horizontal (q={q}): {v}")
+    dh = lambda p, q, i, x: B.face(0, (p, q), i, x)
+    dv = lambda p, q, j, x: B.face(1, (p, q), j, x)
+    sh = lambda p, q, i, x: B.degen(0, (p, q), i, x)
+    sv = lambda p, q, j, x: B.degen(1, (p, q), j, x)
     for (p, q), xs in B.cells.items():
         for i in range(p + 1):
             for j in range(q + 1):
                 for x in xs:
                     if p >= 1 and q >= 1:
-                        if B.vface(p - 1, q, j, B.hface(p, q, i, x)) != \
-                           B.hface(p, q - 1, i, B.vface(p, q, j, x)):
+                        if dv(p - 1, q, j, dh(p, q, i, x)) != dh(p, q - 1, i, dv(p, q, j, x)):
                             r.add(f"dh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
-                    if p >= 1 and q < B.q_max:
-                        if B.vdegen(p - 1, q, j, B.hface(p, q, i, x)) != \
-                           B.hface(p, q + 1, i, B.vdegen(p, q, j, x)):
+                    if p >= 1 and q < Q:
+                        if sv(p - 1, q, j, dh(p, q, i, x)) != dh(p, q + 1, i, sv(p, q, j, x)):
                             r.add(f"dh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
-                    if p < B.p_max and q >= 1:
-                        if B.vface(p + 1, q, j, B.hdegen(p, q, i, x)) != \
-                           B.hdegen(p, q - 1, i, B.vface(p, q, j, x)):
+                    if p < P and q >= 1:
+                        if dv(p + 1, q, j, sh(p, q, i, x)) != sh(p, q - 1, i, dv(p, q, j, x)):
                             r.add(f"sh_{i} dv_{j} do not commute at ({p},{q}) on {x!r}")
-                    if p < B.p_max and q < B.q_max:
-                        if B.vdegen(p + 1, q, j, B.hdegen(p, q, i, x)) != \
-                           B.hdegen(p, q + 1, i, B.vdegen(p, q, j, x)):
+                    if p < P and q < Q:
+                        if sv(p + 1, q, j, sh(p, q, i, x)) != sh(p, q + 1, i, sv(p, q, j, x)):
                             r.add(f"sh_{i} sv_{j} do not commute at ({p},{q}) on {x!r}")
     return r
 
@@ -284,6 +286,11 @@ def _moved(key, axis, step):
     out = list(key)
     out[axis] += step
     return tuple(out)
+
+
+def _corrupt_multisimplicial(rng, X, count):
+    _corrupt(rng, X.faces, lambda k: X.level(_moved(k[1], k[0], -1)), count)
+    _corrupt(rng, X.degens, lambda k: X.level(_moved(k[1], k[0], 1)), count)
 
 
 def _simplicial_targets(X):
@@ -361,18 +368,11 @@ def test_bisimplicial_checker_matches_reference():
     for seed in range(6):
         rng = random.Random(seed)
         B = double_nerve(walking_two_cell(), 3)
-        for tables, dp, dq in ((B.hfaces, -1, 0), (B.hdegens, 1, 0),
-                               (B.vfaces, 0, -1), (B.vdegens, 0, 1)):
-            _corrupt(rng, tables, lambda k, dp=dp, dq=dq: B.level(k[0] + dp, k[1] + dq), 2)
+        _corrupt_multisimplicial(rng, B, 4)
         got = check_simplicial_identities(B).violations
         assert got
         kinds |= _matches_reference(got, _ref_bisimplicial_set(B).violations)
     assert kinds == _kinds(2)
-
-
-def _corrupt_trisimplicial(rng, T):
-    _corrupt(rng, T.faces, lambda k: T.level(_moved(k[1], k[0], -1)), 3)
-    _corrupt(rng, T.degens, lambda k: T.level(_moved(k[1], k[0], 1)), 3)
 
 
 def _trisimplicial_kinds(cx, seed):
@@ -382,7 +382,7 @@ def _trisimplicial_kinds(cx, seed):
     kinds = set()
     for T in (nerve_simplicial_twocat(constant_simplicial(walking_two_cell(), 2)),
               build_E(cx.Dcov, 2)):
-        _corrupt_trisimplicial(random.Random(seed), T)
+        _corrupt_multisimplicial(random.Random(seed), T, 3)
         got = check_simplicial_identities(T).violations
         assert got
         kinds |= _matches_reference(got, _ref_trisimplicial_set(T).violations)
@@ -405,8 +405,8 @@ def test_missing_table_is_reported():
     # a bisimplicial set without its table d_0 along axis 1 at (1, 2): the
     # checker names it instead of failing on the lookup
     B = double_nerve(walking_two_cell(), 2)
-    vfaces = {key: B.vfaces[key] for key in B.vfaces if key != (1, 2, 0)}
-    X = TruncatedBisimplicialSet(2, 2, B.cells, B.hfaces, B.hdegens, vfaces, B.vdegens)
+    faces = {key: B.faces[key] for key in B.faces if key != (1, (1, 2), 0)}
+    X = TruncatedMultisimplicialSet(B.bounds, B.cells, faces, B.degens)
     assert check_simplicial_identities(X).violations == [
         "axis 1 at (1, 2): missing face table d_0 at level 2"]
     X = TruncatedSimplicialSet(1, {0: (0,), 1: (1,)}, {(1, 1): [0]}, {(0, 0): [0]})
