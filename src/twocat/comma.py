@@ -28,10 +28,12 @@ OVER = "over"
 UNDER = "under"
 
 
-def forced_two_cell(K: TwoCategory, base, src_one, tgt_one):
+def forced_two_cell(K: TwoCategory, base, src_one, tgt_one, where=None):
     """The unique 2-cell of K with the given base slot between the given
-    parallel 1-cells; every other slot of such a cell is forced."""
-    cands = [t for t in K.two_cells_between(src_one, tgt_one) if t[0] == base]
+    parallel 1-cells, and for which `where` holds if given; every other slot
+    of such a cell is forced."""
+    cands = [t for t in K.two_cells_between(src_one, tgt_one)
+             if t[0] == base and (where is None or where(t))]
     if len(cands) != 1:
         raise TwoCatError(f"forced_two_cell: {len(cands)} candidates for base "
                           f"{base!r} between {src_one!r} and {tgt_one!r}")
@@ -188,22 +190,12 @@ def projections(F: TwoFunctor, side: str = OVER):
     iota_one = {u: unit_one(u) for u in A.one_cells}
     iota_two = {}
     for al, (u, v) in A.two_cells.items():
-        iota_two[al] = _assembled_two_cell(G, F.f2(al), al, iota_one[u], iota_one[v])
+        iota_two[al] = forced_two_cell(G, F.f2(al), iota_one[u], iota_one[v],
+                                       lambda t: t[1][0] == al)
     iota = TwoFunctor(A, G, iota_obj, iota_one, iota_two, name=f"iota({F.name})")
 
     witness = _projection_witness(F, side, G, Pi, iota)
     return fib, G, Pi, iota, witness
-
-
-def _assembled_two_cell(G: TwoCategory, base, inner_base, src_one, tgt_one):
-    """2-cell of an assembled 2-category whose base slot and inner base slot
-    are prescribed; the remaining identity slots are forced."""
-    cands = [t for t in G.two_cells_between(src_one, tgt_one)
-             if t[0] == base and t[1][0] == inner_base]
-    if len(cands) != 1:
-        raise TwoCatError(f"_assembled_two_cell: {len(cands)} candidates for "
-                          f"({base!r}, {inner_base!r})")
-    return cands[0]
 
 
 def _projection_witness(F, side, G, Pi, iota):
@@ -231,7 +223,8 @@ def _projection_witness(F, side, G, Pi, iota):
         ff_side = G.comp1(comp[tgt_o], Fw.f1(m))
         phi = m[1][1]  # the comma datum of the inner 1-cell
         inner_al = A.id2[m[1][0]]
-        nat[m] = _assembled_two_cell(G, phi, inner_al, gf_side, ff_side)
+        nat[m] = forced_two_cell(G, phi, gf_side, ff_side,
+                                 lambda t: t[1][0] == inner_al)
     return OplaxTransformation(Fw, Gw, comp, nat,
                                name=f"proj_witness({F.name},{side})")
 
@@ -379,30 +372,13 @@ def _retraction_witness(gamma, c, y, side, K, R, section, GD, GE, intG):
         ff_side = K.comp1(comp[tgt_o], Fw.f1(m))
         # base slot: the comma datum al of m with identity fibre part
         al = m[1][0]
-        theta = _groth_identity_base(D, GD, al, gf_side[0], ff_side[0])
+        a, b = C.one_cells[C.dom2(al)]
+        fibre = D.ob[b] if D.variance == COVARIANT else D.ob[a]
+        theta = forced_two_cell(GD, al, gf_side[0], ff_side[0],
+                                lambda t: t[1] in fibre.id2.values())
         nat[m] = forced_two_cell(K, theta, gf_side, ff_side)
     return OplaxTransformation(Fw, Gw, comp, nat,
                                name=f"retr_witness({gamma.name})")
-
-
-def _groth_identity_base(D, GD, al, M_src, M_tgt):
-    """The 2-cell (al, identity) of the assembled 2-category between the
-    given assembled 1-cells; its fibre slot is an identity 2-cell."""
-    cands = [t for t in GD.two_cells_between(M_src, M_tgt)
-             if t[0] == al and _is_identity_two(D, t)]
-    if len(cands) != 1:
-        raise TwoCatError(f"_groth_identity_base: {len(cands)} candidates for "
-                          f"{al!r} between {M_src!r} and {M_tgt!r}")
-    return cands[0]
-
-
-def _is_identity_two(D, t):
-    al, phi = t[0], t[1]
-    C = D.base
-    f = C.dom2(al)
-    a, b = C.one_cells[f]
-    fib = D.ob[b] if D.variance == COVARIANT else D.ob[a]
-    return phi in fib.id2.values()
 
 
 # ---------------------------------------------------------------------------

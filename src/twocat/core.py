@@ -4,10 +4,19 @@ Cells are identified by hashable values: plain strings for hand-built
 categories, nested tuples for constructed ones (products, Grothendieck
 cells, ...).  Equality of cells is equality of identifiers; composites
 are always table lookups, never synthesized names.
+
+The three composition tables (hcomp1 for 1-cells, vcomp2 and hcomp2 for
+2-cells) are described once, by `composition_tables`: each table's cells,
+the (start, end) its cells compose along, its units, and the boundary its
+composites must have; `composable` lists the pairs a table must hold.
+Filling (`make_two_category`), `validate`, preservation by a 2-functor
+(`check_cell_map`), the manifest's totality check and `relabel` read that
+description rather than spelling out each table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iproduct
@@ -136,32 +145,48 @@ def same_category(A: TwoCategory, B: TwoCategory) -> bool:
                       and A.id1 == B.id1 and A.id2 == B.id2)
 
 
-def composable1(C: TwoCategory):
-    """All pairs (g, f) with cod(f) = dom(g)."""
-    by_dom = {}
-    for g, (s, _) in C.one_cells.items():
-        by_dom.setdefault(s, []).append(g)
-    for f, (_, t) in C.one_cells.items():
-        for g in by_dom.get(t, ()):
-            yield g, f
+def composable(ends):
+    """Each pair (y, x) with end(x) = start(y), from a dict cell -> (start, end)."""
+    by_start = {}
+    for y, (s, _) in ends.items():
+        by_start.setdefault(s, []).append(y)
+    for x, (_, t) in ends.items():
+        for y in by_start.get(t, ()):
+            yield y, x
 
 
-def vcomposable2(C: TwoCategory):
-    by_dom = {}
-    for b, (s, _) in C.two_cells.items():
-        by_dom.setdefault(s, []).append(b)
-    for a, (_, t) in C.two_cells.items():
-        for b in by_dom.get(t, ()):
-            yield b, a
+@dataclass
+class CompositionTable:
+    """One composition table: y after x is defined when x ends where y
+    starts (`ends`); unit[o] is the unit cell at start or end o; and
+    boundary(y, x) is the entry of `cells` the composite must have, reported
+    as wrong `word` otherwise."""
+
+    name: str       # the TwoCategory field: "hcomp1", "vcomp2" or "hcomp2"
+    label: str      # "1-cell", "vertical" or "horizontal"
+    table: dict
+    cells: dict     # the cells composed: one_cells or two_cells
+    ends: dict
+    unit: dict
+    boundary: Callable
+    word: str
 
 
-def hcomposable2(C: TwoCategory):
-    by_dom_obj = {}
-    for b, (s, _) in C.two_cells.items():
-        by_dom_obj.setdefault(C.dom1(s), []).append(b)
-    for a, (s, _) in C.two_cells.items():
-        for b in by_dom_obj.get(C.cod1(s), ()):
-            yield b, a
+def composition_tables(C: TwoCategory) -> tuple:
+    """hcomp1, vcomp2 and hcomp2 of C as CompositionTables.  2-cells compose
+    horizontally along the ends of their source 1-cell; a 2-cell whose
+    source is not a 1-cell composes with nothing."""
+    one, two, h1 = C.one_cells, C.two_cells, C.hcomp1
+    hends = {a: one[s] for a, (s, _) in two.items() if s in one}
+    return (
+        CompositionTable("hcomp1", "1-cell", h1, one, one, C.id1,
+                         lambda g, f: (one[f][0], one[g][1]), "endpoints"),
+        CompositionTable("vcomp2", "vertical", C.vcomp2, two, two, C.id2,
+                         lambda b, a: (two[a][0], two[b][1]), "boundary"),
+        CompositionTable("hcomp2", "horizontal", C.hcomp2, two, hends,
+                         {c: C.id2.get(f) for c, f in C.id1.items()},
+                         lambda b, a: (h1.get((two[b][0], two[a][0])),
+                                       h1.get((two[b][1], two[a][1]))), "boundary"))
 
 
 def make_two_category(name, objects, one_cells, two_cells, id1, id2,
@@ -173,13 +198,24 @@ def make_two_category(name, objects, one_cells, two_cells, id1, id2,
     """
     C = TwoCategory(tuple(objects), dict(one_cells), dict(two_cells),
                     dict(id1), dict(id2), {}, {}, {}, name=name)
-    for g, f in composable1(C):
-        C.hcomp1[(g, f)] = comp1_fn(g, f)
-    for b, a in vcomposable2(C):
-        C.vcomp2[(b, a)] = vcomp_fn(b, a)
-    for b, a in hcomposable2(C):
-        C.hcomp2[(b, a)] = hcomp_fn(b, a)
+    for t, fn in zip(composition_tables(C), (comp1_fn, vcomp_fn, hcomp_fn)):
+        for y, x in composable(t.ends):
+            t.table[(y, x)] = fn(y, x)
     return C
+
+
+def relabel(C: TwoCategory, obj, one, two, name) -> TwoCategory:
+    """A copy of C with each object, 1-cell and 2-cell renamed by the
+    functions obj, one and two."""
+    return TwoCategory(
+        tuple(obj(c) for c in C.objects),
+        {one(f): (obj(s), obj(t)) for f, (s, t) in C.one_cells.items()},
+        {two(a): (one(s), one(t)) for a, (s, t) in C.two_cells.items()},
+        {obj(c): one(f) for c, f in C.id1.items()},
+        {one(f): two(a) for f, a in C.id2.items()},
+        *({(ren(y), ren(x)): ren(v) for (y, x), v in t.table.items()}
+          for t, ren in zip(composition_tables(C), (one, two, two))),
+        name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +223,8 @@ def make_two_category(name, objects, one_cells, two_cells, id1, id2,
 # ---------------------------------------------------------------------------
 
 def validate(C: TwoCategory) -> ValidationReport:
-    """Check every axiom of a strict 2-category on the full tables."""
+    """Check every axiom of a strict 2-category on the full tables, once
+    every cell's boundary and every identity is well formed."""
     r = ValidationReport()
     obj = set(C.objects)
 
@@ -208,95 +245,51 @@ def validate(C: TwoCategory) -> ValidationReport:
         a = C.id2.get(f)
         if a not in C.two_cells or C.two_cells[a] != (f, f):
             r.add(f"id2[{f}] is not an identity 2-cell on {f}")
+    if not r.ok:
+        return r
 
-    # hcomp1: totality, typing, units, associativity
-    comp1_pairs = dict.fromkeys(composable1(C))
-    for key in C.hcomp1:
-        if key not in comp1_pairs:
-            r.add(f"hcomp1 declared on non-composable pair {key}")
-    for g, f in comp1_pairs:
-        gf = C.hcomp1.get((g, f))
-        if gf is None:
-            r.add(f"hcomp1 missing entry ({g}, {f})")
+    # per table: domain, totality, typing; then, while all is well so far,
+    # units and associativity (hcomp2 also identities and interchange)
+    pairs = {}
+    for t in composition_tables(C):
+        T = t.table
+        pairs[t.name] = tp = dict.fromkeys(composable(t.ends))
+        for key in T:
+            if key not in tp:
+                r.add(f"{t.name} declared on non-composable pair {key}")
+        for y, x in tp:
+            yx = T.get((y, x))
+            if yx is None:
+                r.add(f"{t.name} missing entry ({y}, {x})")
+            elif t.cells.get(yx) != t.boundary(y, x):
+                r.add(f"{t.name}[({y}, {x})] has wrong {t.word}")
+        if not r.ok:
             continue
-        if gf not in C.one_cells or C.one_cells[gf] != (C.dom1(f), C.cod1(g)):
-            r.add(f"hcomp1[({g}, {f})] has wrong endpoints")
-    if r.ok:
-        for f in C.one_cells:
-            s, t = C.one_cells[f]
-            if C.hcomp1[(f, C.id1[s])] != f or C.hcomp1[(C.id1[t], f)] != f:
-                r.add(f"hcomp1 unit law fails at {f}")
-        by_dom = {}
-        for g, (s, _) in C.one_cells.items():
-            by_dom.setdefault(s, []).append(g)
-        for g, f in comp1_pairs:
-            for h in by_dom.get(C.cod1(g), ()):
-                if C.hcomp1[(C.hcomp1[(h, g)], f)] != C.hcomp1[(h, C.hcomp1[(g, f)])]:
-                    r.add(f"hcomp1 associativity fails at ({h}, {g}, {f})")
-
-    # vcomp2: each hom a category
-    vpairs = dict.fromkeys(vcomposable2(C))
-    for key in C.vcomp2:
-        if key not in vpairs:
-            r.add(f"vcomp2 declared on non-composable pair {key}")
-    for b, a in vpairs:
-        ba = C.vcomp2.get((b, a))
-        if ba is None:
-            r.add(f"vcomp2 missing entry ({b}, {a})")
-            continue
-        if ba not in C.two_cells or C.two_cells[ba] != (C.dom2(a), C.cod2(b)):
-            r.add(f"vcomp2[({b}, {a})] has wrong boundary")
-    if r.ok:
-        for a in C.two_cells:
-            s, t = C.two_cells[a]
-            if C.vcomp2[(a, C.id2[s])] != a or C.vcomp2[(C.id2[t], a)] != a:
-                r.add(f"vcomp2 unit law fails at {a}")
-        by_dom2 = {}
-        for b, (s, _) in C.two_cells.items():
-            by_dom2.setdefault(s, []).append(b)
-        for b, a in vpairs:
-            for c2 in by_dom2.get(C.cod2(b), ()):
-                if C.vcomp2[(C.vcomp2[(c2, b)], a)] != C.vcomp2[(c2, C.vcomp2[(b, a)])]:
-                    r.add(f"vcomp2 associativity fails at ({c2}, {b}, {a})")
-
-    # hcomp2: typing, functoriality (identities + interchange), associativity, units
-    hpairs = dict.fromkeys(hcomposable2(C))
-    for key in C.hcomp2:
-        if key not in hpairs:
-            r.add(f"hcomp2 declared on non-composable pair {key}")
-    for b, a in hpairs:
-        ba = C.hcomp2.get((b, a))
-        if ba is None:
-            r.add(f"hcomp2 missing entry ({b}, {a})")
-            continue
-        want = (C.hcomp1[(C.dom2(b), C.dom2(a))], C.hcomp1[(C.cod2(b), C.cod2(a))])
-        if ba not in C.two_cells or C.two_cells[ba] != want:
-            r.add(f"hcomp2[({b}, {a})] has wrong boundary")
-    if r.ok:
-        for g, f in comp1_pairs:
-            if C.hcomp2[(C.id2[g], C.id2[f])] != C.id2[C.hcomp1[(g, f)]]:
-                r.add(f"hcomp2 does not preserve identities at ({g}, {f})")
-        for a in C.two_cells:
-            s = C.dom2(a)
-            x, y = C.one_cells[s]
-            if C.hcomp2[(a, C.id2[C.id1[x]])] != a or C.hcomp2[(C.id2[C.id1[y]], a)] != a:
-                r.add(f"hcomp2 unit law fails at {a}")
-        by_dom_h = {}
-        for b, (s, _) in C.two_cells.items():
-            by_dom_h.setdefault(C.dom1(s), []).append(b)
-        for b, a in hpairs:
-            for c2 in by_dom_h.get(C.cod1(C.dom2(b)), ()):
-                if C.hcomp2[(C.hcomp2[(c2, b)], a)] != C.hcomp2[(c2, C.hcomp2[(b, a)])]:
-                    r.add(f"hcomp2 associativity fails at ({c2}, {b}, {a})")
-        # interchange: (b'.a') o (b.a) = (b' o b).(a' o a) whenever defined
-        for b, a in vpairs:
-            for b2, a2 in vpairs:
-                if C.dom1(C.dom2(a2)) != C.cod1(C.dom2(a)):
-                    continue
-                lhs = C.hcomp2[(C.vcomp2[(b2, a2)], C.vcomp2[(b, a)])]
-                rhs = C.vcomp2[(C.hcomp2[(b2, b)], C.hcomp2[(a2, a)])]
-                if lhs != rhs:
-                    r.add(f"interchange fails at (({b2},{a2}), ({b},{a}))")
+        if t.name == "hcomp2":
+            for g, f in pairs["hcomp1"]:
+                if T[(C.id2[g], C.id2[f])] != C.id2[C.hcomp1[(g, f)]]:
+                    r.add(f"hcomp2 does not preserve identities at ({g}, {f})")
+        unit = t.unit
+        for c, (s, e) in t.ends.items():
+            if T[(c, unit[s])] != c or T[(unit[e], c)] != c:
+                r.add(f"{t.name} unit law fails at {c}")
+        after = {}
+        for z, y in tp:
+            after.setdefault(y, []).append(z)
+        for y, x in tp:
+            yx = T[(y, x)]
+            for z in after.get(y, ()):
+                if T[(T[(z, y)], x)] != T[(z, yx)]:
+                    r.add(f"{t.name} associativity fails at ({z}, {y}, {x})")
+        if t.name == "hcomp2":
+            # interchange: (b'.a') o (b.a) = (b' o b).(a' o a) whenever defined
+            V, ends = C.vcomp2, t.ends
+            for b, a in pairs["vcomp2"]:
+                for b2, a2 in pairs["vcomp2"]:
+                    if ends[a2][0] != ends[a][1]:
+                        continue
+                    if T[(V[(b2, a2)], V[(b, a)])] != V[(T[(b2, b)], T[(a2, a)])]:
+                        r.add(f"interchange fails at (({b2},{a2}), ({b},{a}))")
     return r
 
 
@@ -448,15 +441,11 @@ def _check_two_functor(F: TwoFunctor) -> ValidationReport:
     for f in A.one_cells:
         if F.on_two[A.id2[f]] != B.id2[F.on_one[f]]:
             r.add(f"identity 2-cell not preserved at {f}")
-    for (g, f), gf in A.hcomp1.items():
-        if F.on_one[gf] != B.hcomp1[(F.on_one[g], F.on_one[f])]:
-            r.add(f"1-cell composition not preserved at ({g}, {f})")
-    for (b, a), ba in A.vcomp2.items():
-        if F.on_two[ba] != B.vcomp2[(F.on_two[b], F.on_two[a])]:
-            r.add(f"vertical composition not preserved at ({b}, {a})")
-    for (b, a), ba in A.hcomp2.items():
-        if F.on_two[ba] != B.hcomp2[(F.on_two[b], F.on_two[a])]:
-            r.add(f"horizontal composition not preserved at ({b}, {a})")
+    for t, m in zip(composition_tables(A), (F.on_one, F.on_two, F.on_two)):
+        target = getattr(B, t.name)
+        for (y, x), yx in t.table.items():
+            if m[yx] != target[(m[y], m[x])]:
+                r.add(f"{t.label} composition not preserved at ({y}, {x})")
     return r
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .builders import pt, walking_arrow, walking_two_cell
 from .core import (COVARIANT, TwoCategory, TwoDiagram, TwoFunctor,
                    TwoNaturalTransformation, DiagramMorphism,
-                   constant_diagram, identity_functor)
+                   constant_diagram, identity_functor, relabel)
 from .comma import representable_diagram
 
 
@@ -81,15 +81,7 @@ def collapse_morphism(D: TwoDiagram) -> DiagramMorphism:
 def _renamed_copy(C: TwoCategory):
     """A cellwise-renamed copy together with the renaming 2-functor."""
     tag = lambda v: ("r", v)
-    ren = TwoCategory(tuple(tag(c) for c in C.objects),
-                      {tag(f): (tag(s), tag(t)) for f, (s, t) in C.one_cells.items()},
-                      {tag(a): (tag(s), tag(t)) for a, (s, t) in C.two_cells.items()},
-                      {tag(c): tag(f) for c, f in C.id1.items()},
-                      {tag(f): tag(a) for f, a in C.id2.items()},
-                      {(tag(g), tag(f)): tag(v) for (g, f), v in C.hcomp1.items()},
-                      {(tag(b), tag(a)): tag(v) for (b, a), v in C.vcomp2.items()},
-                      {(tag(b), tag(a)): tag(v) for (b, a), v in C.hcomp2.items()},
-                      name=f"{C.name}_r")
+    ren = relabel(C, tag, tag, tag, f"{C.name}_r")
     iso = TwoFunctor(C, ren, {c: tag(c) for c in C.objects},
                      {f: tag(f) for f in C.one_cells},
                      {a: tag(a) for a in C.two_cells}, name=f"ren_{C.name}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, DiagramMorphism, TwoCatError, ValidationReport,
                    check_cell_map, coproduct, diagram_over_opposite,
-                   hom_category, product, discrete, validate)
+                   hom_category, product, discrete, relabel, validate)
 from .grothendieck import grothendieck
 from .nerves import (_col_degen, _col_face, double_nerve, hom_chains,
                      map_dn_simplex, nerve_category, wbar_double_nerve)
@@ -106,17 +106,8 @@ def _tuple_product(factors) -> TwoCategory:
     """Like product() but cells are tuples even for a single factor."""
     if len(factors) > 1:
         return product(factors)
-    C = factors[0]
     one = lambda v: (v,)
-    return TwoCategory(tuple(one(o) for o in C.objects),
-                       {one(f): (one(s), one(t)) for f, (s, t) in C.one_cells.items()},
-                       {one(a): (one(s), one(t)) for a, (s, t) in C.two_cells.items()},
-                       {one(c): one(f) for c, f in C.id1.items()},
-                       {one(f): one(a) for f, a in C.id2.items()},
-                       {(one(g), one(f)): one(v) for (g, f), v in C.hcomp1.items()},
-                       {(one(b), one(a)): one(v) for (b, a), v in C.vcomp2.items()},
-                       {(one(b), one(a)): one(v) for (b, a), v in C.hcomp2.items()},
-                       name=C.name)
+    return relabel(factors[0], one, one, one, factors[0].name)
 
 
 def _chains(C: TwoCategory, p):

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
-                   composable1, hcomposable2, identity_functor,
-                   identity_natural, vcomposable2)
+                   composable, composition_tables, identity_functor,
+                   identity_natural)
 
 
 class ManifestError(Exception):
@@ -114,15 +114,9 @@ def _category_from_json(name, doc, errors, where):
     for a, (s, t) in C.two_cells.items():
         if s not in C.one_cells or t not in C.one_cells:
             errors.append(f"{where}.two_cells.{a}: unknown identifier")
-    for g, f in composable1(C):
-        if (g, f) not in C.hcomp1:
-            errors.append(f"{where}.hcomp1: non-total table, missing ({g}, {f})")
-    for b, a in vcomposable2(C):
-        if (b, a) not in C.vcomp2:
-            errors.append(f"{where}.vcomp2: non-total table, missing ({b}, {a})")
-    for b, a in hcomposable2(C):
-        if (b, a) not in C.hcomp2:
-            errors.append(f"{where}.hcomp2: non-total table, missing ({b}, {a})")
+    for t in composition_tables(C):
+        errors.extend(f"{where}.{t.name}: non-total table, missing ({y}, {x})"
+                      for y, x in composable(t.ends) if (y, x) not in t.table)
     return C
 
 

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
@@ -5,6 +6,8 @@ from twocat.core import (check_cell_map, discrete, hom_category,
                          identity_functor, opposite, product, validate,
                          validate_diagram, validate_diagram_morphism,
                          OplaxTransformation, TwoFunctor)
+from twocat.manifest import Manifest
+from twocat.verify import run_suite
 
 
 def test_terminal_validates():
@@ -31,6 +34,38 @@ def test_corrupted_table_entry_reported():
     C = walking_two_cell()
     C.hcomp1[("g", "1a")] = "f"
     assert not validate(C).ok
+
+
+def without_hcomp1_entry():
+    C = walking_two_cell()
+    del C.hcomp1[("f", "1a")]
+    return C
+
+
+def with_unknown_source():
+    C = walking_two_cell()
+    C.two_cells["psi"] = ("zz", "g")
+    return C
+
+
+@pytest.mark.parametrize("build, violations", [
+    pytest.param(without_hcomp1_entry, ["hcomp1 missing entry (f, 1a)",
+                                        "hcomp2[(ef, e1a)] has wrong boundary",
+                                        "hcomp2[(phi, e1a)] has wrong boundary"],
+                 id="missing-hcomp1-entry"),
+    # a malformed boundary or identity stops the report before the tables
+    pytest.param(with_unknown_source, ["2-cell psi: boundary not a 1-cell"],
+                 id="unknown-source"),
+])
+def test_broken_tables_reported_not_raised(build, violations):
+    assert validate(build()).violations == violations
+    rep = run_suite(Manifest(two_categories={"X": build()}), "identities", 3)
+    detail = "; ".join(violations)
+    assert rep["status"] == "fail"
+    assert [(c["name"], c["status"], c["detail"]) for c in rep["checks"]] == [
+        ("validate[X]", "fail", f"axiom: {detail}"),
+        *((f"{check}[X]", "fail", f"precondition: category: {detail}")
+          for check in ("double_nerve_identities", "wbar_identities", "wbar_repackage"))]
 
 
 def test_interchange_checked_exhaustively(cx):

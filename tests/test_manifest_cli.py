@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -11,7 +12,7 @@ import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
 from twocat.core import OplaxTransformation
-from twocat.manifest import ManifestError, parse
+from twocat.manifest import ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
 
 DATA = Path(bundled_manifest_path())
@@ -91,6 +92,34 @@ def test_unknown_identifier_named(tmp_path):
     with pytest.raises(ManifestError) as err:
         parse(bad)
     assert any("unknown identifier" in e for e in err.value.errors)
+
+
+def test_unknown_two_cell_source_named():
+    # the horizontal totality check composes a 2-cell along its source
+    # 1-cell, so an unknown source is an input error, not a KeyError
+    doc = json.load(open(DATA))
+    doc["two_categories"]["WTC"]["two_cells"]["psi"] = ["zz", "g"]
+    with pytest.raises(ManifestError) as err:
+        resolve(doc)
+    assert "two_categories.WTC.two_cells.psi: unknown identifier" in err.value.errors
+
+
+def test_corpus_generator_reproduces_bundled_data(tmp_path, monkeypatch):
+    # scripts/make_corpus.py, run into tmp_path, writes exactly the bundled
+    # data files, byte for byte
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    script = README.parent / "scripts" / "make_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_corpus", script)
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    monkeypatch.setattr(make_corpus, "DATA", tmp_path)
+    make_corpus.main()
+    bundled = DATA.parent
+    files = lambda root: sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+    assert files(tmp_path) == files(bundled)
+    for rel in files(bundled):
+        assert (tmp_path / rel).read_bytes() == (bundled / rel).read_bytes(), rel
 
 
 def test_cli_validate_exit_zero():
