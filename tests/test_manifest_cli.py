@@ -97,7 +97,7 @@ def test_unknown_identifier_named(tmp_path):
 def test_unknown_two_cell_source_named():
     # the horizontal totality check composes a 2-cell along its source
     # 1-cell, so an unknown source is an input error, not a KeyError
-    doc = json.load(open(DATA))
+    doc = json.loads(DATA.read_text())
     doc["two_categories"]["WTC"]["two_cells"]["psi"] = ["zz", "g"]
     with pytest.raises(ManifestError) as err:
         resolve(doc)
