@@ -10,9 +10,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from twocat.builders import pt, walking_arrow, walking_two_cell
+from twocat.builders import (functor_wa_to_wtc, pt, walking_arrow,
+                             walking_two_cell, wtc_to_wa_collapse)
 from twocat.comma import representable_diagram
-from twocat.corpus import functor_wa_to_wtc, wtc_to_wa_collapse
 from twocat.manifest import _category_to_json, parse, resolve
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "twocat" / "data"

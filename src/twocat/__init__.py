@@ -27,6 +27,5 @@ from .comma import (OVER, UNDER, comma, comma_projection, fibre_diagram,
 from .homology import (ChainComplex, HomologyResult, normalized_chain_complex,
                        homology, invariant_factors, is_homology_iso_upto,
                        smith_normal_form)
-from .corpus import corpus
 
 __all__ = [n for n in dir() if not n.startswith("_")]

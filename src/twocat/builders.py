@@ -1,8 +1,9 @@
-"""Small hand-built 2-categories used as fixtures and CLI corpus seeds."""
+"""Small hand-built 2-categories and 2-functors: fixtures, and the seeds of
+the bundled corpus that `scripts/make_corpus.py` writes."""
 
 from __future__ import annotations
 
-from .core import TwoCategory, make_two_category, terminal
+from .core import TwoCategory, TwoFunctor, make_two_category, terminal
 
 
 def walking_arrow() -> TwoCategory:
@@ -61,3 +62,22 @@ def walking_two_cell() -> TwoCategory:
 
 def pt() -> TwoCategory:
     return terminal()
+
+
+def functor_wa_to_wtc() -> TwoFunctor:
+    """F: WA -> WTC with 0 -> a, 1 -> b and the arrow landing on f."""
+    wa, wtc = walking_arrow(), walking_two_cell()
+    on_obj = {"0": "a", "1": "b"}
+    on_one = {"i0": "1a", "i1": "1b", "a": "f"}
+    on_two = {"Ii0": "e1a", "Ii1": "e1b", "Ia": "ef"}
+    return TwoFunctor(wa, wtc, on_obj, on_one, on_two, name="F")
+
+
+def wtc_to_wa_collapse() -> TwoFunctor:
+    """Collapse WTC onto WA: both parallel 1-cells land on the arrow and the
+    2-cell becomes an identity."""
+    wtc, wa = walking_two_cell(), walking_arrow()
+    on_obj = {"a": "0", "b": "1"}
+    on_one = {"1a": "i0", "1b": "i1", "f": "a", "g": "a"}
+    on_two = {"e1a": "Ii0", "e1b": "Ii1", "ef": "Ia", "eg": "Ia", "phi": "Ia"}
+    return TwoFunctor(wtc, wa, on_obj, on_one, on_two, name="collapse")

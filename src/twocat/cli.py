@@ -170,13 +170,9 @@ def cmd_homology(args):
     return _report(args, "homology", [f"H_{i}[{label}]" for i in degrees], bad, checks)
 
 
-def _suite(args) -> str:
-    return args.suite_name or args.suite or "all"
-
-
 def cmd_verify(args):
     m = load_manifest(args)
-    return emit(args, run_suite(m, _suite(args), args.trunc))
+    return emit(args, run_suite(m, args.suite, args.trunc))
 
 
 def _least_trunc(args) -> tuple:
@@ -184,8 +180,8 @@ def _least_trunc(args) -> tuple:
     claims; (0, None) when it claims none."""
     if args.command == "homology":
         return 1, "homology"
-    if args.command == "verify" and _suite(args) in LEAST_TRUNC:
-        return LEAST_TRUNC[_suite(args)], f"verify {_suite(args)}"
+    if args.command == "verify" and args.suite in LEAST_TRUNC:
+        return LEAST_TRUNC[args.suite], f"verify {args.suite}"
     return 0, None
 
 
@@ -235,8 +231,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_homology, default_trunc=4)
 
     p = add_parser("verify", help="run a bundled verification suite")
-    p.add_argument("suite_name", nargs="?", choices=SUITES)
-    p.add_argument("--suite", choices=SUITES)
+    p.add_argument("suite", nargs="?", choices=SUITES, default="all")
     p.set_defaults(fn=cmd_verify, default_trunc=None)
 
     args = ap.parse_args(argv, argparse.Namespace(manifest=None, trunc=None,

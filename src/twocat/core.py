@@ -218,6 +218,47 @@ def relabel(C: TwoCategory, obj, one, two, name) -> TwoCategory:
         name=name)
 
 
+def _renamed_copy(C: TwoCategory):
+    """A cellwise-renamed copy together with the renaming 2-functor."""
+    tag = lambda v: ("r", v)
+    ren = relabel(C, tag, tag, tag, f"{C.name}_r")
+    iso = TwoFunctor(C, ren, {c: tag(c) for c in C.objects},
+                     {f: tag(f) for f in C.one_cells},
+                     {a: tag(a) for a in C.two_cells}, name=f"ren_{C.name}")
+    return ren, iso
+
+
+def renaming_morphism(D: TwoDiagram) -> DiagramMorphism:
+    """A morphism out of D whose components are cell-level isomorphisms:
+    the target is D with every fibre cell renamed."""
+    renamed, isos = {}, {}
+    for c in D.base.objects:
+        renamed[c], isos[c] = _renamed_copy(D.ob[c])
+
+    def conj_functor(F: TwoFunctor, a, b):
+        ia, ib = isos[a], isos[b]
+        return TwoFunctor(renamed[a], renamed[b],
+                          {ia.o(x): ib.o(F.o(x)) for x in F.source.objects},
+                          {ia.f1(u): ib.f1(F.f1(u)) for u in F.source.one_cells},
+                          {ia.f2(t): ib.f2(F.f2(t)) for t in F.source.two_cells},
+                          name=f"{F.name}_r")
+
+    cov = D.variance == COVARIANT
+    one, two = {}, {}
+    for f, (a, b) in D.base.one_cells.items():
+        s, t = (a, b) if cov else (b, a)
+        one[f] = conj_functor(D.one[f], s, t)
+    for al, (f, _) in D.base.two_cells.items():
+        a, b = D.base.one_cells[f]
+        s, t = (a, b) if cov else (b, a)
+        it = isos[t]
+        two[al] = TwoNaturalTransformation(
+            one[f], one[D.base.cod2(al)],
+            {isos[s].o(x): it.f1(D.two[al].at(x)) for x in D.ob[s].objects})
+    E = TwoDiagram(D.base, D.variance, renamed, one, two, name=f"{D.name}_r")
+    return DiagramMorphism(D, E, isos, name=f"ren({D.name})")
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -376,39 +417,9 @@ class OplaxTransformation:
         return self.comp[c]
 
 
-def natural_equal(s: TwoNaturalTransformation, t: TwoNaturalTransformation) -> bool:
-    return s.comp == t.comp
-
-
 def identity_natural(F: TwoFunctor) -> TwoNaturalTransformation:
     B = F.target
     return TwoNaturalTransformation(F, F, {c: B.id1[F.o(c)] for c in F.source.objects})
-
-
-def vcompose_naturals(t: TwoNaturalTransformation, s: TwoNaturalTransformation) -> TwoNaturalTransformation:
-    B = s.F.target
-    return TwoNaturalTransformation(s.F, t.G,
-                                    {c: B.comp1(t.comp[c], s.comp[c]) for c in s.comp})
-
-
-def hcompose_naturals(t: TwoNaturalTransformation, s: TwoNaturalTransformation) -> TwoNaturalTransformation:
-    """Horizontal composite t o s for s: F=>G: A->B, t: H=>K: B->C."""
-    C = t.F.target
-    return TwoNaturalTransformation(
-        compose_functors(t.F, s.F), compose_functors(t.G, s.G),
-        {c: C.comp1(t.comp[s.G.o(c)], t.F.f1(s.comp[c])) for c in s.comp})
-
-
-def whisker_natural_functor(s: TwoNaturalTransformation, H: TwoFunctor) -> TwoNaturalTransformation:
-    """s * H: precompose the transformation with a 2-functor H into s's source."""
-    return TwoNaturalTransformation(compose_functors(s.F, H), compose_functors(s.G, H),
-                                    {c: s.comp[H.o(c)] for c in H.source.objects})
-
-
-def whisker_functor_natural(H: TwoFunctor, s: TwoNaturalTransformation) -> TwoNaturalTransformation:
-    """H * s: postcompose the transformation with a 2-functor H out of s's target."""
-    return TwoNaturalTransformation(compose_functors(H, s.F), compose_functors(H, s.G),
-                                    {c: H.f1(s.comp[c]) for c in s.comp})
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +691,29 @@ def validate_diagram(D: TwoDiagram) -> ValidationReport:
         if s is None:
             r.add(f"no transport at 2-cell {al}")
             continue
-        if not (functor_equal(s.F, D.one[f]) and functor_equal(s.G, D.one[g])):
+        if not all(functor_equal(x, y) and same_category(x.source, y.source)
+                   and same_category(x.target, y.target)
+                   for x, y in ((s.F, D.one[f]), (s.G, D.one[g]))):
             r.add(f"transport at 2-cell {al} has wrong boundary functors")
             continue
         r.merge(check_cell_map("two_natural", s))
     if not r.ok:
         return r
     for f in C.one_cells:
-        if not natural_equal(D.two[C.id2[f]], identity_natural(D.one[f])):
+        if D.two[C.id2[f]].comp != identity_natural(D.one[f]).comp:
             r.add(f"transport of identity 2-cell at {f} is not the identity")
     for (b, a), ba in C.vcomp2.items():
-        if not natural_equal(D.two[ba], vcompose_naturals(D.two[b], D.two[a])):
+        t, s = D.two[b], D.two[a]
+        B = s.F.target
+        if D.two[ba].comp != {c: B.comp1(t.comp[c], s.comp[c]) for c in s.comp}:
             r.add(f"transport not functorial on vertical ({b}, {a})")
     for (b, a), ba in C.hcomp2.items():
-        comp = (hcompose_naturals(D.two[b], D.two[a]) if cov
-                else hcompose_naturals(D.two[a], D.two[b]))
-        if not natural_equal(D.two[ba], comp):
+        # the horizontal composite t o s at c is t_{G(c)} o T(s_c), for
+        # s: F => G and T = t.F
+        t, s = (D.two[b], D.two[a]) if cov else (D.two[a], D.two[b])
+        T = t.F
+        if D.two[ba].comp != {c: T.target.comp1(t.comp[s.G.o(c)], T.f1(s.comp[c]))
+                              for c in s.comp}:
             r.add(f"transport not functorial on horizontal ({b}, {a})")
     return r
 
@@ -731,6 +749,9 @@ class DiagramMorphism:
 
 
 def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
+    """Whether G's components are 2-functors that commute strictly with the
+    transports; G's source and target are taken to be valid diagrams (see
+    `validate_diagram`)."""
     r = ValidationReport()
     D, E = G.source, G.target
     C = D.base
@@ -755,12 +776,11 @@ def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
             r.add(f"naturality fails at 1-cell {f}")
     for al, (f, g) in C.two_cells.items():
         a, b = C.one_cells[f]
-        if cov:
-            lhs = whisker_functor_natural(G.comp[b], D.two[al])
-            rhs = whisker_natural_functor(E.two[al], G.comp[a])
-        else:
-            lhs = whisker_functor_natural(G.comp[a], D.two[al])
-            rhs = whisker_natural_functor(E.two[al], G.comp[b])
-        if not natural_equal(lhs, rhs):
+        # H * D(al) against E(al) * K, with H, K the components at the
+        # transports' target and source
+        H, K = (G.comp[b], G.comp[a]) if cov else (G.comp[a], G.comp[b])
+        s, t = D.two[al], E.two[al]
+        if ({c: H.f1(x) for c, x in s.comp.items()}
+                != {c: t.comp[K.o(c)] for c in K.source.objects}):
             r.add(f"naturality fails at 2-cell {al}")
     return r

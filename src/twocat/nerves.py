@@ -41,7 +41,8 @@ from math import inf
 from .core import TwoCategory, TwoFunctor, TwoCatError
 from .simplicial import (TruncatedSimplicialSet, TruncatedMultisimplicialSet,
                          SimplicialMap, build_simplicial, build_bisimplicial,
-                         build_trisimplicial, pointwise, simplicial_map, wbar)
+                         build_trisimplicial, check_budget, pointwise,
+                         simplicial_map, wbar)
 
 
 def is_category(A: TwoCategory) -> bool:
@@ -165,7 +166,7 @@ class _Strings:
     object o, and c_m is a column of depth d_m (`cols(d_m)`) from the end of
     the one before.  The strings of one depth tuple are listed in
     lexicographic order of o and the columns' positions, so with
-    `start, before = ranks(ds)` a string is at
+    `start, before, _ = ranks(ds)` a string is at
         start[o] + before[0][c_1] + before[1][c_2] + ... + before[r-1][c_r]:
     start[o] counts the strings from earlier objects, and before[m][c] the
     strings of depths ds[m:] from c's source whose first column comes
@@ -190,7 +191,8 @@ class _Strings:
             return self._cols.setdefault(q, _Columns(self.C, q))
 
     def ranks(self, ds) -> tuple:
-        """(start, before) of the strings of depths ds."""
+        """(start, before, size) of the strings of depths ds; size is their
+        number."""
         return self._keep(("ranks", ds), self._ranks, ds)
 
     def _ranks(self, ds):
@@ -206,7 +208,8 @@ class _Strings:
                 total.append(run)
             count = total
             before.append(b)
-        return list(accumulate(count, initial=0))[:-1], before[::-1]
+        start = list(accumulate(count, initial=0))
+        return start[:-1], before[::-1], start[-1]
 
     def follows(self, ds) -> list:
         """follows[m-1][c]: the columns that may follow the column c at
@@ -231,7 +234,9 @@ class _Strings:
         return [T.code(rule(self.C, col, j), a, b) for col, a, b in zip(S.cells, S.dom, S.cod)]
 
     def level(self, ds) -> list:
-        """The strings of depths ds, in order."""
+        """The strings of depths ds, in order; their number is checked
+        against the simplex budget before any is made."""
+        check_budget(self.ranks(ds)[2])
         obj = self.objects
         level = [((x,), (), (), a) for a, x in enumerate(obj)]
         for q in ds:
@@ -283,7 +288,7 @@ def _weights(table, codes) -> list:
 def _face_positions(S, T, ds, dt, i, g, h, merged) -> list:
     """The i-th horizontal face: the first or last column dropped, or
     columns i and i + 1 replaced by merged(c_i, c_{i+1})."""
-    start, before = T.ranks(dt)
+    start, before, _ = T.ranks(dt)
     start = _weights(start, h)
     if i == 0:
         first = [start[b] for b in S.cols(ds[0]).cod]
@@ -300,7 +305,7 @@ def _face_positions(S, T, ds, dt, i, g, h, merged) -> list:
 def _degen_positions(S, T, ds, dt, i, g, h, ident) -> list:
     """The i-th horizontal degeneracy: the column ident[o] inserted after
     the i-th object o."""
-    start, before = T.ranks(dt)
+    start, before, _ = T.ranks(dt)
     idw, ow = _weights(before[i], ident), _weights(start, h)
     weights = [_weights(before[m + (m >= i)], g[m]) for m in range(len(ds))]
     if i == 0:
@@ -312,7 +317,7 @@ def _degen_positions(S, T, ds, dt, i, g, h, ident) -> list:
 
 def _map_positions(S, T, ds, dt, g, h) -> list:
     """Every column and object mapped, none dropped or inserted."""
-    start, before = T.ranks(dt)
+    start, before, _ = T.ranks(dt)
     return S.fill(ds, _weights(start, h), S.steps(ds, list(map(_weights, before, g))))
 
 

@@ -85,16 +85,22 @@ class Level(tuple):
     index: dict
 
 
+def check_budget(size) -> None:
+    """Raise `BudgetError` if a level of `size` simplices exceeds the
+    simplex budget."""
+    budget = _SIMPLEX_BUDGET.get()
+    if size > budget:
+        raise BudgetError(f"level size {size} exceeds the simplex budget "
+                          f"{budget}; raise it or lower the truncation")
+
+
 def _ordered(cells) -> Level:
     """The distinct simplices of `cells` in the order first seen; a `Level`
     is already that, and is shared as it is."""
     if isinstance(cells, Level):
         return cells
     index = dict.fromkeys(cells)
-    budget = _SIMPLEX_BUDGET.get()
-    if len(index) > budget:
-        raise BudgetError(f"level size {len(index)} exceeds the simplex budget "
-                          f"{budget}; raise it or lower the truncation")
+    check_budget(len(index))
     level = Level(index)
     for k, x in enumerate(level):
         index[x] = k

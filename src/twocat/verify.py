@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
                    constant_diagram, functor_equal, functor_is_bijective,
-                   identity_functor, same_category, validate, validate_diagram,
-                   validate_diagram_morphism)
+                   identity_functor, renaming_morphism, same_category, validate,
+                   validate_diagram, validate_diagram_morphism)
 from .comma import (OVER, UNDER, comma, projections, retraction_R,
                     section_jz_iz)
-from .corpus import renaming_morphism
 from .grothendieck import grothendieck
 from .hocolim import (build_E, build_E_pull, check_simplicial_two_category,
                       grothendieck_wbar_comparison, hocolim, hocolim_map,

@@ -1,13 +1,22 @@
+from types import SimpleNamespace
+
 import pytest
 
-from twocat.core import identity_functor, make_two_category
-from twocat.corpus import corpus
+from twocat.cli import bundled_manifest_path
+from twocat.core import identity_functor, make_two_category, renaming_morphism
 from twocat.hocolim import SimplicialTwoCategory
+from twocat.manifest import parse
 
 
 @pytest.fixture(scope="session")
 def cx():
-    return corpus()
+    """The bundled corpus manifest's entities, by name."""
+    m = parse(bundled_manifest_path())
+    cats, Dcov = m.two_categories, m.diagrams["Dcov"]
+    return SimpleNamespace(pt=cats["PT"], wa=cats["WA"], wtc=cats["WTC"],
+                           F=m.two_functors["F"], Dcov=Dcov, Drep=m.diagrams["Drep"],
+                           collapse=m.diagram_morphisms["collapse"],
+                           renaming=renaming_morphism(Dcov))
 
 
 def cyclic_group(n):

@@ -1,11 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Bundled corpus: the terminal 2-category, the walking arrow WA, the walking
-2-cell WTC, the 2-functor F: WA -> WTC, a covariant diagram over WA with
-fibres WTC and WA, the contravariant representable diagram on WTC at b, the
-collapse morphism to the constant terminal diagram, and a relabelling
-morphism with cell-level isomorphism components.  Truncation: 3 for the
-isomorphism checks, 4 for the homology checks.
+Bundled corpus: the manifest `src/twocat/data/corpus.manifest.json`, read
+by entity name (the `cx` fixture): the terminal 2-category PT, the walking
+arrow WA, the walking 2-cell WTC, the 2-functor F: WA -> WTC, the covariant
+diagram Dcov over WA with fibres WTC and WA, the contravariant
+representable diagram Drep on WTC at b, and the morphism collapse onto the
+constant terminal diagram; with them, `renaming_morphism(Dcov)`, whose
+components are cell-level isomorphisms.  Truncation: 3 for the isomorphism
+checks, 4 for the homology checks.
 """
 
 import json
@@ -19,8 +21,7 @@ from twocat.cli import bundled_manifest_path
 from twocat.comma import OVER, UNDER, comma, projections, retraction_R, section_jz_iz
 from twocat.core import (check_cell_map, compose_functors, constant_diagram,
                          functor_equal, functor_is_bijective,
-                         identity_functor, validate)
-from twocat.corpus import renaming_morphism
+                         identity_functor, renaming_morphism, validate)
 from twocat.grothendieck import grothendieck
 from twocat.hocolim import (build_E, build_E_pull,
                             check_simplicial_two_category,

@@ -1,6 +1,6 @@
 import pytest
 
-from twocat.builders import pt, walking_two_cell
+from twocat.builders import pt, walking_two_cell, wtc_to_wa_collapse
 from twocat.comma import (OVER, UNDER, comma, comma_diagram,
                           comma_projection, fibre_diagram,
                           induced_fibre_functor, induced_fibre_transformation,
@@ -8,9 +8,8 @@ from twocat.comma import (OVER, UNDER, comma, comma_diagram,
                           section_jz_iz)
 from twocat.core import (OplaxTransformation, TwoCatError, check_cell_map,
                          compose_functors, functor_equal, identity_functor,
-                         validate, validate_diagram)
-from twocat.corpus import renaming_morphism, wtc_to_wa_collapse
-from twocat.grothendieck import grothendieck
+                         renaming_morphism, validate, validate_diagram)
+from twocat.grothendieck import base_change, grothendieck, projection_functor
 from twocat.homology import homology, normalized_chain_complex
 from twocat.nerves import diag_nn
 
@@ -176,7 +175,6 @@ def test_section_jz_iz_under(cx):
 
 
 def test_jz_commutes_with_projections(cx):
-    from twocat.grothendieck import base_change, projection_functor
     FD, Fbar = base_change(cx.F, cx.Drep)
     K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, "b", "1b", OVER)
     prFD = projection_functor(FD, Fbar.source)

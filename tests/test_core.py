@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
+from twocat.cli import bundled_manifest_path
 from twocat.core import (check_cell_map, discrete, hom_category,
-                         identity_functor, opposite, product, validate,
+                         identity_functor, opposite, product, relabel, validate,
                          validate_diagram, validate_diagram_morphism,
-                         OplaxTransformation, TwoFunctor)
-from twocat.manifest import Manifest
+                         OplaxTransformation, TwoFunctor, TwoNaturalTransformation)
+from twocat.manifest import Manifest, parse
 from twocat.verify import run_suite
 
 
@@ -154,6 +155,20 @@ def test_corpus_diagrams_validate(cx):
 def test_corpus_morphisms_validate(cx):
     assert validate_diagram_morphism(cx.collapse).ok
     assert validate_diagram_morphism(cx.renaming).ok
+
+
+def test_two_cell_transport_into_another_category_reported():
+    # the transport at phi keeps Drep's cell maps, but its source functor
+    # lands in a copy of the fibre with one more 1-cell
+    D = parse(bundled_manifest_path()).diagrams["Drep"]
+    s = D.two["phi"]
+    keep = lambda v: v
+    other = relabel(s.F.target, keep, keep, keep, "copy")
+    other.one_cells["extra"] = other.one_cells[other.id1[other.objects[0]]]
+    F = TwoFunctor(s.F.source, other, s.F.on_obj, s.F.on_one, s.F.on_two)
+    D.two["phi"] = TwoNaturalTransformation(F, s.G, s.comp)
+    assert validate_diagram(D).violations == [
+        "transport at 2-cell phi has wrong boundary functors"]
 
 
 def test_functor_fixture_validates(cx):

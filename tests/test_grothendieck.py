@@ -1,10 +1,23 @@
 from twocat.builders import pt, walking_two_cell
-from twocat.core import (check_cell_map, compose_functors, constant_diagram,
+from twocat.core import (DiagramMorphism, TwoDiagram, TwoFunctor,
+                         check_cell_map, compose_functors, constant_diagram,
                          functor_equal, functor_is_bijective,
                          identity_functor, validate)
-from twocat.corpus import collapse_morphism
 from twocat.grothendieck import (base_change, fibre_embedding, grothendieck,
                                  grothendieck_morphism, projection_functor)
+
+
+def collapse_morphism(D: TwoDiagram) -> DiagramMorphism:
+    """The morphism from D onto the constant terminal diagram."""
+    P = pt()
+    E = constant_diagram(D.base, P, D.variance)
+    comp = {c: TwoFunctor(D.ob[c], P,
+                          {x: "*" for x in D.ob[c].objects},
+                          {f: "1" for f in D.ob[c].one_cells},
+                          {a: "11" for a in D.ob[c].two_cells},
+                          name=f"!{c}")
+            for c in D.base.objects}
+    return DiagramMorphism(D, E, comp, name="collapse")
 
 
 def test_constant_terminal_diagram_recovers_base():
@@ -68,7 +81,6 @@ def test_assembled_morphism_functorial(cx):
     F = grothendieck_morphism(g)
     assert check_cell_map("two_functor", F).ok
     # identity morphism assembles to the identity
-    from twocat.core import DiagramMorphism
     ident = DiagramMorphism(cx.Dcov, cx.Dcov,
                             {c: identity_functor(cx.Dcov.ob[c])
                              for c in cx.Dcov.base.objects})
@@ -123,8 +135,6 @@ def test_base_change_identity_is_identity(cx):
 
 def test_assembly_functorial_on_composites(cx):
     # assembling a composite morphism equals composing the assemblies
-    from twocat.core import DiagramMorphism
-    from twocat.corpus import collapse_morphism
     ren = cx.renaming
     col2 = collapse_morphism(ren.target)
     comp = DiagramMorphism(ren.source, col2.target,

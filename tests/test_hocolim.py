@@ -2,15 +2,17 @@ import random
 import sys
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
+from twocat.comma import UNDER, representable_diagram
 from twocat.core import (TwoFunctor, check_cell_map, compose_functors, constant_diagram,
-                         functor_equal, functor_is_bijective)
-from twocat.corpus import renaming_morphism
+                         functor_equal, functor_is_bijective, renaming_morphism)
 from twocat.hocolim import (build_E, build_E_pull,
                             check_simplicial_two_category,
                             grothendieck_wbar_comparison, hocolim,
                             hocolim_level_product_iso, hocolim_map,
                             hocolim_wbar_comparison, reversal_bridge_report)
-from twocat.nerves import map_dn_simplex, nerve_simplicial_twocat
+from twocat.homology import is_homology_iso_upto
+from twocat.nerves import (double_nerve, map_dn_simplex, nerve_simplicial_twocat,
+                           wbar_double_nerve)
 from twocat.simplicial import (check_simplicial_identities,
                                check_simplicial_map, simplicial_map, tri_diag,
                                verify_iso)
@@ -144,7 +146,6 @@ def test_comparison_isos_degenerate_cases():
 
 
 def test_invariance_homology(cx):
-    from twocat.homology import is_homology_iso_upto
     g = renaming_morphism(cx.Dcov)
     SD, SE = hocolim(cx.Dcov, 4), hocolim(g.target, 4)
     maps = hocolim_map(g, SD, SE)
@@ -165,13 +166,10 @@ def test_resolution_base_line_counts(cx):
 
 
 def test_hocolim_constant_terminal_levels_are_nerve_levels(cx):
-    from twocat.builders import pt
-    from twocat.nerves import wbar_double_nerve
     D = constant_diagram(cx.wtc, pt())
     S = hocolim(D, 3)
     W = wbar_double_nerve(cx.wtc, 3)
     # objects of level p are the double nerve's (p, 0)-simplices
-    from twocat.nerves import double_nerve
     dn = double_nerve(cx.wtc, 3)
     for p in range(4):
         assert len(S.level(p).objects) == len(dn.level((p, 0)))
@@ -180,7 +178,6 @@ def test_hocolim_constant_terminal_levels_are_nerve_levels(cx):
 def test_comparison_isos_covariant_base_with_two_cells(cx):
     # covariant diagram over a base whose 2-cells are not all identities:
     # the twisted transports now whisker along genuine 2-cell components
-    from twocat.comma import UNDER, representable_diagram
     D = representable_diagram(cx.wtc, "a", UNDER)
     f = hocolim_wbar_comparison(D, 3)
     assert check_simplicial_map(f).ok and verify_iso(f)

@@ -7,7 +7,7 @@ import pytest
 from conftest import cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import TwoCatError, TwoFunctor, check_cell_map, product
+from twocat.core import TwoCatError, TwoFunctor, check_cell_map, discrete, product
 from twocat.homology import (HomologyResult, chain_map, homology,
                              invariant_factors, is_homology_iso_upto,
                              mapping_cone, nondegenerate_levels,
@@ -219,7 +219,6 @@ def test_collapse_to_point_iso_in_degree_zero():
 
 def test_non_iso_detected():
     # two points vs one point differ in H_0
-    from twocat.core import discrete
     X = nerve_category(discrete(["u", "v"]), 3)
     P = nerve_category(pt(), 3)
     f = simplicial_map(X, P, lambda n, x: P.level(n)[0])

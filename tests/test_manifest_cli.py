@@ -11,7 +11,7 @@ import pytest
 import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
-from twocat.core import OplaxTransformation
+from twocat.core import OplaxTransformation, validate_diagram
 from twocat.manifest import ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
 
@@ -70,7 +70,6 @@ def test_2cat_fragment_parses():
 def test_2diag_fragment_parses():
     m = parse(DATA.parent / "fibre-diagram.2diag")
     D = m.diagrams["Dcov"]
-    from twocat.core import validate_diagram
     assert validate_diagram(D).ok
 
 
@@ -498,7 +497,7 @@ def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, cap
         for argv, least, what in ((["--trunc", "1", "verify", "invariance"], 2, "verify invariance"),
                                   (["--trunc", "0", "verify", "invariance"], 2, "verify invariance"),
                                   (["verify", "all", "--trunc", "1"], 2, "verify all"),
-                                  (["--trunc", "1", "verify", "--suite", "all"], 2, "verify all"),
+                                  (["--trunc", "1", "verify", "all"], 2, "verify all"),
                                   (["--trunc", "0", "verify", "contractibility"], 1,
                                    "verify contractibility"),
                                   (["--trunc", "0", "homology", "--name", "WTC"], 1, "homology"),
@@ -517,6 +516,14 @@ def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert main(["--trunc", "0", "verify", "iso112"]) == 0
     capsys.readouterr()
+
+
+def test_suite_is_named_by_position_only(capsys):
+    # `verify` names its suite as README shows it, `twocat verify SUITE`
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --suite" in capsys.readouterr().err
 
 
 def _refuse_to_build(*args):

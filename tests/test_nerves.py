@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from functools import cache, partial
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import constant_simplicial, cyclic_group
+from test_violations import loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, discrete, identity_functor, product
@@ -19,9 +21,9 @@ from twocat.nerves import (_identity_col, _merge_cols, _Strings, diag_nn,
                            map_dn_simplex, nerve_category,
                            nerve_simplicial_twocat, repackage_staircase,
                            tri_diag_nn, wbar_double_nerve)
-from twocat.simplicial import (_table, check_simplicial_identities,
-                               check_simplicial_map, diag, simplicial_map,
-                               tri_diag, verify_iso, wbar)
+from twocat.simplicial import (BudgetError, _table, check_simplicial_identities,
+                               check_simplicial_map, diag, simplex_budget,
+                               simplicial_map, tri_diag, verify_iso, wbar)
 
 MANIFEST = parse(bundled_manifest_path())
 
@@ -80,7 +82,6 @@ def test_double_nerve_wtc_level_counts():
             for m in range(p):
                 cnt = 0
                 # q-chains of morphisms in the hom category
-                from twocat.nerves import hom_chains
                 cnt = len(hom_chains(C, ch[m], ch[m + 1], q))
                 prod *= cnt
             total += prod
@@ -507,6 +508,23 @@ def test_nerve_category_equals_reference_rules_on_row_zero(A):
             for x in level(n):
                 assert table[index[as_row(n, x)]] == image[as_row(n + step, rule(n, i, x))], \
                     (n, i, x)
+
+
+def test_budget_refuses_a_level_before_enumerating_it():
+    # Omega(Z/2)'s diagonal has 2^(n^2) simplices at level n: 512 at n = 3
+    # and 65,536 at n = 4.  Level 4 is refused from its count, so the refusal
+    # costs about what the kept levels cost, not what the refused one would
+    C = loop_group(2)
+    tracemalloc.start()
+    try:
+        with simplex_budget(1000), pytest.raises(BudgetError) as exc:
+            diag_nn(C, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("level size 65536 exceeds the simplex budget 1000; "
+                              "raise it or lower the truncation")
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST.two_functors))

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from conftest import constant_simplicial
-from twocat.builders import pt, walking_two_cell
+from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.core import TwoCatError, ValidationReport
 from twocat.hocolim import build_E
 from twocat.homology import normalized_chain_complex
@@ -88,7 +88,6 @@ def test_transpose_swaps_directions():
 
 
 def test_diag_wbar_agree_at_level_zero_and_for_categories():
-    from twocat.builders import walking_arrow
     # level 0 always coincides (up to the tuple wrapper); all levels coincide
     # when every hom category is discrete
     for C in (walking_arrow(), walking_two_cell()):
