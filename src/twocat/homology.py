@@ -10,7 +10,8 @@ built in that form, and dd = 0 and the chain-map identity are checked on
 it.  H_i needs only the invariant factors of the boundaries d_i and
 d_{i+1}.  `invariant_factors` finds them by sparse elimination on +-1
 pivots and hands the small non-unit remainder to the dense
-`smith_normal_form`; a `ChainComplex` computes the factors of each
+`smith_normal_form`, which pivots on a least entry and then orders its
+diagonal by gcd/lcm; a `ChainComplex` computes the factors of each
 boundary once, on first read.  `is_homology_iso_upto` reads the homology
 of the mapping cone, so it also needs nothing but invariant factors.  No
 transformation matrix is tracked anywhere.
@@ -19,6 +20,7 @@ transformation matrix is tracked anywhere.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .core import TwoCatError
@@ -31,92 +33,45 @@ from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 def smith_normal_form(A):
     """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix
-    given as a list of rows, found by unimodular row and column operations
-    on a dense copy."""
-    m = len(A)
-    n = len(A[0]) if m else 0
+    given as a list of rows, by least-entry Euclid on a dense copy.
+
+    A nonzero entry p of least absolute value is the pivot.  Row operations
+    reduce every other entry of its column, and column operations every
+    other entry of its row, to a floor remainder mod p.  If its row and
+    column are then clear, |p| splits off with them; otherwise a remainder
+    smaller than |p| is the next pivot, so the loop ends.  Last, each pair
+    (d_a, d_b), a < b, becomes (gcd, lcm): the product is kept, and the
+    diagonal comes out ordered by divisibility.
+    """
     S = [row[:] for row in A]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-
-    def add_row(i, j, k):  # row_i += k * row_j
-        Si, Sj = S[i], S[j]
-        for c in range(n):
-            Si[c] += k * Sj[c]
-
-    def neg_row(i):
-        S[i] = [-v for v in S[i]]
-
-    def swap_cols(i, j):
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(i, j, k):  # col_i += k * col_j
-        for row in S:
-            row[i] += k * row[j]
-
-    def neg_col(i):
-        for row in S:
-            row[i] = -row[i]
-
-    t = 0
+    diag = []
     while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
+        entries = [(abs(v), i, j) for i, row in enumerate(S) for j, v in enumerate(row) if v]
+        if not entries:
             break
-        i, j = pivot
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
-        if S[t][t] < 0:
-            neg_row(t)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    add_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        if S[t][t] < 0:
-                            neg_row(t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    add_col(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        if S[t][t] < 0:
-                            neg_col(t)
-                        dirty = True
-            if not dirty:
-                break
-        # divisibility: fold any non-multiple into the pivot block
-        d = S[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % d:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            t += 1
-            if t >= min(m, n):
-                break
-
-    return [S[k][k] for k in range(min(m, n)) if S[k][k]]
+        _, i, j = min(entries)
+        prow, p = S[i], S[i][j]
+        for r, row in enumerate(S):
+            if r != i and row[j]:
+                q = row[j] // p
+                for c, v in enumerate(prow):
+                    if v:
+                        row[c] -= q * v
+        for c, v in enumerate(prow):
+            if c != j and v:
+                q = v // p
+                for row in S:
+                    row[c] -= q * row[j]
+        if not any(prow[:j] + prow[j + 1:]) and not any(row[j] for row in S[:i] + S[i + 1:]):
+            diag.append(abs(p))
+            del S[i]
+            for row in S:
+                del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = math.gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] * diag[b] // g
+    return diag
 
 
 def invariant_factors(columns):
@@ -238,9 +193,13 @@ class HomologyResult:
     betti: int
     torsion: tuple
 
-    def __str__(self):
+    @property
+    def group(self):
         parts = ["Z"] * self.betti + [f"Z/{t}" for t in self.torsion]
-        return f"H_{self.degree} = " + (" + ".join(parts) if parts else "0")
+        return " + ".join(parts) if parts else "0"
+
+    def __str__(self):
+        return f"H_{self.degree} = {self.group}"
 
 
 def nondegenerate_levels(X: TruncatedSimplicialSet):
@@ -359,3 +318,17 @@ def is_homology_iso_upto(f: SimplicialMap, k: int) -> bool:
         return False
     cone = mapping_cone(src, tgt, mats, k + 1)
     return all(homology(cone, i) == HomologyResult(i, 0, ()) for i in range(k + 1))
+
+
+def first_homology_difference(f: SimplicialMap, k: int):
+    """Why f is not a homology isomorphism in degrees <= k: the least
+    degree i <= k where source and target differ or the mapping cone is
+    not 0, as `H_i: <source> -> <target>, cone H_i = <cone>`; None if
+    there is no such degree."""
+    src, tgt, mats = chain_map(f)
+    cone = mapping_cone(src, tgt, mats, k + 1)
+    for i in range(k + 1):
+        hs, ht, hc = homology(src, i), homology(tgt, i), homology(cone, i)
+        if hs.group != ht.group or hc.group != "0":
+            return f"H_{i}: {hs.group} -> {ht.group}, cone H_{i} = {hc.group}"
+    return None

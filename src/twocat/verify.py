@@ -23,7 +23,8 @@ from .hocolim import (build_E, build_E_pull, check_simplicial_two_category,
                       grothendieck_wbar_comparison, hocolim, hocolim_map,
                       hocolim_level_product_iso, hocolim_wbar_comparison,
                       reversal_bridge_report)
-from .homology import homology, is_homology_iso_upto, normalized_chain_complex
+from .homology import (first_homology_difference, homology, is_homology_iso_upto,
+                       normalized_chain_complex)
 from .manifest import Manifest
 from .nerves import (diag_nn, diag_nn_map, double_nerve, is_category,
                      map_dn_simplex, nerve_category, repackage_staircase,
@@ -281,20 +282,28 @@ def _gated(gate, check):
     return run
 
 
+def _homology_iso(f, k):
+    """`is_homology_iso_upto(f, k)` with its detail: the degrees compared,
+    or on failure the first degree at which f is not an isomorphism."""
+    degrees = f"degrees 0..{k}"
+    if is_homology_iso_upto(f, k):
+        return True, degrees
+    return False, first_homology_difference(f, k) or degrees
+
+
 def suite_invariance(m: Manifest, trunc: int, r: Runner):
     """Homology comparisons of each named entity, behind its gates."""
-    gates, degrees = r.gates, f"degrees 0..{trunc - 2}"
+    gates, k = r.gates, trunc - 2
     for name, C in _sorted(m.two_categories):
-        r.run(f"aw_homology[{name}]", _gated(lambda C=C: gates.category(C), lambda C=C: (
-            is_homology_iso_upto(aw_map(double_nerve(C, trunc)), trunc - 2), degrees)))
+        r.run(f"aw_homology[{name}]", _gated(lambda C=C: gates.category(C), lambda C=C:
+            _homology_iso(aw_map(double_nerve(C, trunc)), k)))
     for name, D in _sorted(m.diagrams):
-        r.run(f"aw_homology_groth[{name}]", _gated(lambda D=D: gates.assembled(D), lambda D=D: (
-            is_homology_iso_upto(aw_map(double_nerve(grothendieck(D), trunc)), trunc - 2),
-            degrees)))
+        r.run(f"aw_homology_groth[{name}]", _gated(lambda D=D: gates.assembled(D), lambda D=D:
+            _homology_iso(aw_map(double_nerve(grothendieck(D), trunc)), k)))
     for name, F in _sorted(m.two_functors):
         def check(F=F):
             fib, G, Pi, iota, wit = projections(F, OVER)
-            return is_homology_iso_upto(diag_nn_map(Pi, trunc), trunc - 2), degrees
+            return _homology_iso(diag_nn_map(Pi, trunc), k)
         r.run(f"projection_homology[{name}]", _gated(lambda F=F: gates.functor(F), check))
     for name, D in _sorted(m.diagrams):
         def check(D=D):
@@ -307,7 +316,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
             XD, XE = tri_diag_nn(SD), tri_diag_nn(SE)
             f = simplicial_map(XD, XE,
                                lambda n, x: map_dn_simplex(maps[n], x))
-            return is_homology_iso_upto(f, trunc - 2), degrees
+            return _homology_iso(f, k)
         r.run(f"hocolim_invariance[{name}]", _gated(lambda D=D: gates.assembled(D), check))
 
 
