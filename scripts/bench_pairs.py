@@ -13,9 +13,17 @@ measured code in any clone that holds the same files.
 Pair k runs every workload once on each side with the k-th seed (the list
 is cycled); the side that runs first alternates from pair to pair.  For
 each workload and each end-to-end metric of `BENCHMARK.json` the output
-holds both sides' runs with their q1, median and q3, the number of pairs
-the change won (strictly better in the metric's direction), and whether
-the medians differ by more than the parent's interquartile range.
+holds both sides' runs with their min, q1, median and q3, the number of
+pairs the change won (strictly better in the metric's direction), whether
+the medians differ by more than the parent's interquartile range, and a
+verdict against the metric's relative `bound`:
+
+- `unresolved`: the parent's interquartile range is more than `bound` of
+  its median, so a shift within the bound cannot be told from noise;
+  `better` instead if every change run beats every parent run;
+- `worse`: the change's median is worse than the parent's by more than
+  `bound` of it;
+- `within`: neither.
 """
 
 from __future__ import annotations
@@ -67,23 +75,37 @@ def run_once(tree, workload, seed, seconds):
 
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": q1, "median": median, "q3": q3, "runs": values}
+    return {"min": min(values), "q1": q1, "median": median, "q3": q3, "runs": values}
 
 
-def compare(pairs, metric, better):
-    """Both sides' quartiles, the change's wins and the significance test
-    over the pairs in which both runs succeeded."""
+def verdict(parent, change, sign, bound):
+    """`better`, `unresolved`, `worse` or `within`, as the module docstring
+    defines them, for two summaries; `sign` is 1 when lower is better."""
+    if (parent["q3"] - parent["q1"]) / parent["median"] > bound:
+        beaten = max(sign * c for c in change["runs"]) < min(sign * p for p in parent["runs"])
+        return "better" if beaten else "unresolved"
+    if sign * (change["median"] - parent["median"]) / parent["median"] > bound:
+        return "worse"
+    return "within"
+
+
+def compare(pairs, metric):
+    """Both sides' quartiles, the change's wins, the significance test and
+    the verdict over the pairs in which both runs succeeded; `metric` is
+    an `end_to_end` entry of `BENCHMARK.json`."""
+    name, better = metric["name"], metric["better"]
     ok = [(p, c) for p, c in pairs if p is not None and c is not None]
     if len(ok) < 2:
         return {"pairs": len(ok)}
-    parent = summary([p[metric] for p, _ in ok])
-    change = summary([c[metric] for _, c in ok])
+    parent = summary([p[name] for p, _ in ok])
+    change = summary([c[name] for _, c in ok])
     sign = 1 if better == "lower" else -1
-    wins = sum(sign * (p[metric] - c[metric]) > 0 for p, c in ok)
+    wins = sum(sign * (p[name] - c[name]) > 0 for p, c in ok)
     gain = sign * (parent["median"] - change["median"])
     return {"better": better, "pairs": len(ok), "wins": wins,
             "parent": parent, "change": change, "median_gain": gain,
-            "beyond_parent_iqr": gain > parent["q3"] - parent["q1"]}
+            "beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
+            "verdict": verdict(parent, change, sign, metric["bound"])}
 
 
 def main(argv=None) -> int:
@@ -122,8 +144,7 @@ def main(argv=None) -> int:
                  "python": platform.python_version()},
         "workloads": {w: {"failed_runs": {side: sum(pair[i] is None for pair in runs[w])
                                           for i, side in enumerate(SIDES)},
-                          **{m["name"]: compare(runs[w], m["name"], m["better"])
-                             for m in spec["end_to_end"]}}
+                          **{m["name"]: compare(runs[w], m) for m in spec["end_to_end"]}}
                       for w in workloads}}
     pathlib.Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib
+import math
 import random
+import signal
+from itertools import combinations
 
 import pytest
 
@@ -8,8 +11,9 @@ from conftest import cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, TwoFunctor, check_cell_map, discrete, product
-from twocat.homology import (HomologyResult, chain_map, homology,
-                             invariant_factors, is_homology_iso_upto,
+from twocat import verify
+from twocat.homology import (HomologyResult, chain_map, first_homology_difference,
+                             homology, invariant_factors, is_homology_iso_upto,
                              mapping_cone, nondegenerate_levels,
                              normalized_chain_complex, smith_normal_form)
 from twocat.manifest import parse
@@ -38,6 +42,84 @@ def test_snf_known_matrices():
     assert smith_normal_form([[6, 0], [0, 10]]) == [2, 30]
     assert smith_normal_form([[0, 0], [0, 0]]) == []
     assert smith_normal_form([[2]]) == [2]
+
+
+def det(M):
+    """The exact determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination."""
+    M = [row[:] for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap], sign = M[swap], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def determinantal_factors(M):
+    """The invariant factors d_k = D_k / D_(k-1) up to the rank, where D_k
+    is the gcd of all k x k minors of M."""
+    m, n = len(M), len(M[0])
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        D = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                D = math.gcd(D, det([[M[i][j] for j in cols] for i in rows]))
+        if not D:
+            break
+        out.append(D // prev)
+        prev = D
+    return out
+
+
+def test_invariant_factors_match_determinantal_divisors():
+    # every third matrix has no unit entry, as a remainder left by the
+    # sparse unit phase has none
+    rng = random.Random(5)
+    for trial in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        values = [v for v in range(-9, 10) if trial % 3 or abs(v) != 1]
+        density = rng.random()
+        M = [[rng.choice(values) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)]
+        expected = determinantal_factors(M)
+        assert smith_normal_form(M) == expected, M
+        assert invariant_factors(sparse(M)) == expected, M
+
+
+# A seeded 10 x 10 matrix with entries in {0, +-2, 3, 4, 6} and so no unit
+# entry.  Smith elimination that keeps its pivot position grows some entry
+# of it past thousands of digits and does not finish in seconds.
+BLOW_UP = [[2, 6, 3, 2, 6, -2, 3, 6, 3, 4], [3, 2, -2, 2, -2, 0, 6, 2, 3, 3],
+           [6, 6, 4, 4, 3, 0, 3, 3, 4, 6], [-2, 0, 2, 2, -2, 0, 4, 2, 0, 6],
+           [6, 2, 0, 2, 0, 0, -2, 4, 0, -2], [-2, 0, 6, 2, 6, 4, 0, -2, 2, -2],
+           [6, 6, 0, 4, 4, 4, 6, -2, -2, 2], [4, 4, 0, 0, 6, -2, 2, 6, 6, -2],
+           [4, 6, 0, 4, -2, 0, 6, 3, 4, 0], [6, 2, 2, -2, 2, -2, -2, 4, 6, 0]]
+BLOW_UP_FACTORS = [1, 1, 1, 1, 2, 2, 2, 2, 4, 59660]
+
+
+def test_snf_without_coefficient_blow_up():
+    def timeout(signum, frame):
+        raise TimeoutError("Smith normal form still running after 5 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        transpose = [list(col) for col in zip(*BLOW_UP)]
+        assert smith_normal_form(BLOW_UP) == BLOW_UP_FACTORS
+        assert smith_normal_form(transpose) == BLOW_UP_FACTORS
+        assert invariant_factors(sparse(BLOW_UP)) == BLOW_UP_FACTORS
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert math.prod(BLOW_UP_FACTORS) == abs(det(BLOW_UP))
 
 
 def group_map(n, m, k):
@@ -131,6 +213,31 @@ def test_abstract_clause_detects_non_iso_with_acyclic_cone():
     assert not is_homology_iso_upto(f, 1)
     cone = mapping_cone(*chain_map(f), 2)
     assert [homology(cone, i) for i in range(2)] == [HomologyResult(i, 0, ()) for i in range(2)]
+
+
+def to_point(n):
+    """B(Z/n) -> PT."""
+    return TwoFunctor(cyclic_group(n), pt(), {"*": "*"}, {f"g{i}": "1" for i in range(n)},
+                      {f"e{i}": "11" for i in range(n)}, name=f"Z/{n} -> pt")
+
+
+def test_first_homology_difference_names_the_degree():
+    f = diag_nn_map(to_point(2), 3)
+    assert first_homology_difference(f, 0) is None
+    assert first_homology_difference(f, 1) == "H_1: Z/2 -> 0, cone H_1 = 0"
+    # the cone alone sees g -> 2g on Z/4
+    g = diag_nn_map(group_map(4, 4, 2), 3)
+    assert first_homology_difference(g, 1) == "H_1: Z/4 -> Z/4, cone H_1 = Z/2"
+
+
+def test_failing_invariance_check_says_why(monkeypatch):
+    f = diag_nn_map(to_point(2), 3)
+    monkeypatch.setattr(verify, "diag_nn_map", lambda F, n: f)
+    checks = verify.run_suite(parse(bundled_manifest_path()), "invariance", trunc=3)["checks"]
+    projections = [c for c in checks if c["name"].startswith("projection_homology[")]
+    assert projections and all(c["status"] == "fail" for c in projections)
+    assert {c["detail"] for c in projections} == {"H_1: Z/2 -> 0, cone H_1 = 0"}
+    assert all(c["detail"] == "degrees 0..1" for c in checks if c["status"] == "pass")
 
 
 def test_automorphism_of_cyclic_group_is_iso():

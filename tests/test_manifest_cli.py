@@ -121,6 +121,38 @@ def test_corpus_generator_reproduces_bundled_data(tmp_path, monkeypatch):
         assert (tmp_path / rel).read_bytes() == (bundled / rel).read_bytes(), rel
 
 
+def test_bench_pairs_states_each_metric_verdict(monkeypatch):
+    # scripts/bench_pairs.py judges each metric against its relative bound
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    script = README.parent / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    lower = {"name": "wall_s", "better": "lower", "bound": 0.25}
+    higher = {"name": "checks", "better": "higher", "bound": 0.25}
+    steady = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0, 1.03, 0.97, 1.0, 1.01]
+    bimodal = [0.06, 0.11] * 5   # interquartile range about 80 % of the median
+
+    def compare(metric, parent, change):
+        run = lambda v: None if v is None else {metric["name"]: v}
+        return bench.compare([(run(p), run(c)) for p, c in zip(parent, change)], metric)
+
+    out = compare(lower, steady, [1.1 * v for v in steady])
+    assert out["verdict"] == "within" and out["wins"] == 0
+    assert out["parent"]["min"] == 0.97 and out["change"]["min"] == 1.1 * 0.97
+    assert compare(lower, steady, [1.3 * v for v in steady])["verdict"] == "worse"
+    assert compare(lower, steady, [0.5 * v for v in steady])["verdict"] == "within"
+    assert compare(lower, bimodal, [1.3 * v for v in bimodal])["verdict"] == "unresolved"
+    assert compare(lower, bimodal, [0.05] * 10)["verdict"] == "better"
+    assert compare(lower, bimodal, [0.05] * 9 + [0.07])["verdict"] == "unresolved"
+    assert compare(higher, steady, [0.7 * v for v in steady])["verdict"] == "worse"
+    assert compare(higher, bimodal, [0.12] * 10)["verdict"] == "better"
+    # pairs with a failed run on either side are left out
+    out = compare(lower, [None] + steady[1:], steady[:9] + [None])
+    assert out["pairs"] == 8 and out["verdict"] == "within"
+    assert compare(lower, [None, 1.0], [1.0, 1.0]) == {"pairs": 1}
+
+
 def test_cli_validate_exit_zero():
     code, out = run_cli("validate")
     assert code == 0
