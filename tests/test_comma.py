@@ -148,6 +148,8 @@ def test_retraction_R_contravariant(cx):
     for c in g.source.base.objects:
         for y in g.target.ob[c].objects:
             K, L, R, sec, wit = retraction_R(g, c, y, UNDER)
+            assert check_cell_map("two_functor", R).ok
+            assert check_cell_map("two_functor", sec).ok
             assert functor_equal(compose_functors(R, sec), identity_functor(L))
             assert check_cell_map("oplax", wit).ok
 
@@ -169,6 +171,9 @@ def test_section_jz_iz_under(cx):
     for c in ("0", "1"):
         for z in cx.Dcov.ob[c].objects:
             K0, K1, jz, pibar, iz, wit = section_jz_iz(Fc, cx.Dcov, c, z, UNDER)
+            assert check_cell_map("two_functor", jz).ok
+            assert check_cell_map("two_functor", pibar).ok
+            assert check_cell_map("two_functor", iz).ok
             assert functor_equal(compose_functors(pibar, iz),
                                  identity_functor(K0))
             assert check_cell_map("oplax", wit).ok
