@@ -198,35 +198,39 @@ def projections(F: TwoFunctor, side: str = OVER):
     return fib, G, Pi, iota, witness
 
 
+def _witness(K, X, into, comp, nat_at, name):
+    """The oplax transformation X => 1_K if `into`, else 1_K => X, with the
+    components comp; its naturality 2-cell at a 1-cell m of K is nat_at(m,
+    s, t), between s = G(m) o comp[a] and t = comp[b] o F(m) for the
+    transformation's F => G and m: a -> b."""
+    one = identity_functor(K)
+    Fw, Gw = (X, one) if into else (one, X)
+    nat = {m: nat_at(m, K.comp1(Gw.f1(m), comp[a]), K.comp1(comp[b], Fw.f1(m)))
+           for m, (a, b) in K.one_cells.items()}
+    return OplaxTransformation(Fw, Gw, comp, nat, name=name)
+
+
 def _projection_witness(F, side, G, Pi, iota):
+    """over: iota Pi => 1; under: 1 => iota Pi."""
     A, C = F.source, F.target
-    IP = compose_functors(iota, Pi)
-    one = identity_functor(G)
-    # over: witness iota Pi => 1; under: witness 1 => iota Pi
-    Fw, Gw = (IP, one) if side == OVER else (one, IP)
     comp = {}
     for o in G.objects:
         c, (a, p) = o
         p0 = C.id1[F.o(a)]
         if side == OVER:
             # (p, (1_a, 1_p)): (Fa, (a, 1_Fa)) -> (c, (a, p))
-            inner = (A.id1[a], C.id2[p], C.comp1(p, p0), p)
+            comp[o] = (p, (A.id1[a], C.id2[p], C.comp1(p, p0), p), (a, p0), (a, p))
         else:
             # (p, (1_a, 1_p)): (c, (a, p)) -> (Fa, (a, 1_Fa))
-            inner = (A.id1[a], C.id2[p], p, p)
-        comp[o] = (p, inner, (a, p0), (a, p)) if side == OVER else \
-                  (p, inner, (a, p), (a, p0))
-    nat = {}
-    for m in G.one_cells:
-        src_o, tgt_o = G.one_cells[m]
-        gf_side = G.comp1(Gw.f1(m), comp[src_o])
-        ff_side = G.comp1(comp[tgt_o], Fw.f1(m))
-        phi = m[1][1]  # the comma datum of the inner 1-cell
+            comp[o] = (p, (A.id1[a], C.id2[p], p, p), (a, p), (a, p0))
+
+    def nat_at(m, s, t):
+        # base slot: the comma datum of the inner 1-cell
         inner_al = A.id2[m[1][0]]
-        nat[m] = forced_two_cell(G, phi, gf_side, ff_side,
-                                 lambda t: t[1][0] == inner_al)
-    return OplaxTransformation(Fw, Gw, comp, nat,
-                               name=f"proj_witness({F.name},{side})")
+        return forced_two_cell(G, m[1][1], s, t, lambda x: x[1][0] == inner_al)
+
+    return _witness(G, compose_functors(iota, Pi), side == OVER, comp, nat_at,
+                    f"proj_witness({F.name},{side})")
 
 
 # ---------------------------------------------------------------------------
@@ -256,48 +260,27 @@ def retraction_R(gamma, c, y, side: str = OVER):
     L = comma(gamma.at(c), y, side)
     e1 = C.id1[c]
 
-    def transport(p, x):
-        return D.one[p].o(x)
+    def r_obj(o):
+        (a, x), P = o
+        return (D.one[P[0]].o(x), P[1])
 
-    if side == OVER:
-        def r_obj(o):
-            (a, x), (p, v, gx, yy) = o
-            return (transport(p, x), v)
-
-        def r_one(m):
-            (f, u, x, x2), (al, psi, v, vt, gx, yy), P, P2 = m
-            p, p2 = P[0], P2[0]
-            w = Dc.comp1(D.one[p2].f1(u), D.two[al].at(x))
-            return (w, psi, P[1], P2[1])
-
-        def r_two(t):
-            (be, phi, u, u2, x, x2) = t[0]
-            m_src, m_tgt = K.two_cells[t][0], K.two_cells[t][1]
-            p2 = m_src[3][0]
-            al = m_src[1][0]
-            base = Dc.hcomp(D.one[p2].f2(phi), Dc.unit2(D.two[al].at(x)))
-            return forced_two_cell(L, base, r_one(m_src), r_one(m_tgt))
-    else:
-        def r_obj(o):
-            (a, x), (p, v, yy, gx) = o
-            return (transport(p, x), v)
-
-        def r_one(m):
-            M, Phi, P, P2 = m
-            (f, u, x, x2) = M
-            (al, psi, v, vt, yy, gx) = Phi
-            p, p2 = P[0], P2[0]
+    def r_one(m):
+        (f, u, x, x2), (al, psi, *_), P, P2 = m
+        if side == OVER:
+            w = Dc.comp1(D.one[P2[0]].f1(u), D.two[al].at(x))
+        else:
             # al: f o p => p'; image 1-cell al^*x' o p^*u
-            w = Dc.comp1(D.two[al].at(x2), D.one[p].f1(u))
-            return (w, psi, P[1], P2[1])
+            w = Dc.comp1(D.two[al].at(x2), D.one[P[0]].f1(u))
+        return (w, psi, P[1], P2[1])
 
-        def r_two(t):
-            (be, phi, u, u2, x, x2) = t[0]
-            m_src, m_tgt = K.two_cells[t][0], K.two_cells[t][1]
-            p = m_src[2][0]
-            al2 = m_tgt[1][0]
-            base = Dc.hcomp(Dc.unit2(D.two[al2].at(x2)), D.one[p].f2(phi))
-            return forced_two_cell(L, base, r_one(m_src), r_one(m_tgt))
+    def r_two(t):
+        (be, phi, u, u2, x, x2) = t[0]
+        m_src, m_tgt = K.two_cells[t]
+        if side == OVER:
+            base = Dc.hcomp(D.one[m_src[3][0]].f2(phi), Dc.unit2(D.two[m_src[1][0]].at(x)))
+        else:
+            base = Dc.hcomp(Dc.unit2(D.two[m_tgt[1][0]].at(x2)), D.one[m_src[2][0]].f2(phi))
+        return forced_two_cell(L, base, r_one(m_src), r_one(m_tgt))
 
     R = TwoFunctor(K, L,
                    {o: r_obj(o) for o in K.objects},
@@ -342,43 +325,34 @@ def retraction_R(gamma, c, y, side: str = OVER):
                          {t: s_two(t) for t in L.two_cells},
                          name=f"cbar({gamma.name},{c},{y})")
 
-    witness = _retraction_witness(gamma, c, y, side, K, R, section, GD, GE, intG)
+    witness = _retraction_witness(gamma, c, side, K, R, section, GD, GE)
     return K, L, R, section, witness
 
 
-def _retraction_witness(gamma, c, y, side, K, R, section, GD, GE, intG):
+def _retraction_witness(gamma, c, side, K, R, section, GD, GE):
+    """over: 1 => section R; under: section R => 1."""
     D = gamma.source
-    C = D.base
-    SR = compose_functors(section, R)
-    one = identity_functor(K)
-    # over: 1 => section R ; under: section R => 1
-    Fw, Gw = (one, SR) if side == OVER else (SR, one)
-    e1 = C.id1[c]
+    Dc = D.ob[c]
     comp = {}
     for o in K.objects:
         (a, x), P = o
         p = P[0]
         w = D.one[p].o(x)
+        S = section.on_obj[R.on_obj[o]][1]
         if side == OVER:
-            M = (p, D.ob[c].id1[w], x, w)
-            comp[o] = (M, GE.unit2(P), P, section.on_obj[R.on_obj[o]][1])
+            comp[o] = ((p, Dc.id1[w], x, w), GE.unit2(P), P, S)
         else:
-            M = (p, D.ob[c].id1[w], w, x)
-            comp[o] = (M, GE.unit2(P), section.on_obj[R.on_obj[o]][1], P)
-    nat = {}
-    for m in K.one_cells:
-        src_o, tgt_o = K.one_cells[m]
-        gf_side = K.comp1(Gw.f1(m), comp[src_o])
-        ff_side = K.comp1(comp[tgt_o], Fw.f1(m))
+            comp[o] = ((p, Dc.id1[w], w, x), GE.unit2(P), S, P)
+
+    def nat_at(m, s, t):
         # base slot: the comma datum al of m with identity fibre part
         al = m[1][0]
-        a, b = C.one_cells[C.dom2(al)]
-        fibre = D.ob[b] if D.variance == COVARIANT else D.ob[a]
-        theta = forced_two_cell(GD, al, gf_side[0], ff_side[0],
-                                lambda t: t[1] in fibre.id2.values())
-        nat[m] = forced_two_cell(K, theta, gf_side, ff_side)
-    return OplaxTransformation(Fw, Gw, comp, nat,
-                               name=f"retr_witness({gamma.name})")
+        fibre = D.ob[D.ends(D.base.dom2(al))[1]]
+        theta = forced_two_cell(GD, al, s[0], t[0], lambda x: x[1] in fibre.id2.values())
+        return forced_two_cell(K, theta, s, t)
+
+    return _witness(K, compose_functors(section, R), side == UNDER, comp, nat_at,
+                    f"retr_witness({gamma.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +367,7 @@ def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER):
     Returns (K0, K1, j_z, pibar, i_z, witness) where K0 is the homotopy fibre
     of F at c and K1 the comma of the comparison 2-functor at (c, z).
     """
-    A, C = F.source, F.target
+    A = F.source
     cov = D.variance == COVARIANT
     if (side == OVER) == cov:
         raise TwoCatError("section_jz_iz: side over needs a contravariant "
@@ -472,37 +446,28 @@ def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER):
     i_z = TwoFunctor(K0, K1, {o: iz_obj(o) for o in K0.objects},
                      iz_on_one, iz_on_two, name=f"i_{z}")
 
-    witness = _section_witness(F, D, side, K1, pibar, i_z, GD, GFD, Fbar)
+    witness = _section_witness(F, side, K1, pibar, i_z, GD, GFD)
     return K0, K1, j_z, pibar, i_z, witness
 
 
-def _section_witness(F, D, side, K1, pibar, i_z, GD, GFD, Fbar):
+def _section_witness(F, side, K1, pibar, i_z, GD, GFD):
+    """over: 1 => i_z pibar; under: i_z pibar => 1."""
     A = F.source
     IZP = compose_functors(i_z, pibar)
-    one = identity_functor(K1)
-    # over: witness 1 => i_z pibar; under: witness i_z pibar => 1
-    Fw, Gw = (one, IZP) if side == OVER else (IZP, one)
     comp = {}
     for o in K1.objects:
         (a, x), P = o
-        v = P[1]
         tgt_o = IZP.o(o)
         if side == OVER:
-            M_w = (A.id1[a], v, x, tgt_o[0][1])
-            comp[o] = (M_w, GD.unit2(P), P, tgt_o[1])
+            comp[o] = ((A.id1[a], P[1], x, tgt_o[0][1]), GD.unit2(P), P, tgt_o[1])
         else:
-            M_w = (A.id1[a], v, tgt_o[0][1], x)
-            comp[o] = (M_w, GD.unit2(P), tgt_o[1], P)
-    nat = {}
-    for m in K1.one_cells:
-        src_o, tgt_o = K1.one_cells[m]
-        gf_side = K1.comp1(Gw.f1(m), comp[src_o])
-        ff_side = K1.comp1(comp[tgt_o], Fw.f1(m))
-        beta = m[1][1]  # fibre slot of the comma datum of m
-        S_M, T_M = gf_side[0], ff_side[0]
-        theta = (A.id2[m[0][0]], beta, S_M[1], T_M[1], S_M[2], S_M[3])
+            comp[o] = ((A.id1[a], P[1], tgt_o[0][1], x), GD.unit2(P), tgt_o[1], P)
+
+    def nat_at(m, s, t):
+        # the fibre slot of the comma datum of m over the identity of its base
+        theta = (A.id2[m[0][0]], m[1][1], s[0][1], t[0][1], s[0][2], s[0][3])
         if theta not in GFD.two_cells:
             raise TwoCatError(f"section witness: naturality base missing at {m!r}")
-        nat[m] = forced_two_cell(K1, theta, gf_side, ff_side)
-    return OplaxTransformation(Fw, Gw, comp, nat,
-                               name="section_witness")
+        return forced_two_cell(K1, theta, s, t)
+
+    return _witness(K1, IZP, side == UNDER, comp, nat_at, "section_witness")

@@ -235,7 +235,8 @@ def renaming_morphism(D: TwoDiagram) -> DiagramMorphism:
     for c in D.base.objects:
         renamed[c], isos[c] = _renamed_copy(D.ob[c])
 
-    def conj_functor(F: TwoFunctor, a, b):
+    def conj_functor(f):
+        F, (a, b) = D.one[f], D.ends(f)
         ia, ib = isos[a], isos[b]
         return TwoFunctor(renamed[a], renamed[b],
                           {ia.o(x): ib.o(F.o(x)) for x in F.source.objects},
@@ -243,18 +244,12 @@ def renaming_morphism(D: TwoDiagram) -> DiagramMorphism:
                           {ia.f2(t): ib.f2(F.f2(t)) for t in F.source.two_cells},
                           name=f"{F.name}_r")
 
-    cov = D.variance == COVARIANT
-    one, two = {}, {}
-    for f, (a, b) in D.base.one_cells.items():
-        s, t = (a, b) if cov else (b, a)
-        one[f] = conj_functor(D.one[f], s, t)
-    for al, (f, _) in D.base.two_cells.items():
-        a, b = D.base.one_cells[f]
-        s, t = (a, b) if cov else (b, a)
-        it = isos[t]
+    one = {f: conj_functor(f) for f in D.base.one_cells}
+    two = {}
+    for al, (f, g) in D.base.two_cells.items():
+        s, t = D.ends(f)
         two[al] = TwoNaturalTransformation(
-            one[f], one[D.base.cod2(al)],
-            {isos[s].o(x): it.f1(D.two[al].at(x)) for x in D.ob[s].objects})
+            one[f], one[g], {isos[s].o(x): isos[t].f1(D.two[al].at(x)) for x in D.ob[s].objects})
     E = TwoDiagram(D.base, D.variance, renamed, one, two, name=f"{D.name}_r")
     return DiagramMorphism(D, E, isos, name=f"ren({D.name})")
 
@@ -650,6 +645,12 @@ class TwoDiagram:
     two: dict   # base 2-cell -> TwoNaturalTransformation
     name: str = ""
 
+    def ends(self, f) -> tuple:
+        """(s, t): the base objects whose fibres the transport along the base
+        1-cell f runs between, one[f]: D_s -> D_t."""
+        a, b = self.base.one_cells[f]
+        return (a, b) if self.variance == COVARIANT else (b, a)
+
 
 def validate_diagram(D: TwoDiagram) -> ValidationReport:
     """Strict functoriality of a 2-diagram, including the 2-cell level.  The
@@ -666,12 +667,12 @@ def validate_diagram(D: TwoDiagram) -> ValidationReport:
             r.add(f"{where}: {v}")
     if not r.ok:
         return r
-    for f, (a, b) in C.one_cells.items():
+    for f in C.one_cells:
         F = D.one.get(f)
         if F is None:
             r.add(f"no transport at 1-cell {f}")
             continue
-        src, tgt = (a, b) if cov else (b, a)
+        src, tgt = D.ends(f)
         if not (same_category(F.source, D.ob[src]) and same_category(F.target, D.ob[tgt])):
             r.add(f"transport at {f} has wrong source or target fibre")
             continue
@@ -749,13 +750,18 @@ class DiagramMorphism:
 
 
 def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
-    """Whether G's components are 2-functors that commute strictly with the
-    transports; G's source and target are taken to be valid diagrams (see
-    `validate_diagram`)."""
+    """Whether G's source and target are valid diagrams (`validate_diagram`,
+    reported as "source: ..." and "target: ...") and, once both are, whether
+    G's components are 2-functors that commute strictly with the
+    transports."""
     r = ValidationReport()
     D, E = G.source, G.target
+    for where, X in (("source", D), ("target", E)):
+        for v in validate_diagram(X).violations:
+            r.add(f"{where}: {v}")
+    if not r.ok:
+        return r
     C = D.base
-    cov = D.variance == COVARIANT
     for c in C.objects:
         F = G.comp.get(c)
         if F is None or not (same_category(F.source, D.ob[c])
@@ -765,20 +771,15 @@ def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
         r.merge(check_cell_map("two_functor", F))
     if not r.ok:
         return r
-    for f, (a, b) in C.one_cells.items():
-        if cov:
-            lhs = compose_functors(G.comp[b], D.one[f])
-            rhs = compose_functors(E.one[f], G.comp[a])
-        else:
-            lhs = compose_functors(G.comp[a], D.one[f])
-            rhs = compose_functors(E.one[f], G.comp[b])
-        if not functor_equal(lhs, rhs):
+    for f in C.one_cells:
+        s, t = D.ends(f)
+        if not functor_equal(compose_functors(G.comp[t], D.one[f]),
+                             compose_functors(E.one[f], G.comp[s])):
             r.add(f"naturality fails at 1-cell {f}")
-    for al, (f, g) in C.two_cells.items():
-        a, b = C.one_cells[f]
+    for al, (f, _) in C.two_cells.items():
         # H * D(al) against E(al) * K, with H, K the components at the
         # transports' target and source
-        H, K = (G.comp[b], G.comp[a]) if cov else (G.comp[a], G.comp[b])
+        K, H = (G.comp[c] for c in D.ends(f))
         s, t = D.two[al], E.two[al]
         if ({c: H.f1(x) for c, x in s.comp.items()}
                 != {c: t.comp[K.o(c)] for c in K.source.objects}):

@@ -41,8 +41,7 @@ def grothendieck(D: TwoDiagram) -> TwoCategory:
 
     two = {}
     for al, (f, g) in C.two_cells.items():
-        a, b = C.one_cells[f]
-        fib = D.ob[b] if cov else D.ob[a]
+        fib = D.ob[D.ends(f)[1]]
         nat = D.two[al]
         for (f1, u, x, y), _ in list(one.items()):
             if f1 != f:
@@ -69,9 +68,7 @@ def grothendieck(D: TwoDiagram) -> TwoCategory:
         id1[(a, x)] = (C.id1[a], D.ob[a].id1[x], x, x)
     id2 = {}
     for (f, u, x, y) in one:
-        a, b = C.one_cells[f]
-        fib = D.ob[b] if cov else D.ob[a]
-        id2[(f, u, x, y)] = (C.id2[f], fib.id2[u], u, u, x, y)
+        id2[(f, u, x, y)] = (C.id2[f], D.ob[D.ends(f)[1]].id2[u], u, u, x, y)
 
     def comp1_fn(gc, fc):
         f, u, x, y = fc
@@ -139,7 +136,6 @@ def projection_functor(D: TwoDiagram, G: TwoCategory = None) -> TwoFunctor:
 def grothendieck_morphism(gamma: DiagramMorphism, GD=None, GE=None) -> TwoFunctor:
     """The induced 2-functor between the assembled 2-categories."""
     D, E = gamma.source, gamma.target
-    cov = D.variance == COVARIANT
     GD = GD if GD is not None else grothendieck(D)
     GE = GE if GE is not None else grothendieck(E)
     C = D.base
@@ -148,13 +144,13 @@ def grothendieck_morphism(gamma: DiagramMorphism, GD=None, GE=None) -> TwoFuncto
     on_one = {}
     for (f, u, x, y) in GD.one_cells:
         a, b = C.one_cells[f]
-        side = gamma.at(b) if cov else gamma.at(a)
+        side = gamma.at(D.ends(f)[1])
         on_one[(f, u, x, y)] = (f, side.f1(u), gamma.at(a).o(x), gamma.at(b).o(y))
     on_two = {}
     for (al, phi, u, v, x, y) in GD.two_cells:
         f = C.dom2(al)
         a, b = C.one_cells[f]
-        side = gamma.at(b) if cov else gamma.at(a)
+        side = gamma.at(D.ends(f)[1])
         on_two[(al, phi, u, v, x, y)] = (al, side.f2(phi), side.f1(u), side.f1(v),
                                          gamma.at(a).o(x), gamma.at(b).o(y))
     return TwoFunctor(GD, GE, on_obj, on_one, on_two, name=f"int({gamma.name})")

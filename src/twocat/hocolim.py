@@ -17,7 +17,14 @@ u^0..u^n with 2-cells phi^1..phi^n between them.  Covariant columns run
 from the transported x_{m-1} along the top base row into x_m and are
 re-whiskered by the top vertical face; contravariant columns run from
 x_{m-1} into the pullback of x_m along the bottom base row and are
-re-whiskered by the bottom vertical face.
+re-whiskered by the bottom vertical face.  Column m, (ucols[m-1],
+phicols[m-1]), is a column of the hosting fibre in the sense of `nerves`,
+and E's rules are `nerves`' column operations: an inner horizontal face
+merges two columns (`_merge_cols`) once one is carried into the other's
+fibre (`_col_image`), the twisted vertical face merges each column with a
+constant whisker column, a horizontal degeneracy inserts an identity column
+(`_identity_col`), and the other vertical maps are `_col_face` and
+`_col_degen` column by column.
 
 The colimit's checks read the cells of its levels, tagged with their
 dimension, as a simplicial set (`_cells`) and go through the simplicial
@@ -34,8 +41,9 @@ from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    check_cell_map, coproduct, diagram_over_opposite,
                    hom_category, product, discrete, relabel, validate)
 from .grothendieck import grothendieck
-from .nerves import (_col_degen, _col_face, double_nerve, hom_chains,
-                     map_dn_simplex, nerve_category, wbar_double_nerve)
+from .nerves import (_col_degen, _col_face, _col_image, _identity_col, _merge_cols,
+                     double_nerve, hom_chains, map_dn_simplex, nerve_category,
+                     wbar_double_nerve)
 from .simplicial import (SimplicialMap, TruncatedMultisimplicialSet,
                          TruncatedSimplicialSet, bisimplicial_from_family,
                          build_simplicial, build_trisimplicial,
@@ -118,6 +126,17 @@ def _chains(C: TwoCategory, p):
     return chains
 
 
+def _cellwise(chain_fn, data_fn, src, tgt, name=""):
+    """The 2-functor src -> tgt sending each cell (chain, data) of a level
+    to (chain_fn(chain), data_fn(chain, data, kind)), kind "obj", "one" or
+    "two" by dimension."""
+    return TwoFunctor(src, tgt,
+                      {o: (chain_fn(o[0]), data_fn(o[0], o[1], "obj")) for o in src.objects},
+                      {f: (chain_fn(f[0]), data_fn(f[0], f[1], "one")) for f in src.one_cells},
+                      {t: (chain_fn(t[0]), data_fn(t[0], t[1], "two")) for t in src.two_cells},
+                      name=name)
+
+
 def hocolim(D: TwoDiagram, n_max: int) -> SimplicialTwoCategory:
     C = D.base
     cov = D.variance == COVARIANT
@@ -136,43 +155,28 @@ def hocolim(D: TwoDiagram, n_max: int) -> SimplicialTwoCategory:
 
     levels = [level_cat(p) for p in range(n_max + 1)]
     off = 1 if cov else 0  # index of the first hom slot in the data tuple
-
-    def cellwise(chain_fn, data_fn, src, tgt):
-        return TwoFunctor(src, tgt,
-                          {o: (chain_fn(o[0]), data_fn(o[0], o[1], "obj")) for o in src.objects},
-                          {f: (chain_fn(f[0]), data_fn(f[0], f[1], "one")) for f in src.one_cells},
-                          {t: (chain_fn(t[0]), data_fn(t[0], t[1], "two")) for t in src.two_cells})
+    # the positions of the fibre value and of the hom slot beside it in the
+    # data tuple: the value lies over ch[v], its transport over ch[h]
+    v, h = (0, 1) if cov else (-1, -2)
 
     def face_functor(p, i):
         src, tgt = levels[p], levels[p - 1]
         chain_fn = lambda ch: ch[:i] + ch[i + 1:]
 
-        if cov and i == 0:
+        if i == (0 if cov else p):
+            # the twisted face: the fibre value transported along its hom slot
             def data_fn(ch, d, kind):
-                val, g1, rest = d[0], d[1], d[2:]
-                fib0, fib1 = D.ob[ch[0]], D.ob[ch[1]]
+                val, g = d[v], d[h]
                 if kind == "obj":
-                    return (D.one[g1].o(val),) + rest
-                if kind == "one":
-                    x = fib0.dom1(val)
-                    w = fib1.comp1(D.one[C.cod2(g1)].f1(val), D.two[g1].at(x))
-                    return (w,) + rest
-                x = fib0.dom1(fib0.dom2(val))
-                w = fib1.hcomp(D.one[C.cod2(g1)].f2(val), fib1.unit2(D.two[g1].at(x)))
-                return (w,) + rest
-        elif (not cov) and i == p:
-            def data_fn(ch, d, kind):
-                rest, gp, val = d[:-2], d[-2], d[-1]
-                fibp, fibq = D.ob[ch[p]], D.ob[ch[p - 1]]
-                if kind == "obj":
-                    return rest + (D.one[gp].o(val),)
-                if kind == "one":
-                    x = fibp.dom1(val)
-                    w = fibq.comp1(D.one[C.cod2(gp)].f1(val), D.two[gp].at(x))
-                    return rest + (w,)
-                x = fibp.dom1(fibp.dom2(val))
-                w = fibq.hcomp(D.one[C.cod2(gp)].f2(val), fibq.unit2(D.two[gp].at(x)))
-                return rest + (w,)
+                    w = D.one[g].o(val)
+                else:
+                    fib, tfib, tr = D.ob[ch[v]], D.ob[ch[h]], D.one[C.cod2(g)]
+                    if kind == "one":
+                        w = tfib.comp1(tr.f1(val), D.two[g].at(fib.dom1(val)))
+                    else:
+                        x = fib.dom1(fib.dom2(val))
+                        w = tfib.hcomp(tr.f2(val), tfib.unit2(D.two[g].at(x)))
+                return (w,) + d[2:] if cov else d[:-2] + (w,)
         else:
             def data_fn(ch, d, kind):
                 if i == 0:
@@ -183,7 +187,7 @@ def hocolim(D: TwoDiagram, n_max: int) -> SimplicialTwoCategory:
                 comp = C.comp1 if kind == "obj" else C.hcomp
                 return d[:k] + (comp(d[k + 1], d[k]),) + d[k + 2:]
 
-        return cellwise(chain_fn, data_fn, src, tgt)
+        return _cellwise(chain_fn, data_fn, src, tgt)
 
     def degen_functor(p, i):
         src, tgt = levels[p], levels[p + 1]
@@ -194,7 +198,7 @@ def hocolim(D: TwoDiagram, n_max: int) -> SimplicialTwoCategory:
             k = off + i
             return d[:k] + (e,) + d[k:]
 
-        return cellwise(chain_fn, data_fn, src, tgt)
+        return _cellwise(chain_fn, data_fn, src, tgt)
 
     faces = {(p, i): face_functor(p, i)
              for p in range(1, n_max + 1) for i in range(p + 1)}
@@ -208,25 +212,17 @@ def hocolim_map(gamma: DiagramMorphism, SD: SimplicialTwoCategory,
                 SE: SimplicialTwoCategory):
     """Levelwise 2-functors induced by a diagram morphism; they commute with
     every structure 2-functor."""
-    D = gamma.source
-    cov = D.variance == COVARIANT
-    out = []
-    for p in range(SD.n_max + 1):
-        def data_fn(ch, d, kind, p=p):
-            g = gamma.at(ch[0] if cov else ch[-1])
-            move = {"obj": g.o, "one": g.f1, "two": g.f2}[kind]
-            if cov:
-                return (move(d[0]),) + d[1:]
-            return d[:-1] + (move(d[-1]),)
+    cov = gamma.source.variance == COVARIANT
 
-        src, tgt = SD.level(p), SE.level(p)
-        out.append(TwoFunctor(
-            src, tgt,
-            {o: (o[0], data_fn(o[0], o[1], "obj")) for o in src.objects},
-            {f: (f[0], data_fn(f[0], f[1], "one")) for f in src.one_cells},
-            {t: (t[0], data_fn(t[0], t[1], "two")) for t in src.two_cells},
-            name=f"{gamma.name}_{p}"))
-    return out
+    def data_fn(ch, d, kind):
+        # the fibre value, first or last in the data tuple, sent through the
+        # component at the matching end of the chain
+        g = gamma.at(ch[0] if cov else ch[-1])
+        move = {"obj": g.o, "one": g.f1, "two": g.f2}[kind]
+        return (move(d[0]),) + d[1:] if cov else d[:-1] + (move(d[-1]),)
+
+    return [_cellwise(lambda ch: ch, data_fn, SD.level(p), SE.level(p), f"{gamma.name}_{p}")
+            for p in range(SD.n_max + 1)]
 
 
 def hocolim_level_product_iso(S: SimplicialTwoCategory, D: TwoDiagram, p: int):
@@ -320,60 +316,48 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
                 return (nbase, xs[1:], ucols[1:], phicols[1:])
             if i == p:
                 return (nbase, xs[:-1], ucols[:-1], phicols[:-1])
-            u1, u2 = ucols[i - 1], ucols[i]
-            f1, f2 = phicols[i - 1], phicols[i]
+            # columns i and i + 1 merged: covariantly in the fibre of column
+            # i + 1, column i transported along the top row of base column
+            # i + 1; contravariantly in the fibre of column i, column i + 1
+            # pulled back along the bottom row of base column i
+            col1, col2 = (ucols[i - 1], phicols[i - 1]), (ucols[i], phicols[i])
             if cov:
-                fib = D.ob[objs[i + 1]]
-                tr = D.one[fcols[i][q]]
-                us = tuple(fib.comp1(b, tr.f1(a)) for a, b in zip(u1, u2))
-                ph = tuple(fib.hcomp(b, tr.f2(a)) for a, b in zip(f1, f2))
+                us, ph = _merge_cols(D.ob[objs[i + 1]], _col_image(D.one[fcols[i][q]], col1), col2)
             else:
-                fib = D.ob[objs[i - 1]]
-                tr = D.one[fcols[i - 1][0]]
-                us = tuple(fib.comp1(tr.f1(b), a) for a, b in zip(u1, u2))
-                ph = tuple(fib.hcomp(tr.f2(b), a) for a, b in zip(f1, f2))
-            nxs = xs[:i] + xs[i + 1:]
-            return (nbase, nxs,
+                us, ph = _merge_cols(D.ob[objs[i - 1]], col1, _col_image(D.one[fcols[i - 1][0]], col2))
+            return (nbase, xs[:i] + xs[i + 1:],
                     ucols[:i - 1] + (us,) + ucols[i + 1:],
                     phicols[:i - 1] + (ph,) + phicols[i + 1:])
         if axis == 1:
-            ncols = [_col_face(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
-                     for m in range(1, p + 1)]
-            return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
-        # axis 2
+            cols = [_col_face(col_fibre(objs, m), col, i)
+                    for m, col in enumerate(zip(ucols, phicols), 1)]
+            return (base, xs, *(tuple(zip(*cols)) or ((), ())))
+        # axis 2: the twisted face whiskers each column by the transport of
+        # the base 2-cell it drops, a constant column merged with it
         nbase = dn.face(1, (p, q), i, base)
-        twisted = (cov and i == q) or ((not cov) and i == 0)
-        if not twisted:
+        if i != (q if cov else 0):
             return (nbase, xs, ucols, phicols)
-        nu, nph = [], []
-        for m in range(1, p + 1):
+        cols = []
+        for m, col in enumerate(zip(ucols, phicols), 1):
             fib = col_fibre(objs, m)
-            if cov:
-                whisk = D.two[acols[m - 1][q - 1]].at(xs[m - 1])
-                nu.append(tuple(fib.comp1(u, whisk) for u in ucols[m - 1]))
-                nph.append(tuple(fib.hcomp(t, fib.unit2(whisk)) for t in phicols[m - 1]))
-            else:
-                whisk = D.two[acols[m - 1][0]].at(xs[m])
-                nu.append(tuple(fib.comp1(whisk, u) for u in ucols[m - 1]))
-                nph.append(tuple(fib.hcomp(fib.unit2(whisk), t) for t in phicols[m - 1]))
-        return (nbase, xs, tuple(nu), tuple(nph))
+            w = (D.two[acols[m - 1][q - 1]].at(xs[m - 1]) if cov
+                 else D.two[acols[m - 1][0]].at(xs[m]))
+            whisk = ((w,) * (n + 1), (fib.id2[w],) * n)
+            cols.append(_merge_cols(fib, whisk, col) if cov else _merge_cols(fib, col, whisk))
+        return (nbase, xs, *(tuple(zip(*cols)) or ((), ())))
 
     def degen(axis, key, i, x):
         p, n, q = key
         base, xs, ucols, phicols = x
         objs = base[0]
         if axis == 0:
-            nbase = dn.degen(0, (p, q), i, base)
-            fib = D.ob[objs[i]]
-            e = fib.id1[xs[i]]
-            idcol = ((e,) * (n + 1), (fib.id2[e],) * n)
-            return (nbase, xs[:i + 1] + (xs[i],) + xs[i + 1:],
-                    ucols[:i] + (idcol[0],) + ucols[i:],
-                    phicols[:i] + (idcol[1],) + phicols[i:])
+            us, ph = _identity_col(D.ob[objs[i]], xs[i], n)
+            return (dn.degen(0, (p, q), i, base), xs[:i + 1] + (xs[i],) + xs[i + 1:],
+                    ucols[:i] + (us,) + ucols[i:], phicols[:i] + (ph,) + phicols[i:])
         if axis == 1:
-            ncols = [_col_degen(col_fibre(objs, m), (ucols[m - 1], phicols[m - 1]), i)
-                     for m in range(1, p + 1)]
-            return (base, xs, tuple(u for u, _ in ncols), tuple(f for _, f in ncols))
+            cols = [_col_degen(col_fibre(objs, m), col, i)
+                    for m, col in enumerate(zip(ucols, phicols), 1)]
+            return (base, xs, *(tuple(zip(*cols)) or ((), ())))
         return (dn.degen(1, (p, q), i, base), xs, ucols, phicols)
 
     return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
@@ -469,7 +453,6 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
         return hocolim_wbar_comparison(diagram_over_opposite(D), n_max)
     S = hocolim(D, n_max)
     E = build_E(D, n_max)
-    C = D.base
     lhs = wbar(_family_diag_E(E))
     rhs = wbar(_family_wbar_hocolim(S))
 

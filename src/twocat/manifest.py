@@ -196,8 +196,7 @@ def resolve(doc: dict) -> Manifest:
             errors.append(f"diagrams.{name}.fibres: must cover exactly the base objects")
             continue
         one = {}
-        cov = variance == COVARIANT
-        for f, (a, b) in base.one_cells.items():
+        for f in base.one_cells:
             ref = on_one.get(f)
             if ref is None:
                 if f in base.id1.values():

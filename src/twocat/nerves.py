@@ -80,6 +80,12 @@ def _merge_cols(C, col1, col2):
     return fs, asq
 
 
+def _col_image(F, col):
+    """The image of a column under the 2-functor F."""
+    fs, asq = col
+    return tuple(map(F.f1, fs)), tuple(map(F.f2, asq))
+
+
 def _identity_col(C, c, q):
     e = C.id1[c]
     return ((e,) * (q + 1), (C.id2[e],) * q)
@@ -154,8 +160,8 @@ class _Columns:
         columns, or None where an image is not one."""
         h = [target.where.get(F.o(x)) for x in self.objects]
         g = [None if h[a] is None or h[b] is None else
-             target.code((tuple(map(F.f1, fs)), tuple(map(F.f2, asq))), h[a], h[b])
-             for (fs, asq), a, b in zip(self.cells, self.dom, self.cod)]
+             target.code(_col_image(F, col), h[a], h[b])
+             for col, a, b in zip(self.cells, self.dom, self.cod)]
         return h, g
 
 

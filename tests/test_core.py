@@ -3,8 +3,9 @@ from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import (check_cell_map, discrete, hom_category,
-                         identity_functor, opposite, product, relabel, validate,
+from twocat.core import (check_cell_map, diagram_over_opposite, discrete,
+                         hom_category, identity_functor, opposite, product,
+                         relabel, renaming_morphism, same_category, validate,
                          validate_diagram, validate_diagram_morphism,
                          OplaxTransformation, TwoFunctor, TwoNaturalTransformation)
 from twocat.manifest import Manifest, parse
@@ -157,9 +158,9 @@ def test_corpus_morphisms_validate(cx):
     assert validate_diagram_morphism(cx.renaming).ok
 
 
-def test_two_cell_transport_into_another_category_reported():
-    # the transport at phi keeps Drep's cell maps, but its source functor
-    # lands in a copy of the fibre with one more 1-cell
+def _drep_with_phi_into_a_copy():
+    """Drep whose transport at phi keeps its cell maps, but whose source
+    functor lands in a copy of the fibre with one more 1-cell."""
     D = parse(bundled_manifest_path()).diagrams["Drep"]
     s = D.two["phi"]
     keep = lambda v: v
@@ -167,8 +168,29 @@ def test_two_cell_transport_into_another_category_reported():
     other.one_cells["extra"] = other.one_cells[other.id1[other.objects[0]]]
     F = TwoFunctor(s.F.source, other, s.F.on_obj, s.F.on_one, s.F.on_two)
     D.two["phi"] = TwoNaturalTransformation(F, s.G, s.comp)
-    assert validate_diagram(D).violations == [
+    return D
+
+
+def test_two_cell_transport_into_another_category_reported():
+    assert validate_diagram(_drep_with_phi_into_a_copy()).violations == [
         "transport at 2-cell phi has wrong boundary functors"]
+
+
+def test_morphism_out_of_an_ill_typed_diagram_reported():
+    # the renaming's components commute with the transports, and its
+    # target is well typed: only its source is at fault
+    g = renaming_morphism(_drep_with_phi_into_a_copy())
+    assert validate_diagram_morphism(g).violations == [
+        "source: transport at 2-cell phi has wrong boundary functors"]
+
+
+def test_ends_are_where_each_transport_runs():
+    for D in parse(bundled_manifest_path()).diagrams.values():
+        for f in D.base.one_cells:
+            s, t = D.ends(f)
+            assert same_category(D.one[f].source, D.ob[s])
+            assert same_category(D.one[f].target, D.ob[t])
+            assert diagram_over_opposite(D).ends(f) == (s, t)
 
 
 def test_functor_fixture_validates(cx):

@@ -283,23 +283,27 @@ def test_identities_gate_constructions_on_validation():
         "constant_levels[WTC over HOMab]": detail("value"),
     }
     assert {name: failed[name] for name in gated} == gated
+    # the morphism check validates its source Dcov, whose fibre 0 is WTC
     assert sorted(set(failed) - set(gated)) == [
-        "diagram[Dcov]", "diagram[Drep]", "grothendieck_valid[Dcov]",
-        "grothendieck_valid[Drep]", "validate[WTC]"]
+        "diagram[Dcov]", "diagram[Drep]", "diagram_morphism[collapse]",
+        "grothendieck_valid[Dcov]", "grothendieck_valid[Drep]", "validate[WTC]"]
     assert not any(d.startswith(("TwoCatError", "KeyError")) for d in failed.values())
     assert not any(c["status"] == "error" for c in rep["checks"])
     # m02 declares a composite on a non-composable pair of WTC: no check
-    # crashes; the diagrams with WTC as base or fibre report it
+    # crashes; the diagrams with WTC as base or fibre, and the morphism out
+    # of Dcov, report it
     rep = run_suite(parse(MUTANTS / "m02_noncomposable_pair.manifest.json"), "identities")
     crashed = [c["name"] for c in rep["checks"] if c["status"] == "error"
                or c["status"] == "fail"
                and not c["detail"].startswith(("precondition: ", "axiom: ",
-                                               "TwoDiagram invariant: "))]
+                                               "TwoDiagram invariant: ",
+                                               "naturality: source: "))]
     assert crashed == []
     details = {c["name"]: c["detail"] for c in rep["checks"]}
     bad_pair = "vcomp2 declared on non-composable pair ('phi', 'phi')"
     assert details["diagram[Drep]"] == f"TwoDiagram invariant: base: {bad_pair}"
     assert details["diagram[Dcov]"] == f"TwoDiagram invariant: fibre 0: {bad_pair}"
+    assert details["diagram_morphism[collapse]"] == f"naturality: source: fibre 0: {bad_pair}"
 
 
 def test_mutant_suites_fail_without_crashes(monkeypatch):
