@@ -1,11 +1,13 @@
 """The cells of the mirrored constructions (projections, retractions,
-sections, the faces and degeneracies of homotopy colimits and the maps
-between them), pinned by digest on both sides.
+sections, the homotopy-fibre diagrams, the faces and degeneracies of
+homotopy colimits and the maps between them), pinned by digest on both
+sides.
 
 `tests/golden/cell_maps.json` holds `cell_map_digests()`: for each
 construction the sha256 of its 2-categories' cells and tables, of its
-2-functors' `on_obj`, `on_one` and `on_two` maps and of its witnesses'
-`comp` and `nat` maps, in that order, each with its items sorted by
+2-functors' `on_obj`, `on_one` and `on_two` maps, of its 2-natural
+transformations' `comp` maps and of its witnesses' `comp` and `nat` maps,
+in that order, each with its items sorted by
 `repr`."""
 
 import hashlib
@@ -14,9 +16,10 @@ from pathlib import Path
 
 from twocat.builders import wtc_to_wa_collapse
 from twocat.cli import bundled_manifest_path
-from twocat.comma import OVER, UNDER, projections, retraction_R, section_jz_iz
+from twocat.comma import (OVER, UNDER, fibre_diagram, projections, retraction_R,
+                          section_jz_iz)
 from twocat.core import (OplaxTransformation, TwoCategory, TwoFunctor,
-                         renaming_morphism)
+                         TwoNaturalTransformation, renaming_morphism)
 from twocat.hocolim import hocolim, hocolim_map
 from twocat.manifest import parse
 
@@ -29,6 +32,8 @@ def _fields(x):
                 x.hcomp1, x.vcomp2, x.hcomp2)
     if isinstance(x, TwoFunctor):
         return x.on_obj, x.on_one, x.on_two
+    if isinstance(x, TwoNaturalTransformation):
+        return (x.comp,)
     assert isinstance(x, OplaxTransformation)
     return x.comp, x.nat
 
@@ -49,6 +54,10 @@ def cell_map_digests() -> dict:
         for side in (OVER, UNDER):
             _, G, Pi, iota, wit = projections(F, side)
             out[f"projections({name}, {side})"] = digest(G, Pi, iota, wit)
+            fib = fibre_diagram(F, side)
+            for kind, cells in (("ob", fib.ob), ("one", fib.one), ("two", fib.two)):
+                for x, y in cells.items():
+                    out[f"fibre_diagram({name}, {side}).{kind}[{x}]"] = digest(y)
     for name, gamma, side in (("collapse", m.diagram_morphisms["collapse"], OVER),
                               ("ren(Dcov)", renaming_morphism(D["Dcov"]), OVER),
                               ("ren(Drep)", renaming_morphism(D["Drep"]), UNDER)):

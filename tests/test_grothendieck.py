@@ -1,10 +1,14 @@
+import pytest
+
 from twocat.builders import pt, walking_two_cell
+from twocat.cli import bundled_manifest_path
 from twocat.core import (DiagramMorphism, TwoDiagram, TwoFunctor,
                          check_cell_map, compose_functors, constant_diagram,
                          functor_equal, functor_is_bijective,
                          identity_functor, validate)
 from twocat.grothendieck import (base_change, fibre_embedding, grothendieck,
                                  grothendieck_morphism, projection_functor)
+from twocat.manifest import parse
 
 
 def collapse_morphism(D: TwoDiagram) -> DiagramMorphism:
@@ -54,13 +58,13 @@ def test_cell_count_identities(cx):
     assert len(G.one_cells) == expected
 
 
-def test_projection_and_embedding(cx):
-    D = cx.Dcov
-    G = grothendieck(D)
-    pr = projection_functor(D, G)
+@pytest.mark.parametrize("name", ["Dcov", "Dpt", "Drep"])
+def test_projection_and_embedding(name):
+    D = parse(bundled_manifest_path()).diagrams[name]
+    pr = projection_functor(D)
     assert check_cell_map("two_functor", pr).ok
     for c in D.base.objects:
-        emb = fibre_embedding(D, c, G)
+        emb = fibre_embedding(D, c)
         assert check_cell_map("two_functor", emb).ok
         # injective, image objects exactly {(c, x)}
         assert len(set(emb.on_obj.values())) == len(emb.on_obj)

@@ -1,5 +1,8 @@
 """Every level and every structure-map table of the bundled double nerves,
-resolutions and nerves of homotopy colimits, pinned by digest.
+resolutions and nerves of homotopy colimits, and of the double nerves of the
+bundled assemblies and homotopy fibres, pinned by digest.  The assemblies'
+tables follow the order in which `grothendieck` inserts cells, which the
+cell-map digests, sorted by `repr`, do not see.
 
 `tests/golden/tables.json` holds `table_digests()`: for each construction
 the sha256 of its levels' simplices in stored order, level keys sorted, and
@@ -10,7 +13,9 @@ import json
 from pathlib import Path
 
 from twocat.cli import bundled_manifest_path
+from twocat.comma import OVER, UNDER, comma
 from twocat.core import COVARIANT
+from twocat.grothendieck import grothendieck
 from twocat.hocolim import build_E, build_E_pull, hocolim
 from twocat.manifest import parse
 from twocat.nerves import double_nerve, nerve_simplicial_twocat
@@ -44,6 +49,12 @@ def table_digests() -> dict:
         out[f"{build.__name__}({name}, 3)"] = digest(build(D, 3))
         out[f"nerve_simplicial_twocat(hocolim({name}, 2))"] = \
             digest(nerve_simplicial_twocat(hocolim(D, 2)))
+        out[f"double_nerve(grothendieck({name}), 3)"] = digest(double_nerve(grothendieck(D), 3))
+    for name, F in m.two_functors.items():
+        for c in F.target.objects:
+            for side in (OVER, UNDER):
+                out[f"double_nerve(comma({name}, {c}, {side}), 3)"] = \
+                    digest(double_nerve(comma(F, c, side), 3))
     return out
 
 
