@@ -21,9 +21,7 @@ from .hocolim import (SimplicialTwoCategory, hocolim, hocolim_map, build_E,
                       grothendieck_wbar_comparison,
                       check_simplicial_two_category, reversal_bridge_report)
 from .comma import (OVER, UNDER, comma, comma_projection, fibre_diagram,
-                    induced_fibre_functor, induced_fibre_transformation,
-                    projections, representable_diagram, retraction_R,
-                    section_jz_iz)
+                    projections, representable_diagram, retraction_R, section_jz_iz)
 from .homology import (ChainComplex, HomologyResult, normalized_chain_complex,
                        homology, invariant_factors, is_homology_iso_upto,
                        smith_normal_form)

@@ -225,8 +225,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_comma, default_trunc=3)
 
     p = add_parser("homology", help="truncated integral homology of a diagonal nerve")
-    p.add_argument("--name", help="2-category name")
-    p.add_argument("--comma", help="FUNCTOR:OBJECT:SIDE (FUNCTOR may be id:CAT)")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--name", help="2-category name")
+    which.add_argument("--comma", help="FUNCTOR:OBJECT:SIDE (FUNCTOR may be id:CAT)")
     p.add_argument("--degree", type=int)
     p.set_defaults(fn=cmd_homology, default_trunc=4)
 

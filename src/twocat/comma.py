@@ -75,33 +75,29 @@ def representable_diagram(C: TwoCategory, c, side: str = OVER) -> TwoDiagram:
 
 
 def comma_diagram(F: TwoFunctor, c, side: str = OVER) -> TwoDiagram:
+    """The diagram whose assembly is the homotopy fibre of F over (or under) c."""
+    if side not in (OVER, UNDER):
+        raise TwoCatError(f"comma: side {side!r} is neither {OVER!r} nor {UNDER!r}")
+    if c not in F.target.objects:
+        raise TwoCatError(f"comma: {c!r} is not an object of {F.target.name}")
     return pullback_diagram(F, representable_diagram(F.target, c, side))
 
 
 def comma(F: TwoFunctor, c, side: str = OVER) -> TwoCategory:
     """Homotopy fibre of F over (or under) c; slices are the identity case."""
-    if side not in (OVER, UNDER):
-        raise TwoCatError(f"comma: side {side!r} is neither {OVER!r} nor {UNDER!r}")
-    if c not in F.target.objects:
-        raise TwoCatError(f"comma: {c!r} is not an object of {F.target.name}")
     G = grothendieck(comma_diagram(F, c, side))
     G.name = f"{F.name}|{c}|{side}"
     return G
 
 
-def comma_projection(F: TwoFunctor, c, side: str = OVER, K: TwoCategory = None) -> TwoFunctor:
-    if K is None:
-        K = comma(F, c, side)
-    return projection_functor(comma_diagram(F, c, side), K)
+def comma_projection(F: TwoFunctor, c, side: str = OVER) -> TwoFunctor:
+    return projection_functor(comma_diagram(F, c, side))
 
 
-def induced_fibre_functor(F: TwoFunctor, h, side: str = OVER,
-                          src: TwoCategory = None, tgt: TwoCategory = None) -> TwoFunctor:
+def _fibre_functor(F: TwoFunctor, h, side: str, src: TwoCategory,
+                   tgt: TwoCategory) -> TwoFunctor:
     """Transport along a base 1-cell h: composition with h on the c side."""
     C = F.target
-    c, c2 = (C.dom1(h), C.cod1(h)) if side == OVER else (C.cod1(h), C.dom1(h))
-    src = src if src is not None else comma(F, c, side)
-    tgt = tgt if tgt is not None else comma(F, c2, side)
 
     def move_p(p):
         return C.comp1(h, p) if side == OVER else C.comp1(p, h)
@@ -118,15 +114,13 @@ def induced_fibre_functor(F: TwoFunctor, h, side: str = OVER,
     return TwoFunctor(src, tgt, on_obj, on_one, on_two, name=f"({h})_*")
 
 
-def induced_fibre_transformation(F: TwoFunctor, psi, side: str = OVER,
-                                 Fh: TwoFunctor = None, Fh2: TwoFunctor = None) -> TwoNaturalTransformation:
-    """Transport along a base 2-cell psi: h => h', with component
-    (1_a, psi o 1_p) over, (1_a, 1_p o psi) under."""
+def _fibre_transformation(F: TwoFunctor, psi, side: str, Fh: TwoFunctor,
+                          Fh2: TwoFunctor) -> TwoNaturalTransformation:
+    """Transport along a base 2-cell psi: h => h', between the transports Fh
+    and Fh2 along h and h', with component (1_a, psi o 1_p) over,
+    (1_a, 1_p o psi) under."""
     C = F.target
     A = F.source
-    h, h2 = C.dom2(psi), C.cod2(psi)
-    Fh = Fh if Fh is not None else induced_fibre_functor(F, h, side)
-    Fh2 = Fh2 if Fh2 is not None else induced_fibre_functor(F, h2, side)
     comp = {}
     for (a, p) in Fh.source.objects:
         phi = C.hcomp(psi, C.unit2(p)) if side == OVER else C.hcomp(C.unit2(p), psi)
@@ -136,17 +130,16 @@ def induced_fibre_transformation(F: TwoFunctor, psi, side: str = OVER,
 
 def fibre_diagram(F: TwoFunctor, side: str = OVER) -> TwoDiagram:
     """The homotopy-fibre 2-functor: covariant over the target for "over",
-    contravariant for "under"."""
+    contravariant for "under"; its transports are composition with the base
+    cells on the c side."""
     C = F.target
     fibres = {c: comma(F, c, side) for c in C.objects}
     one, two = {}, {}
     for h, (c, c2) in C.one_cells.items():
-        if side == OVER:
-            one[h] = induced_fibre_functor(F, h, side, fibres[c], fibres[c2])
-        else:
-            one[h] = induced_fibre_functor(F, h, side, fibres[c2], fibres[c])
+        s, t = (c, c2) if side == OVER else (c2, c)
+        one[h] = _fibre_functor(F, h, side, fibres[s], fibres[t])
     for psi, (h, h2) in C.two_cells.items():
-        two[psi] = induced_fibre_transformation(F, psi, side, one[h], one[h2])
+        two[psi] = _fibre_transformation(F, psi, side, one[h], one[h2])
     variance = COVARIANT if side == OVER else CONTRAVARIANT
     return TwoDiagram(C, variance, fibres, one, two, name=f"fib({F.name},{side})")
 
@@ -237,24 +230,23 @@ def _projection_witness(F, side, G, Pi, iota):
 # retraction from the comma of an assembled morphism onto the fibrewise comma
 # ---------------------------------------------------------------------------
 
-def retraction_R(gamma, c, y, side: str = OVER):
+def retraction_R(gamma, c, y):
     """The comparison retraction between the comma of the assembled morphism
     and the fibrewise comma, its section, and the oplax witness.
 
-    For side "over" (covariant diagrams): R: (int Gamma) over (c, y) ->
-    Gamma_c over y, section embeds at c, witness 1 => section o R.
-    For side "under" (contravariant diagrams) the orientations dualize.
+    The side follows the variance of gamma's diagrams.  Over, for covariant
+    diagrams: R: (int Gamma) over (c, y) -> Gamma_c over y, section embeds at
+    c, witness 1 => section o R.  Under, for contravariant diagrams, the
+    orientations dualize.
 
     Returns (K, L, R, section, witness) with K the ambient comma and L the
     fibrewise one.
     """
-    D, E = gamma.source, gamma.target
+    D = gamma.source
     C = D.base
-    cov = D.variance == COVARIANT
-    if (side == OVER) != cov:
-        raise TwoCatError("retraction_R: side must match the diagram variance")
-    GD, GE = grothendieck(D), grothendieck(E)
-    intG = grothendieck_morphism(gamma, GD, GE)
+    side = OVER if D.variance == COVARIANT else UNDER
+    intG = grothendieck_morphism(gamma)
+    GD, GE = intG.source, intG.target
     Dc = D.ob[c]
     K = comma(intG, (c, y), side)
     L = comma(gamma.at(c), y, side)
@@ -359,19 +351,18 @@ def _retraction_witness(gamma, c, side, K, R, section, GD, GE):
 # sections over a point of the pulled-back assembly
 # ---------------------------------------------------------------------------
 
-def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z, side: str = OVER):
+def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z):
     """The embedding j_z of the homotopy fibre into the pulled-back assembly,
     the induced retraction pibar from the comma of the comparison functor,
-    its section i_z, and the oplax witness relating i_z o pibar to 1.
+    its section i_z, and the oplax witness relating i_z o pibar to 1.  The
+    side follows the variance of D: over for a contravariant D, under for a
+    covariant one.
 
     Returns (K0, K1, j_z, pibar, i_z, witness) where K0 is the homotopy fibre
     of F at c and K1 the comma of the comparison 2-functor at (c, z).
     """
     A = F.source
-    cov = D.variance == COVARIANT
-    if (side == OVER) == cov:
-        raise TwoCatError("section_jz_iz: side over needs a contravariant "
-                          "diagram, side under a covariant one")
+    side = OVER if D.variance == CONTRAVARIANT else UNDER
     if z not in D.ob[c].objects:
         raise TwoCatError(f"section_jz_iz: {z!r} is not an object of the fibre at {c!r}")
     FD, Fbar = base_change(F, D)

@@ -39,29 +39,21 @@ def grothendieck(D: TwoDiagram) -> TwoCategory:
                     if t == fy:
                         one[(f, u, s, y)] = ((a, s), (b, y))
 
+    # the fibre parts u of the 1-cells (f, u, x, y), keyed by (f, x, y)
+    by_ends = {}
+    for (f, u, x, y) in one:
+        by_ends.setdefault((f, x, y), []).append(u)
     two = {}
     for al, (f, g) in C.two_cells.items():
         fib = D.ob[D.ends(f)[1]]
-        nat = D.two[al]
-        for (f1, u, x, y), _ in list(one.items()):
+        nat = D.two[al]  # al_*x : f_*x -> g_*x, or al^*y : f^*y -> g^*y
+        for (f1, u, x, y) in one:
             if f1 != f:
                 continue
-            if cov:
-                ax = nat.at(x)  # al_*x : f_*x -> g_*x
-                for (g1, v, x1, y1) in one:
-                    if g1 != g or x1 != x or y1 != y:
-                        continue
-                    target = fib.comp1(v, ax)
-                    for phi in fib.two_cells_between(u, target):
-                        two[(al, phi, u, v, x, y)] = ((f, u, x, y), (g, v, x, y))
-            else:
-                ay = nat.at(y)  # al^*y : f^*y -> g^*y
-                source = fib.comp1(ay, u)
-                for (g1, v, x1, y1) in one:
-                    if g1 != g or x1 != x or y1 != y:
-                        continue
-                    for phi in fib.two_cells_between(source, v):
-                        two[(al, phi, u, v, x, y)] = ((f, u, x, y), (g, v, x, y))
+            for v in by_ends.get((g, x, y), ()):
+                s, t = (u, fib.comp1(v, nat.at(x))) if cov else (fib.comp1(nat.at(y), u), v)
+                for phi in fib.two_cells_between(s, t):
+                    two[(al, phi, u, v, x, y)] = ((f, u, x, y), (g, v, x, y))
 
     id1 = {}
     for (a, x) in objects:
@@ -122,10 +114,9 @@ def grothendieck(D: TwoDiagram) -> TwoCategory:
     return G
 
 
-def projection_functor(D: TwoDiagram, G: TwoCategory = None) -> TwoFunctor:
+def projection_functor(D: TwoDiagram) -> TwoFunctor:
     """The split projection from the assembled 2-category onto the base."""
-    if G is None:
-        G = grothendieck(D)
+    G = grothendieck(D)
     return TwoFunctor(G, D.base,
                       {o: o[0] for o in G.objects},
                       {f: f[0] for f in G.one_cells},
@@ -133,11 +124,10 @@ def projection_functor(D: TwoDiagram, G: TwoCategory = None) -> TwoFunctor:
                       name=f"proj({D.name})")
 
 
-def grothendieck_morphism(gamma: DiagramMorphism, GD=None, GE=None) -> TwoFunctor:
+def grothendieck_morphism(gamma: DiagramMorphism) -> TwoFunctor:
     """The induced 2-functor between the assembled 2-categories."""
-    D, E = gamma.source, gamma.target
-    GD = GD if GD is not None else grothendieck(D)
-    GE = GE if GE is not None else grothendieck(E)
+    D = gamma.source
+    GD = grothendieck(D)
     C = D.base
 
     on_obj = {(a, x): (a, gamma.at(a).o(x)) for (a, x) in GD.objects}
@@ -153,13 +143,12 @@ def grothendieck_morphism(gamma: DiagramMorphism, GD=None, GE=None) -> TwoFuncto
         side = gamma.at(D.ends(f)[1])
         on_two[(al, phi, u, v, x, y)] = (al, side.f2(phi), side.f1(u), side.f1(v),
                                          gamma.at(a).o(x), gamma.at(b).o(y))
-    return TwoFunctor(GD, GE, on_obj, on_one, on_two, name=f"int({gamma.name})")
+    return TwoFunctor(GD, grothendieck(gamma.target), on_obj, on_one, on_two,
+                      name=f"int({gamma.name})")
 
 
-def fibre_embedding(D: TwoDiagram, c, G: TwoCategory = None) -> TwoFunctor:
+def fibre_embedding(D: TwoDiagram, c) -> TwoFunctor:
     """Embedding of the fibre over c, constant at c on the base side."""
-    if G is None:
-        G = grothendieck(D)
     C = D.base
     fib = D.ob[c]
     e1 = C.id1[c]
@@ -169,7 +158,7 @@ def fibre_embedding(D: TwoDiagram, c, G: TwoCategory = None) -> TwoFunctor:
     for a, (s, t) in fib.two_cells.items():
         x, y = fib.one_cells[s]
         on_two[a] = (C.id2[e1], a, s, t, x, y)
-    return TwoFunctor(fib, G, on_obj, on_one, on_two, name=f"fibre({c})")
+    return TwoFunctor(fib, grothendieck(D), on_obj, on_one, on_two, name=f"fibre({c})")
 
 
 def pullback_diagram(F: TwoFunctor, D: TwoDiagram) -> TwoDiagram:

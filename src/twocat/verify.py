@@ -215,8 +215,8 @@ def _claims(m: Manifest, gates: Gates):
         side = OVER if g.source.variance == COVARIANT else UNDER
         for c in sorted(g.source.base.objects, key=repr):
             for y in sorted(g.target.ob[c].objects, key=repr):
-                def build(g=g, c=c, y=y, side=side):
-                    K, L, R, sec, wit = retraction_R(g, c, y, side)
+                def build(g=g, c=c, y=y):
+                    K, L, R, sec, wit = retraction_R(g, c, y)
                     return (functor_equal(compose_functors(R, sec), identity_functor(L)),
                             "R section", [("oplax", wit)])
                 yield (f"retraction[{name},{c},{y},{side}]",
@@ -225,11 +225,10 @@ def _claims(m: Manifest, gates: Gates):
         for dname, D in _sorted(m.diagrams):
             if not same_category(D.base, F.target):
                 continue
-            side = OVER if D.variance == CONTRAVARIANT else UNDER
             for c in sorted(D.base.objects, key=repr):
                 for z in sorted(D.ob[c].objects, key=repr):
-                    def build(F=F, D=D, c=c, z=z, side=side):
-                        K0, K1, jz, pibar, iz, wit = section_jz_iz(F, D, c, z, side)
+                    def build(F=F, D=D, c=c, z=z):
+                        K0, K1, jz, pibar, iz, wit = section_jz_iz(F, D, c, z)
                         return (functor_equal(compose_functors(pibar, iz), identity_functor(K0)),
                                 "pibar i_z", [("oplax", wit), ("two_functor", jz)])
                     yield (f"section[{fname},{dname},{c},{z}]",

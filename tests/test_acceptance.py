@@ -113,12 +113,12 @@ def test_criterion_6_retraction_witnesses(cx):
         ok &= check_cell_map("oplax", wit).ok
     for c in cx.Dcov.base.objects:
         for y in cx.collapse.target.ob[c].objects:
-            K, L, R, sec, wit = retraction_R(cx.collapse, c, y, OVER)
+            K, L, R, sec, wit = retraction_R(cx.collapse, c, y)
             ok &= functor_equal(compose_functors(R, sec), identity_functor(L))
             ok &= check_cell_map("oplax", wit).ok
     for c in cx.Drep.base.objects:
         for z in cx.Drep.ob[c].objects:
-            K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, c, z, OVER)
+            K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, c, z)
             ok &= functor_equal(compose_functors(pibar, iz), identity_functor(K0))
             ok &= check_cell_map("oplax", wit).ok
     report(6, "retraction equalities and oplax witness axioms", ok)

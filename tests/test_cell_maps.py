@@ -64,13 +64,13 @@ def cell_map_digests() -> dict:
         for c in gamma.source.base.objects:
             for y in gamma.target.ob[c].objects:
                 out[f"retraction_R({name}, {c}, {y}, {side})"] = \
-                    digest(*retraction_R(gamma, c, y, side))
+                    digest(*retraction_R(gamma, c, y))
     for fname, F, dname, side in (("F", m.two_functors["F"], "Drep", OVER),
                                   ("collapse", wtc_to_wa_collapse(), "Dcov", UNDER)):
         for c in F.target.objects:
             for z in D[dname].ob[c].objects:
                 out[f"section_jz_iz({fname}, {dname}, {c}, {z}, {side})"] = \
-                    digest(*section_jz_iz(F, D[dname], c, z, side))
+                    digest(*section_jz_iz(F, D[dname], c, z))
     S = {name: hocolim(D[name], 3) for name in ("Dcov", "Dpt", "Drep")}
     for name, X in S.items():
         out[f"hocolim({name}, 3).levels"] = digest(*X.levels)

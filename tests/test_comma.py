@@ -2,10 +2,8 @@ import pytest
 
 from twocat.builders import pt, walking_two_cell, wtc_to_wa_collapse
 from twocat.comma import (OVER, UNDER, comma, comma_diagram,
-                          comma_projection, fibre_diagram,
-                          induced_fibre_functor, induced_fibre_transformation,
-                          projections, representable_diagram, retraction_R,
-                          section_jz_iz)
+                          comma_projection, fibre_diagram, projections,
+                          representable_diagram, retraction_R, section_jz_iz)
 from twocat.core import (OplaxTransformation, TwoCatError, check_cell_map,
                          compose_functors, functor_equal, identity_functor,
                          renaming_morphism, validate, validate_diagram)
@@ -65,7 +63,7 @@ def test_fibre_functor_identity_cases(cx):
     C = cx.F.target
     h = C.id1["b"]
     K = comma(cx.F, "b", OVER)
-    Fh = induced_fibre_functor(cx.F, h, OVER, K, K)
+    Fh = fibre_diagram(cx.F, OVER).one[h]
     assert functor_equal(Fh, identity_functor(K))
 
 
@@ -73,18 +71,15 @@ def test_fibre_functor_functoriality(cx):
     C = cx.F.target
     # (1_b o f)_* = (1_b)_* o f_* on the over side
     f = "f"
-    src = comma(cx.F, "a", OVER)
-    mid = comma(cx.F, "b", OVER)
-    Ff = induced_fibre_functor(cx.F, f, OVER, src, mid)
-    F1 = induced_fibre_functor(cx.F, C.id1["b"], OVER, mid, mid)
-    comp = compose_functors(F1, Ff)
-    Fcomp = induced_fibre_functor(cx.F, C.comp1(C.id1["b"], f), OVER, src, mid)
+    one = fibre_diagram(cx.F, OVER).one
+    comp = compose_functors(one[C.id1["b"]], one[f])
+    Fcomp = one[C.comp1(C.id1["b"], f)]
     assert functor_equal(comp, Fcomp)
 
 
 def test_fibre_transformation_passes(cx):
     psi = "phi"  # f => g in the target of F
-    s = induced_fibre_transformation(cx.F, psi, OVER)
+    s = fibre_diagram(cx.F, OVER).two[psi]
     assert check_cell_map("two_natural", s).ok
 
 
@@ -136,7 +131,7 @@ def test_oplax_checker_rejects_a_component_of_the_wrong_endpoints(cx):
 def test_retraction_R_covariant(cx):
     for c in cx.collapse.source.base.objects:
         for y in cx.collapse.target.ob[c].objects:
-            K, L, R, sec, wit = retraction_R(cx.collapse, c, y, OVER)
+            K, L, R, sec, wit = retraction_R(cx.collapse, c, y)
             assert check_cell_map("two_functor", R).ok
             assert check_cell_map("two_functor", sec).ok
             assert functor_equal(compose_functors(R, sec), identity_functor(L))
@@ -147,7 +142,7 @@ def test_retraction_R_contravariant(cx):
     g = renaming_morphism(cx.Drep)
     for c in g.source.base.objects:
         for y in g.target.ob[c].objects:
-            K, L, R, sec, wit = retraction_R(g, c, y, UNDER)
+            K, L, R, sec, wit = retraction_R(g, c, y)
             assert check_cell_map("two_functor", R).ok
             assert check_cell_map("two_functor", sec).ok
             assert functor_equal(compose_functors(R, sec), identity_functor(L))
@@ -157,7 +152,7 @@ def test_retraction_R_contravariant(cx):
 def test_section_jz_iz_over(cx):
     for c in ("a", "b"):
         for z in cx.Drep.ob[c].objects:
-            K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, c, z, OVER)
+            K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, c, z)
             assert check_cell_map("two_functor", jz).ok
             assert check_cell_map("two_functor", pibar).ok
             assert check_cell_map("two_functor", iz).ok
@@ -170,7 +165,7 @@ def test_section_jz_iz_under(cx):
     Fc = wtc_to_wa_collapse()
     for c in ("0", "1"):
         for z in cx.Dcov.ob[c].objects:
-            K0, K1, jz, pibar, iz, wit = section_jz_iz(Fc, cx.Dcov, c, z, UNDER)
+            K0, K1, jz, pibar, iz, wit = section_jz_iz(Fc, cx.Dcov, c, z)
             assert check_cell_map("two_functor", jz).ok
             assert check_cell_map("two_functor", pibar).ok
             assert check_cell_map("two_functor", iz).ok
@@ -181,10 +176,9 @@ def test_section_jz_iz_under(cx):
 
 def test_jz_commutes_with_projections(cx):
     FD, Fbar = base_change(cx.F, cx.Drep)
-    K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, "b", "1b", OVER)
-    prFD = projection_functor(FD, Fbar.source)
-    assert functor_equal(compose_functors(prFD, jz),
-                         comma_projection(cx.F, "b", OVER, K0))
+    K0, K1, jz, pibar, iz, wit = section_jz_iz(cx.F, cx.Drep, "b", "1b")
+    assert functor_equal(compose_functors(projection_functor(FD), jz),
+                         comma_projection(cx.F, "b", OVER))
 
 
 def test_slices_weakly_contractible(cx):

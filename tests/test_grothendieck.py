@@ -104,9 +104,8 @@ def test_collapse_assembles_to_projection_shape(cx):
 def test_base_change_square_commutes(cx):
     FD, Fbar = base_change(cx.F, cx.Drep)
     assert check_cell_map("two_functor", Fbar).ok
-    GFD, GD = Fbar.source, Fbar.target
-    prA = projection_functor(FD, GFD)
-    prC = projection_functor(cx.Drep, GD)
+    prA = projection_functor(FD)
+    prC = projection_functor(cx.Drep)
     lhs = compose_functors(prC, Fbar)
     rhs = compose_functors(cx.F, prA)
     assert functor_equal(lhs, rhs)
@@ -144,10 +143,6 @@ def test_assembly_functorial_on_composites(cx):
     comp = DiagramMorphism(ren.source, col2.target,
                            {c: compose_functors(col2.at(c), ren.at(c))
                             for c in ren.source.base.objects})
-    GD = grothendieck(ren.source)
-    Gmid = grothendieck(ren.target)
-    GE = grothendieck(col2.target)
-    lhs = grothendieck_morphism(comp, GD, GE)
-    rhs = compose_functors(grothendieck_morphism(col2, Gmid, GE),
-                           grothendieck_morphism(ren, GD, Gmid))
+    lhs = grothendieck_morphism(comp)
+    rhs = compose_functors(grothendieck_morphism(col2), grothendieck_morphism(ren))
     assert functor_equal(lhs, rhs)

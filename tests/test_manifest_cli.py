@@ -11,7 +11,8 @@ import pytest
 import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
-from twocat.core import OplaxTransformation, validate_diagram
+from twocat.comma import OVER, UNDER
+from twocat.core import COVARIANT, OplaxTransformation, validate_diagram
 from twocat.manifest import ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
 
@@ -229,8 +230,9 @@ def test_oplax_retraction_detail_names_the_witness_violation(monkeypatch):
     # boundary: the oplax check names that violation
     real, want = verify.retraction_R, {}
 
-    def broken(g, c, y, side):
-        K, L, R, sec, wit = real(g, c, y, side)
+    def broken(g, c, y):
+        K, L, R, sec, wit = real(g, c, y)
+        side = OVER if g.source.variance == COVARIANT else UNDER
         m = sorted(wit.nat, key=repr)[0]
         bad = next(t for t in sorted(K.two_cells, key=repr)
                    if K.two_cells[t] != K.two_cells[wit.nat[m]])
@@ -560,6 +562,19 @@ def test_suite_is_named_by_position_only(capsys):
         main(["verify", "--suite", "all"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["homology", "--name", "WTC", "--comma", "id:WA:0:over"],
+     "argument --comma: not allowed with argument --name"),
+    (["homology"], "one of the arguments --name --comma is required"),
+], ids=["both", "neither"])
+def test_homology_names_exactly_one_input(capsys, argv, error):
+    # neither input is dropped in favour of the other, nor looked up as None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
 
 
 def _refuse_to_build(*args):
