@@ -23,7 +23,9 @@ verdict against the metric's relative `bound`:
   `better` instead if every change run beats every parent run;
 - `worse`: the change's median is worse than the parent's by more than
   `bound` of it;
-- `within`: neither.
+- `better`: the mirror of `worse`, the change's median better than the
+  parent's by more than `bound` of it;
+- `within`: none of these.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ def verdict(parent, change, sign, bound):
     if (parent["q3"] - parent["q1"]) / parent["median"] > bound:
         beaten = max(sign * c for c in change["runs"]) < min(sign * p for p in parent["runs"])
         return "better" if beaten else "unresolved"
-    if sign * (change["median"] - parent["median"]) / parent["median"] > bound:
+    shift = sign * (change["median"] - parent["median"]) / parent["median"]
+    if shift > bound:
         return "worse"
-    return "within"
+    return "better" if shift < -bound else "within"
 
 
 def compare(pairs, metric):

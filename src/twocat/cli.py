@@ -241,6 +241,8 @@ def main(argv=None) -> int:
         args.trunc = getattr(args, "default_trunc", 3)
     if args.trunc is not None and args.trunc < 0:
         return _input_error(f"--trunc {args.trunc} is negative")
+    if args.budget is not None and args.budget < 0:
+        return _input_error(f"--budget {args.budget} is negative")
     degree = getattr(args, "degree", None)
     if degree is not None and not 0 <= degree < args.trunc:
         return _input_error(f"--degree {degree} outside 0..{args.trunc - 1}")

@@ -754,13 +754,20 @@ def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
     reported as "source: ..." and "target: ...") and, once both are, whether
     G's components are 2-functors that commute strictly with the
     transports."""
+    return diagram_morphism_report(G, validate_diagram(G.source), validate_diagram(G.target))
+
+
+def diagram_morphism_report(G: DiagramMorphism, source: ValidationReport,
+                            target: ValidationReport) -> ValidationReport:
+    """`validate_diagram_morphism` of G, given the `validate_diagram`
+    reports of its source and target."""
     r = ValidationReport()
-    D, E = G.source, G.target
-    for where, X in (("source", D), ("target", E)):
-        for v in validate_diagram(X).violations:
+    for where, rep in (("source", source), ("target", target)):
+        for v in rep.violations:
             r.add(f"{where}: {v}")
     if not r.ok:
         return r
+    D, E = G.source, G.target
     C = D.base
     for c in C.objects:
         F = G.comp.get(c)

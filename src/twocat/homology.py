@@ -80,18 +80,15 @@ def invariant_factors(columns):
     `smith_normal_form` of the matrix.
 
     Invariant factors do not change under transposition, so the columns
-    are taken as the rows of the transpose.  While a +-1 entry is left,
-    one of low Markowitz cost (row nonzeros - 1) * (column nonzeros - 1) is
-    cleared out of its column by row operations; its row and column then
-    split off as an invariant factor 1.  Costs wait in a heap.  A pivot
-    changes only the entries of the touched rows in the columns of its own
-    row, so only those that are now +-1 are pushed; every other unit keeps
-    the heap entry it has.  A key is the cost when the entry was pushed: a
-    popped entry whose cost has grown since is pushed again with the new
-    cost, but one whose cost has shrunk is taken at its older, higher key,
-    so the pivot order is only approximately least-cost.  The factors do
-    not depend on the order.  What remains has no unit entry and goes to
-    the dense `smith_normal_form`.
+    are taken as the rows of the transpose.  The columns of the transpose
+    wait in a heap keyed by their nonzero count.  The shortest is popped;
+    if it holds a +-1 entry, the one in the shortest row is cleared out of
+    the column by row operations, and its row and column split off as an
+    invariant factor 1; a column with no unit is dropped.  A row operation
+    changes only the columns of the pivot row, so only those are pushed
+    again; a popped key that no longer is its column's count is skipped.
+    The factors do not depend on the pivot order.  What remains has no
+    unit entry and goes to the dense `smith_normal_form`.
     """
     rows, cols = {}, {}
     for i, col in enumerate(columns):
@@ -99,28 +96,24 @@ def invariant_factors(columns):
             rows[i] = dict(col)
             for j in col:
                 cols.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    heap = [(cost(i, j), i, j) for i, r in rows.items()
-            for j, v in r.items() if v == 1 or v == -1]
+    heap = [(len(rs), j) for j, rs in cols.items()]
     heapq.heapify(heap)
     units = 0
     while heap:
-        c, p, q = heapq.heappop(heap)
-        if p not in rows or rows[p].get(q) not in (1, -1):
+        n, q = heapq.heappop(heap)
+        if q not in cols or len(cols[q]) != n:
             continue
-        now = cost(p, q)
-        if now > c:
-            heapq.heappush(heap, (now, p, q))
+        p = min((i for i in cols[q] if rows[i][q] in (1, -1)),
+                key=lambda i: (len(rows[i]), i), default=None)
+        if p is None:
             continue
         prow = rows.pop(p)
         u = prow.pop(q)
         for j in prow:
             cols[j].discard(p)
-        touched = [i for i in cols.pop(q) if i != p]
-        for i in touched:
+        for i in cols.pop(q):
+            if i == p:
+                continue
             r = rows[i]
             k = r.pop(q) * u
             for j, v in prow.items():
@@ -132,14 +125,11 @@ def invariant_factors(columns):
                 elif j in r:
                     del r[j]
                     cols[j].discard(i)
-        for i in touched:
-            r = rows[i]
             if not r:
                 del rows[i]
-                continue
-            for j in prow:
-                if r.get(j) in (1, -1):
-                    heapq.heappush(heap, (cost(i, j), i, j))
+        for j in prow:
+            if cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
         units += 1
     if not rows:
         return [1] * units
@@ -205,14 +195,37 @@ class HomologyResult:
 def nondegenerate_levels(X: TruncatedSimplicialSet):
     """Nondegenerate simplices of each level, sorted by `repr`: the basis
     order, and so every boundary matrix, does not depend on the order in
-    which a construction enumerates its levels."""
-    levels = {0: tuple(sorted(X.level(0), key=repr))}
+    which a construction enumerates its levels.
+
+    The key equals `repr(x)`, but a tuple's repr is joined from those of
+    its entries, and an object's repr is kept from its second use on:
+    simplices share their deeper parts, within and across levels, while a
+    simplex and its top parts are met once, and keeping their reprs would
+    only hold memory.  Objects are found by identity, so equal entries of
+    other types, such as 1, True and 1.0, keep their own reprs; every
+    keyed object stays alive in X's levels meanwhile, so no identity is
+    reused."""
+    memo, seen = {}, set()
+
+    def key(x):
+        s = memo.get(id(x))
+        if s is None:
+            if type(x) is tuple:
+                s = "(" + ", ".join(map(key, x)) + ("," if len(x) == 1 else "") + ")"
+            else:
+                s = repr(x)
+            if id(x) in seen:
+                memo[id(x)] = s
+            seen.add(id(x))
+        return s
+
+    levels = {0: tuple(sorted(X.level(0), key=key))}
     for n in range(1, X.n_max + 1):
         degenerate = set()
         for i in range(n):
             degenerate.update(X.degens[(n - 1, i)])
         levels[n] = tuple(sorted((x for k, x in enumerate(X.level(n)) if k not in degenerate),
-                                 key=repr))
+                                 key=key))
     return levels
 
 

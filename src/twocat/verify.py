@@ -13,9 +13,9 @@ whichever suites and checks read it.
 from __future__ import annotations
 
 from .core import (CONTRAVARIANT, COVARIANT, check_cell_map, compose_functors,
-                   constant_diagram, functor_equal, functor_is_bijective,
-                   identity_functor, renaming_morphism, same_category, validate,
-                   validate_diagram, validate_diagram_morphism)
+                   constant_diagram, diagram_morphism_report, functor_equal,
+                   functor_is_bijective, identity_functor, renaming_morphism,
+                   same_category, validate, validate_diagram)
 from .comma import (OVER, UNDER, comma, projections, retraction_R,
                     section_jz_iz)
 from .grothendieck import grothendieck
@@ -56,7 +56,8 @@ class Gates:
                 "diagram": lambda: validate_diagram(x),
                 "grothendieck": lambda: validate(grothendieck(x)),
                 "two_functor": lambda: check_cell_map("two_functor", x),
-                "diagram_morphism": lambda: validate_diagram_morphism(x)}[kind]()
+                "diagram_morphism": lambda: diagram_morphism_report(
+                    x, self.report("diagram", x.source), self.report("diagram", x.target))}[kind]()
         return self._reports[key]
 
     def _gate(self, kind, x, what=None):
@@ -307,7 +308,7 @@ def suite_invariance(m: Manifest, trunc: int, r: Runner):
     for name, D in _sorted(m.diagrams):
         def check(D=D):
             g = renaming_morphism(D)
-            rep = validate_diagram_morphism(g)
+            rep = gates.report("diagram_morphism", g)
             if not rep.ok:
                 return False, "; ".join(map(str, rep.violations[:3]))
             SD, SE = hocolim(D, trunc), hocolim(g.target, trunc)

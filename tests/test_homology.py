@@ -1,8 +1,10 @@
 import dataclasses
+import heapq
 import importlib
 import math
 import random
 import signal
+from collections import namedtuple
 from itertools import combinations
 
 import pytest
@@ -18,7 +20,7 @@ from twocat.homology import (HomologyResult, chain_map, first_homology_differenc
                              normalized_chain_complex, smith_normal_form)
 from twocat.manifest import parse
 from twocat.nerves import diag_nn, diag_nn_map, nerve_category
-from twocat.simplicial import simplicial_map
+from twocat.simplicial import TruncatedSimplicialSet, simplicial_map
 
 
 def dense(columns, rows):
@@ -309,6 +311,66 @@ def test_basis_in_repr_order():
     assert (cc.basis, cc.boundary) == (same.basis, same.boundary)
     ranks = [cc.dim(n) for n in range(4)]
     assert repr(cc) == f"<ChainComplex Diag(NN(WTC)) N=3 ranks={ranks}>"
+
+
+def test_basis_in_repr_order_on_every_verified_complex(monkeypatch):
+    module = importlib.import_module("twocat.homology")
+    real, seen = module.nondegenerate_levels, []
+    monkeypatch.setattr(module, "nondegenerate_levels",
+                        lambda X: seen.append(real(X)) or seen[-1])
+    assert verify.run_suite(parse(bundled_manifest_path()), "all")["status"] == "pass"
+    assert seen
+    for levels in seen:
+        for level in levels.values():
+            assert list(level) == sorted(level, key=repr)
+
+
+def test_basis_sort_key_is_repr():
+    # equal entries of other types (1, True, 1.0) keep their own reprs,
+    # 1-tuples end in a comma, a str and a tuple meet at the same position,
+    # and a tuple subclass prints as itself; level 1 reuses level 0's parts
+    P = namedtuple("P", "x")
+    one, yes, real, t1, t2 = 1, True, 1.0, (1,), (True,)
+    level0 = (one, yes, real, "1", "it's", (), t1, t2, (1.0,), ("a",), "a", P(1), (P(0),))
+    level1 = ((one, "x"), (yes, "x"), (real, "x"), ("a", ("b",)), (("a",), "b"),
+              (t1, ()), (t2, ()), ((), t1), (t1, t1), (t1,), (t2,), ((),), (("",),))
+    X = TruncatedSimplicialSet(1, {0: level0, 1: level1}, {}, {(0, 0): []})
+    levels = nondegenerate_levels(X)
+    assert levels == {0: tuple(sorted(level0, key=repr)), 1: tuple(sorted(level1, key=repr))}
+    assert [type(x) for x in levels[0][:3]] == [type(x) for x in sorted(level0, key=repr)[:3]]
+
+
+LADDER = [pytest.param(n, j, id=f"BZ{n}" + "xWTC" * j) for n, j in ((4, 0), (6, 0), (3, 1))]
+
+
+def ladder_complex(n, j):
+    """The normalized complex of diag NN(B(Z/n) x WTC^j) at N = 4."""
+    return normalized_chain_complex(diag_nn(product([cyclic_group(n)]
+                                                    + [walking_two_cell()] * j), 4))
+
+
+@pytest.mark.parametrize("n,j", LADDER)
+def test_cyclic_group_homology_closed_form(n, j):
+    cc = ladder_complex(n, j)
+    assert [homology(cc, i).group for i in range(4)] == ["Z", f"Z/{n}", "0", f"Z/{n}"]
+
+
+@pytest.mark.parametrize("n,j", LADDER)
+def test_pivot_heap_pops_at_most_the_nonzeros(monkeypatch, n, j):
+    # one heap key per column, pushed again only when a pivot row changes
+    # it; a key per +-1 entry made several pops per nonzero
+    cc = ladder_complex(n, j)
+    pops, real = [0], heapq.heappop
+
+    def counted(heap):
+        pops[0] += 1
+        return real(heap)
+
+    monkeypatch.setattr(heapq, "heappop", counted)
+    for k in range(1, 5):
+        pops[0] = 0
+        invariant_factors(cc.boundary[k])
+        assert pops[0] <= sum(map(len, cc.boundary[k])), k
 
 
 def test_identity_induces_iso():

@@ -13,6 +13,7 @@ from twocat import verify
 from twocat.cli import bundled_manifest_path, main
 from twocat.comma import OVER, UNDER
 from twocat.core import COVARIANT, OplaxTransformation, validate_diagram
+from twocat.grothendieck import grothendieck
 from twocat.manifest import ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
 
@@ -142,11 +143,13 @@ def test_bench_pairs_states_each_metric_verdict(monkeypatch):
     assert out["verdict"] == "within" and out["wins"] == 0
     assert out["parent"]["min"] == 0.97 and out["change"]["min"] == 1.1 * 0.97
     assert compare(lower, steady, [1.3 * v for v in steady])["verdict"] == "worse"
-    assert compare(lower, steady, [0.5 * v for v in steady])["verdict"] == "within"
+    assert compare(lower, steady, [0.5 * v for v in steady])["verdict"] == "better"
+    assert compare(lower, steady, [0.8 * v for v in steady])["verdict"] == "within"
     assert compare(lower, bimodal, [1.3 * v for v in bimodal])["verdict"] == "unresolved"
     assert compare(lower, bimodal, [0.05] * 10)["verdict"] == "better"
     assert compare(lower, bimodal, [0.05] * 9 + [0.07])["verdict"] == "unresolved"
     assert compare(higher, steady, [0.7 * v for v in steady])["verdict"] == "worse"
+    assert compare(higher, steady, [1.3 * v for v in steady])["verdict"] == "better"
     assert compare(higher, bimodal, [0.12] * 10)["verdict"] == "better"
     # pairs with a failed run on either side are left out
     out = compare(lower, [None] + steady[1:], steady[:9] + [None])
@@ -527,6 +530,17 @@ def test_negative_trunc_is_input_error(monkeypatch, capsys):
                           "errors": [f"--trunc {argv[argv.index('--trunc') + 1]} is negative"]}
 
 
+def test_negative_budget_is_input_error(monkeypatch, capsys):
+    # it used to pass the gates and blame the first level of the input
+    monkeypatch.setattr("twocat.cli.load_manifest", _refuse_to_load)
+    for argv in (["--budget", "-5", "homology", "--name", "WTC"],
+                 ["verify", "all", "--budget", "-1"]):
+        assert main(argv) == 2, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"status": "input-error",
+                          "errors": [f"--budget {argv[argv.index('--budget') + 1]} is negative"]}
+
+
 def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, capsys):
     # below these truncations the suites compared no homology: invariance
     # passed on "degrees 0..-1", contractibility crashed on an empty list
@@ -662,22 +676,28 @@ def test_each_diagram_validated_once_per_suite(monkeypatch, suite):
     # the diagram check, the assembly check and every gate of one diagram,
     # in every suite of the run, share one `validate_diagram` report and one
     # assembly; retractions and oplax reach Dcov and Dpt through the
-    # diagram morphism `collapse` too
-    calls = {"validate_diagram": 0, "grothendieck": 0}
+    # diagram morphism `collapse` too, whose report reuses its ends' reports
+    calls = {"validate_diagram": [], "grothendieck": 0}
 
-    def counted(name):
-        fn = getattr(verify, name)
+    def validated(D):
+        calls["validate_diagram"].append(D)
+        return validate_diagram(D)
 
-        def count(D):
-            calls[name] += 1
-            return fn(D)
-        return count
+    def assembled(D):
+        calls["grothendieck"] += 1
+        return grothendieck(D)
 
-    for name in calls:
-        monkeypatch.setattr(verify, name, counted(name))
+    monkeypatch.setattr(verify, "validate_diagram", validated)
+    monkeypatch.setattr("twocat.core.validate_diagram", validated)
+    monkeypatch.setattr(verify, "grothendieck", assembled)
     m = parse(DATA)
     assert run_suite(m, suite)["status"] == "pass"
-    assert calls["validate_diagram"] == len(m.diagrams) == 3
+    # invariance also validates, once, the renamed copy of each diagram
+    # that its hocolim_invariance check maps the diagram to
+    copies = len(m.diagrams) if suite in ("invariance", "all") else 0
+    ids = [id(D) for D in calls["validate_diagram"]]
+    assert len(set(ids)) == len(ids) == len(m.diagrams) + copies == 3 + copies
+    assert {id(D) for D in m.diagrams.values()} <= set(ids)
     # invariance also assembles each diagram for the homology of its nerve
     assert calls["grothendieck"] == len(m.diagrams) * (2 if suite in ("invariance", "all") else 1)
 
