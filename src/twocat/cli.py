@@ -154,7 +154,9 @@ def cmd_comma(args):
 def cmd_homology(args):
     m = load_manifest(args)
     if args.comma:
-        F, obj, side = _comma(m, args.comma.rsplit(":", 2))
+        parts = args.comma.rsplit(":", 2)
+        # a leading "id" is the id: of an id:CAT short of its OBJECT or SIDE
+        F, obj, side = _comma(m, [args.comma] if parts[0] == "id" else parts)
         bad, label = Gates().functor(F), args.comma
         build = lambda: comma(F, obj, side)
     else:

@@ -24,7 +24,7 @@ along some of its axes and holds the others fixed; it shares the set's
 levels and tables and builds nothing.
 
 `_axes` reads simplicial and multisimplicial sets alike: levels keyed by
-index tuple, a bound per axis, and the face and degeneracy steps along each
+index tuple, a bound per axis, and the face and degeneracy tables along each
 axis.  One checker and one diagonal are written against it.  `diag` and
 `tri_diag` read the diagonal of a set that is already materialized: they
 share its levels, and each of their tables composes the set's own, built
@@ -32,10 +32,10 @@ only as far as the diagonal's faces pass through them.
 
 `check_simplicial_identities` checks each identity once: along each axis
 the d d, s s and d s identities, and for each pair of axes the four
-commutations of their faces and degeneracies.  An identity is checked by
-composing position lists: two composed lists over the whole source level
-are compared, and only where they differ does the level's own simplex name
-the violation.
+commutations of their faces and degeneracies.  Each identity is two
+composed position lists over the whole source level, compared as integer
+lists; only where they differ is the identity's text made, once, and each
+differing simplex of the level named.
 
 Levels carry no canonical order; only the bases of chain complexes
 (homology module) are sorted, by `repr`.  Degenerate simplices are stored
@@ -176,38 +176,26 @@ def _view(tables, keys) -> LazyTables:
 # ---------------------------------------------------------------------------
 # identity checks on position lists
 # ---------------------------------------------------------------------------
-#
-# A step (tables, key) is the table tables[key]; a path is a list of steps,
-# applied first to last.  A condition (head, lhs, rhs) asks that two paths
-# agree on every simplex x of a level and reports f"{head} on {x!r}" where
-# they do not.
 
-def _path(level, steps) -> list:
-    """The composite of `steps` as a list of positions over `level`."""
-    path = None
-    for tables, key in steps:
-        table = tables[key]
-        path = table if path is None else [table[k] for k in path]
-    return list(range(len(level))) if path is None else path
+def _path(level, tables) -> list:
+    """The composite of the position lists `tables`, applied first to last,
+    as a list of positions over `level`; no tables is the identity."""
+    path = tables[0] if tables else list(range(len(level)))
+    for table in tables[1:]:
+        path = [table[k] for k in path]
+    return path
 
 
-def _check_conditions(r: ValidationReport, groups) -> None:
-    """Report every violated condition of `groups`, pairs (level, conditions)
-    whose conditions are checked in turn on each simplex of the level."""
-    for level, conditions in groups:
-        if not level:
-            continue
-        differ = []
-        for head, lhs, rhs in conditions:
-            a = _path(level, lhs)
-            b = _path(level, rhs)
-            if a != b:
-                differ.append((head, a, b))
-        if differ:
-            for k, x in enumerate(level):
-                for head, a, b in differ:
-                    if a[k] != b[k]:
-                        r.add(f"{head} on {x!r}")
+def _agree(r: ValidationReport, level, lhs, rhs, head, *args) -> None:
+    """Report f"{head.format(*args)} on {x!r}" for each simplex x of `level`
+    on which the composites of `lhs` and `rhs` differ; the text is made
+    only then."""
+    a, b = _path(level, lhs), _path(level, rhs)
+    if a != b:
+        head = head.format(*args)
+        for x, u, v in zip(level, a, b):
+            if u != v:
+                r.add(f"{head} on {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +277,15 @@ def simplicial_map(source, target, fn, name="") -> SimplicialMap:
 
 def check_simplicial_map(f: SimplicialMap) -> ValidationReport:
     r = ValidationReport()
-    X, Y = f.source, f.target
-
-    def conditions():
-        for n in range(1, X.n_max + 1):
-            for i in range(n + 1):
-                yield X.level(n), [(f"map does not commute with d_{i} at level {n}",
-                                    [(X.faces, (n, i)), (f.maps, n - 1)],
-                                    [(f.maps, n), (Y.faces, (n, i))])]
-        for n in range(X.n_max):
-            for i in range(n + 1):
-                yield X.level(n), [(f"map does not commute with s_{i} at level {n}",
-                                    [(X.degens, (n, i)), (f.maps, n + 1)],
-                                    [(f.maps, n), (Y.degens, (n, i))])]
-
-    _check_conditions(r, conditions())
+    X, Y, maps = f.source, f.target, f.maps
+    for n in range(1, X.n_max + 1):
+        for i in range(n + 1):
+            _agree(r, X.level(n), [X.faces[n, i], maps[n - 1]], [maps[n], Y.faces[n, i]],
+                   "map does not commute with d_{} at level {}", i, n)
+    for n in range(X.n_max):
+        for i in range(n + 1):
+            _agree(r, X.level(n), [X.degens[n, i], maps[n + 1]], [maps[n], Y.degens[n, i]],
+                   "map does not commute with s_{} at level {}", i, n)
     return r
 
 
@@ -508,17 +490,22 @@ def aw_map(B: TruncatedMultisimplicialSet) -> SimplicialMap:
 def _axes(X) -> tuple:
     """(levels, bounds, face, degen) of a simplicial or multisimplicial set:
     its levels keyed by index tuple, its bound along each axis, and
-    face(a, key, i) / degen(a, key, i), the step (tables, key) of d_i / s_i
-    along axis a at the level `key`.  The checker and the diagonal read the
-    two table layouts only through it."""
+    face(a, key, i) / degen(a, key, i), the table of d_i / s_i along axis a
+    at the level `key`, or None if the set has no such table.  The checker
+    and the diagonal read the two table layouts only through it."""
     if isinstance(X, TruncatedSimplicialSet):
-        return ({(n,): X.level(n) for n in range(X.n_max + 1)}, (X.n_max,),
-                lambda a, key, i: (X.faces, (*key, i)),
-                lambda a, key, i: (X.degens, (*key, i)))
-    if isinstance(X, TruncatedMultisimplicialSet):
-        return (X.cells, X.bounds, lambda a, key, i: (X.faces, (a, key, i)),
-                lambda a, key, i: (X.degens, (a, key, i)))
-    raise TwoCatError(f"not a simplicial or multisimplicial set: {type(X)!r}")
+        levels, bounds = {(n,): X.level(n) for n in range(X.n_max + 1)}, (X.n_max,)
+        at = lambda a, key, i: (*key, i)
+    elif isinstance(X, TruncatedMultisimplicialSet):
+        levels, bounds, at = X.cells, X.bounds, lambda a, key, i: (a, key, i)
+    else:
+        raise TwoCatError(f"not a simplicial or multisimplicial set: {type(X)!r}")
+
+    def read(tables, a, key, i):
+        k = at(a, key, i)
+        return tables[k] if k in tables else None
+
+    return levels, bounds, partial(read, X.faces), partial(read, X.degens)
 
 
 def check_simplicial_identities(X) -> ValidationReport:
@@ -529,54 +516,52 @@ def check_simplicial_identities(X) -> ValidationReport:
     levels, bounds, face, degen = _axes(X)
     keys = list(product(*(range(b + 1) for b in bounds)))
     axes = range(len(bounds))
-    where = (lambda a, key: "") if len(bounds) == 1 else (lambda a, key: f"axis {a} at {key}: ")
-    steps, r = {}, ValidationReport()  # (letter, a, key) -> [step of d_i or s_i for each i]
-    for letter, kind, step, shift in (("d", "face", face, -1), ("s", "degeneracy", degen, 1)):
-        for a in axes:
-            for key in keys:
-                n = key[a]
-                if 0 <= n + shift <= bounds[a]:
-                    steps[letter, a, key] = row = [step(a, key, i) for i in range(n + 1)]
-                    for i, (tables, k) in enumerate(row):
-                        if k not in tables:
-                            r.add(f"{where(a, key)}missing {kind} table {letter}_{i} at level {n}")
+    # an identity's text takes (i, j, n, a, key); with one axis it names neither a nor key
+    at = "" if len(bounds) == 1 else "axis {3} at {4}: "
+    rows, r = {}, ValidationReport()  # (letter, a, key) -> [d_i or s_i for each i]
+    for letter, kind, table, shift in (("d", "face", face, -1), ("s", "degeneracy", degen, 1)):
+        for a, key in product(axes, keys):
+            n = key[a]
+            if 0 <= n + shift <= bounds[a]:
+                rows[letter, a, key] = row = [table(a, key, i) for i in range(n + 1)]
+                for i, t in enumerate(row):
+                    if t is None:
+                        r.add(at.format(i, None, n, a, key)
+                              + f"missing {kind} table {letter}_{i} at level {n}")
     if not r.ok:
         return r
+    for a in axes:
+        def along(letter, key, step=0):
+            return rows.get((letter, a, _moved(key, a, step)))
 
-    def identities(a, key):
-        """The d d, s s and d s conditions along axis a at the level key."""
-        n, at = key[a], where(a, key)
-        lo, hi = _moved(key, a, -1), _moved(key, a, 1)
-        d, dlo, dhi = (steps.get(("d", a, k)) for k in (key, lo, hi))
-        s, slo, shi = (steps.get(("s", a, k)) for k in (key, lo, hi))
-        yield [(f"{at}d_{i} d_{j} identity fails at level {n}", [d[j], dlo[i]], [d[i], dlo[j - 1]])
-               for j in range(n + 1) for i in range(j)] if dlo else []
-        yield [(f"{at}s_{i} s_{j} identity fails at level {n}", [s[j], shi[i]], [s[i], shi[j + 1]])
-               for j in range(n + 1) for i in range(j + 1)] if shi else []
-        yield [(f"{at}d_{i} s_{j} identity fails at level {n}", [s[j], dhi[i]],
-                [d[i], slo[j - 1]] if i < j else [] if i <= j + 1 else [d[i - 1], slo[j]])
-               for j in range(n + 1) for i in range(n + 2)] if s else []
-
-    def conditions():
-        for a in axes:
-            at_key = [(levels[key], list(identities(a, key))) for key in keys]
-            for kind in range(3):
-                for level, groups in at_key:
-                    for condition in groups[kind]:
-                        yield level, [condition]
-        for a, b in combinations(axes, 2):
-            for key in keys:
-                squares = [(f"{u}{a}_{{}} {v}{b}_{{}} do not commute at {key}", steps[u, a, key],
-                            steps[v, b, _moved(key, a, su)], steps[v, b, key],
-                            steps[u, a, _moved(key, b, sv)])
-                           for (u, su), (v, sv) in product((("d", -1), ("s", 1)), repeat=2)
-                           if (u, a, key) in steps and (v, b, key) in steps]
-                for i in range(key[a] + 1):
-                    for j in range(key[b] + 1):
-                        yield levels[key], [(head.format(i, j), [ua[i], vb_a[j]], [vb[j], ua_b[i]])
-                                            for head, ua, vb_a, vb, ua_b in squares]
-
-    _check_conditions(r, conditions())
+        for key in keys:
+            n, d, dlo = key[a], along("d", key), along("d", key, -1)
+            for j in range(n + 1) if dlo else ():
+                for i in range(j):
+                    _agree(r, levels[key], [d[j], dlo[i]], [d[i], dlo[j - 1]],
+                           at + "d_{0} d_{1} identity fails at level {2}", i, j, n, a, key)
+        for key in keys:
+            n, s, shi = key[a], along("s", key), along("s", key, 1)
+            for j in range(n + 1) if shi else ():
+                for i in range(j + 1):
+                    _agree(r, levels[key], [s[j], shi[i]], [s[i], shi[j + 1]],
+                           at + "s_{0} s_{1} identity fails at level {2}", i, j, n, a, key)
+        for key in keys:
+            n, s, slo = key[a], along("s", key), along("s", key, -1)
+            d, dhi = along("d", key), along("d", key, 1)
+            for j, i in product(range(n + 1) if s else (), range(n + 2)):
+                _agree(r, levels[key], [s[j], dhi[i]],
+                       [d[i], slo[j - 1]] if i < j else [] if i <= j + 1 else [d[i - 1], slo[j]],
+                       at + "d_{0} s_{1} identity fails at level {2}", i, j, n, a, key)
+    for (a, b), key in product(combinations(axes, 2), keys):
+        squares = [(u, rows[u, a, key], rows[v, b, _moved(key, a, su)],
+                    v, rows[v, b, key], rows[u, a, _moved(key, b, sv)])
+                   for (u, su), (v, sv) in product((("d", -1), ("s", 1)), repeat=2)
+                   if (u, a, key) in rows and (v, b, key) in rows]
+        for i, j in product(range(key[a] + 1), range(key[b] + 1)):
+            for u, ua, vb_a, v, vb, ua_b in squares:
+                _agree(r, levels[key], [ua[i], vb_a[j]], [vb[j], ua_b[i]],
+                       "{}{}_{} {}{}_{} do not commute at {}", u, a, i, v, b, j, key)
     return r
 
 
@@ -586,14 +571,14 @@ def _diagonal(X) -> TruncatedSimplicialSet:
     along every axis, last axis first."""
     levels, bounds, face, degen = _axes(X)
 
-    def composite(step, shift):
+    def composite(table, shift):
         def rule(key, source, *_):
             n, i = key
-            at, path = [n] * len(bounds), []
+            at, tables = [n] * len(bounds), []
             for a in reversed(range(len(bounds))):
-                path.append(step(a, tuple(at), i))
+                tables.append(table(a, tuple(at), i))
                 at[a] += shift
-            return _path(source, path)
+            return _path(source, tables)
         return rule
 
     return build_simplicial(min(bounds), lambda n: levels[(n,) * len(bounds)],

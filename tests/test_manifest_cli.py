@@ -597,11 +597,12 @@ def _refuse_to_build(*args):
 
 @pytest.mark.parametrize("argv,error", [
     (["homology", "--comma", "foo"], "--comma 'foo' is not FUNCTOR:OBJECT:SIDE"),
+    (["homology", "--comma", "id:WTC:b"], "--comma 'id:WTC:b' is not FUNCTOR:OBJECT:SIDE"),
     (["homology", "--comma", "id:WTC:b:sideways"],
      "comma side 'sideways' is neither over nor under"),
     (["homology", "--comma", "id:WTC:zzz:over"], "no object 'zzz' in WTC, the target of id:WTC"),
     (["comma", "--functor", "F", "--object", "zzz"], "no object 'zzz' in WTC, the target of F"),
-], ids=["malformed", "side", "object", "comma-object"])
+], ids=["malformed", "id-short", "side", "object", "comma-object"])
 def test_bad_comma_is_input_error(monkeypatch, capsys, argv, error):
     # none raises, is read as a default side or builds an empty comma: each
     # is rejected before anything is built

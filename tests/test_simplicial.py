@@ -2,6 +2,7 @@ import ast
 import random
 import re
 import threading
+from itertools import groupby
 
 import pytest
 
@@ -15,7 +16,7 @@ from twocat.simplicial import (BudgetError, TruncatedMultisimplicialSet, Truncat
                                aw_map, build_bisimplicial, build_simplicial,
                                check_simplicial_identities, check_simplicial_map, diag,
                                pointwise, simplex_budget, simplicial_map, transpose,
-                               tri_slice, verify_iso, wbar)
+                               tri_slice, verify_iso, wbar, _agree)
 
 
 def test_wbar_point_singletons():
@@ -398,6 +399,45 @@ def test_trisimplicial_checker_matches_reference(cx, seed):
 
 def test_trisimplicial_corruptions_hit_every_kind(cx):
     assert set().union(*(_trisimplicial_kinds(cx, seed) for seed in range(6))) == _kinds(3)
+
+
+@pytest.mark.parametrize("which", ["NN(WTC)", "N(const WTC)", "E(Dcov)"])
+def test_each_identity_reported_together_in_level_order(cx, which):
+    # with seed 4, each set fails two commutation squares at one (key, i, j),
+    # one of them on two or more simplices with a violation of the other
+    # between them; each identity's violations must still come as one run,
+    # its simplices in the order of their level
+    X = {"NN(WTC)": lambda: double_nerve(walking_two_cell(), 3),
+         "N(const WTC)": lambda: nerve_simplicial_twocat(
+             constant_simplicial(walking_two_cell(), 2)),
+         "E(Dcov)": lambda: build_E(cx.Dcov, 2)}[which]()
+    _corrupt_multisimplicial(random.Random(4), X, 4)
+    runs = [(identity, [simplex for *_, simplex in group]) for identity, group in
+            groupby(map(_parsed, check_simplicial_identities(X).violations),
+                    key=lambda v: v[:3])]
+    assert len(runs) > 1
+    assert len({identity for identity, _ in runs}) == len(runs)
+    for (_, _, key), simplices in runs:
+        order = {repr(x): k for k, x in enumerate(X.level(key))}
+        assert [order[x] for x in simplices] == sorted(order[x] for x in simplices)
+        assert len(set(simplices)) == len(simplices)
+
+
+class _Unformattable(str):
+    def format(self, *args):
+        raise AssertionError("an agreeing identity's text was made")
+
+
+def test_identity_text_made_only_on_violation():
+    r = ValidationReport()
+    level = ("x", "y", "z")
+    _agree(r, level, [[2, 0, 1], [2, 0, 1]], [[1, 2, 0]], _Unformattable("never {}"), 1)
+    _agree(r, level, [[1, 0, 2], [1, 0, 2]], [], _Unformattable("never"))
+    assert r.ok
+    _agree(r, level, [[1, 2, 0], [2, 0, 1]], [[1, 0, 2]], "fails {} at {}", "d_0", 3)
+    _agree(r, level, [[0, 1, 2]], [[2, 1, 0]], "plain")
+    assert r.violations == ["fails d_0 at 3 on 'x'", "fails d_0 at 3 on 'y'",
+                            "plain on 'x'", "plain on 'z'"]
 
 
 def test_missing_table_is_reported():
