@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         print(json.dumps({"status": "input-error", "errors": exc.errors[:20]},
                          indent=1, sort_keys=True))
         return 2
-    except (BudgetError, FileNotFoundError) as exc:
+    except (BudgetError, OSError) as exc:
         return _input_error(str(exc))
     except TwoCatError as exc:
         print(json.dumps({"status": "fail", "errors": [str(exc)]}))

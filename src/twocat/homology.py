@@ -193,39 +193,15 @@ class HomologyResult:
 
 
 def nondegenerate_levels(X: TruncatedSimplicialSet):
-    """Nondegenerate simplices of each level, sorted by `repr`: the basis
-    order, and so every boundary matrix, does not depend on the order in
-    which a construction enumerates its levels.
-
-    The key equals `repr(x)`, but a tuple's repr is joined from those of
-    its entries, and an object's repr is kept from its second use on:
-    simplices share their deeper parts, within and across levels, while a
-    simplex and its top parts are met once, and keeping their reprs would
-    only hold memory.  Objects are found by identity, so equal entries of
-    other types, such as 1, True and 1.0, keep their own reprs; every
-    keyed object stays alive in X's levels meanwhile, so no identity is
-    reused."""
-    memo, seen = {}, set()
-
-    def key(x):
-        s = memo.get(id(x))
-        if s is None:
-            if type(x) is tuple:
-                s = "(" + ", ".join(map(key, x)) + ("," if len(x) == 1 else "") + ")"
-            else:
-                s = repr(x)
-            if id(x) in seen:
-                memo[id(x)] = s
-            seen.add(id(x))
-        return s
-
-    levels = {0: tuple(sorted(X.level(0), key=key))}
+    """Nondegenerate simplices of each level, in the level's stored order.
+    Invariant factors do not depend on the basis order: reordering a basis
+    multiplies a boundary by a permutation matrix."""
+    levels = {0: tuple(X.level(0))}
     for n in range(1, X.n_max + 1):
         degenerate = set()
         for i in range(n):
             degenerate.update(X.degens[(n - 1, i)])
-        levels[n] = tuple(sorted((x for k, x in enumerate(X.level(n)) if k not in degenerate),
-                                 key=key))
+        levels[n] = tuple(x for k, x in enumerate(X.level(n)) if k not in degenerate)
     return levels
 
 
@@ -339,6 +315,8 @@ def first_homology_difference(f: SimplicialMap, k: int):
     not 0, as `H_i: <source> -> <target>, cone H_i = <cone>`; None if
     there is no such degree."""
     src, tgt, mats = chain_map(f)
+    if k >= 0:
+        homology(src, k)  # past the truncation, this raises before the cone is built
     cone = mapping_cone(src, tgt, mats, k + 1)
     for i in range(k + 1):
         hs, ht, hc = homology(src, i), homology(tgt, i), homology(cone, i)

@@ -37,9 +37,9 @@ composed position lists over the whole source level, compared as integer
 lists; only where they differ is the identity's text made, once, and each
 differing simplex of the level named.
 
-Levels carry no canonical order; only the bases of chain complexes
-(homology module) are sorted, by `repr`.  Degenerate simplices are stored
-explicitly; the normalized chain complex quotients them later.
+Levels carry no canonical order, and nothing sorts them.  Degenerate
+simplices are stored explicitly; the normalized chain complex quotients
+them later.
 """
 
 from __future__ import annotations

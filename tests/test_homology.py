@@ -12,7 +12,8 @@ import pytest
 from conftest import cyclic_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import TwoCatError, TwoFunctor, check_cell_map, discrete, product
+from twocat.core import (TwoCatError, TwoFunctor, check_cell_map, discrete,
+                         identity_functor, product)
 from twocat import verify
 from twocat.homology import (HomologyResult, chain_map, first_homology_difference,
                              homology, invariant_factors, is_homology_iso_upto,
@@ -232,6 +233,17 @@ def test_first_homology_difference_names_the_degree():
     assert first_homology_difference(g, 1) == "H_1: Z/4 -> Z/4, cone H_1 = Z/2"
 
 
+@pytest.mark.parametrize("check", [first_homology_difference, is_homology_iso_upto])
+@pytest.mark.parametrize("k", [3, 4])
+def test_degree_past_the_truncation_rejected(check, k):
+    # first_homology_difference built the cone first and met a KeyError
+    # past the top level
+    f = diag_nn_map(identity_functor(walking_two_cell()), 3)
+    with pytest.raises(TwoCatError, match=rf"^homology: degree {k} outside validated "
+                                          rf"range 0\.\.2$"):
+        check(f, k)
+
+
 def test_failing_invariance_check_says_why(monkeypatch):
     f = diag_nn_map(to_point(2), 3)
     monkeypatch.setattr(verify, "diag_nn_map", lambda F, n: f)
@@ -298,37 +310,61 @@ def test_corrupted_map_level_fails_chain_map():
         chain_map(f)
 
 
-def test_basis_in_repr_order():
-    # listing the objects in reverse changes the order of every level but
-    # neither the basis nor the boundary matrices
-    C = walking_two_cell()
-    X = diag_nn(dataclasses.replace(C, objects=C.objects[::-1]), 3)
-    assert list(X.level(1)) != sorted(X.level(1), key=repr)
-    cc = normalized_chain_complex(X)
-    for n in range(4):
-        assert list(cc.basis[n]) == sorted(cc.basis[n], key=repr)
-    same = normalized_chain_complex(diag_nn(C, 3))
-    assert (cc.basis, cc.boundary) == (same.basis, same.boundary)
-    ranks = [cc.dim(n) for n in range(4)]
-    assert repr(cc) == f"<ChainComplex Diag(NN(WTC)) N=3 ranks={ranks}>"
+LADDER = [pytest.param(n, j, id=f"BZ{n}" + "xWTC" * j) for n, j in ((4, 0), (6, 0), (3, 1))]
 
 
-def test_basis_in_repr_order_on_every_verified_complex(monkeypatch):
+def ladder_category(n, j):
+    """B(Z/n) x WTC^j."""
+    return product([cyclic_group(n)] + [walking_two_cell()] * j)
+
+
+def ladder_complex(n, j):
+    """The normalized complex of diag NN(B(Z/n) x WTC^j) at N = 4."""
+    return normalized_chain_complex(diag_nn(ladder_category(n, j), 4))
+
+
+def stored_nondegenerate(X):
+    """The nondegenerate simplices of each level of X, as the level stores them."""
+    levels = {}
+    for n in range(X.n_max + 1):
+        degenerate = {X.degen(n - 1, i, y) for i in range(n) for y in X.level(n - 1)}
+        levels[n] = tuple(x for x in X.level(n) if x not in degenerate)
+    return levels
+
+
+@pytest.mark.parametrize("C,N", [pytest.param(walking_two_cell(), 3, id="WTC")]
+                         + [pytest.param(ladder_category(*p.values), 4, id=p.id) for p in LADDER])
+def test_basis_in_level_order(C, N):
+    # listing the objects and 1-cells in reverse reorders the levels and so
+    # the bases, but no boundary's invariant factors and no homology group
+    X = diag_nn(dataclasses.replace(C, objects=C.objects[::-1],
+                                    one_cells=dict(reversed(C.one_cells.items()))), N)
+    Y = diag_nn(C, N)
+    assert list(X.level(1)) != list(Y.level(1))
+    cc, same = normalized_chain_complex(X), normalized_chain_complex(Y)
+    for Z, complex_ in ((X, cc), (Y, same)):
+        assert complex_.basis == stored_nondegenerate(Z)
+    for n in range(1, N + 1):
+        assert cc.factors(n) == same.factors(n), n
+    assert [homology(cc, i) for i in range(N)] == [homology(same, i) for i in range(N)]
+    assert repr(cc) == repr(same)
+
+
+def test_basis_in_level_order_on_every_verified_complex(monkeypatch):
     module = importlib.import_module("twocat.homology")
     real, seen = module.nondegenerate_levels, []
     monkeypatch.setattr(module, "nondegenerate_levels",
-                        lambda X: seen.append(real(X)) or seen[-1])
+                        lambda X: seen.append((X, real(X))) or seen[-1][1])
     assert verify.run_suite(parse(bundled_manifest_path()), "all")["status"] == "pass"
     assert seen
-    for levels in seen:
-        for level in levels.values():
-            assert list(level) == sorted(level, key=repr)
+    for X, levels in seen:
+        assert levels == stored_nondegenerate(X), X
 
 
-def test_basis_sort_key_is_repr():
-    # equal entries of other types (1, True, 1.0) keep their own reprs,
-    # 1-tuples end in a comma, a str and a tuple meet at the same position,
-    # and a tuple subclass prints as itself; level 1 reuses level 0's parts
+def test_basis_keeps_each_level_as_stored():
+    # equal entries of other types (1, True, 1.0), 1-tuples, a str and a
+    # tuple that print alike, and a namedtuple: each level comes back as
+    # stored, with no entry merged into an equal one and none moved
     P = namedtuple("P", "x")
     one, yes, real, t1, t2 = 1, True, 1.0, (1,), (True,)
     level0 = (one, yes, real, "1", "it's", (), t1, t2, (1.0,), ("a",), "a", P(1), (P(0),))
@@ -336,19 +372,10 @@ def test_basis_sort_key_is_repr():
               (t1, ()), (t2, ()), ((), t1), (t1, t1), (t1,), (t2,), ((),), (("",),))
     X = TruncatedSimplicialSet(1, {0: level0, 1: level1}, {}, {(0, 0): []})
     levels = nondegenerate_levels(X)
-    assert levels == {0: tuple(sorted(level0, key=repr)), 1: tuple(sorted(level1, key=repr))}
-    # equal values of other types compare equal above; their reprs do not
-    assert [list(map(repr, levels[n])) for n in (0, 1)] == \
-        [sorted(map(repr, level)) for level in (level0, level1)]
-
-
-LADDER = [pytest.param(n, j, id=f"BZ{n}" + "xWTC" * j) for n, j in ((4, 0), (6, 0), (3, 1))]
-
-
-def ladder_complex(n, j):
-    """The normalized complex of diag NN(B(Z/n) x WTC^j) at N = 4."""
-    return normalized_chain_complex(diag_nn(product([cyclic_group(n)]
-                                                    + [walking_two_cell()] * j), 4))
+    assert levels == {0: level0, 1: level1}
+    # equal values compare equal above; the entries themselves must match
+    assert [list(map(id, levels[n])) for n in (0, 1)] == \
+        [list(map(id, level)) for level in (level0, level1)]
 
 
 @pytest.mark.parametrize("n,j", LADDER)

@@ -570,6 +570,18 @@ def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, cap
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("option,argv", [
+    ("--manifest", ["validate"]),
+    ("--out", ["validate", "--name", "WA"]),
+], ids=["manifest", "out"])
+def test_unusable_path_is_input_error(tmp_path, capsys, option, argv):
+    # a directory as the manifest or the report ended in an IsADirectoryError
+    # traceback with exit 1, "verification failed"
+    assert main([option, str(tmp_path), *argv]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "input-error", "errors": [f"[Errno 21] Is a directory: {str(tmp_path)!r}"]}
+
+
 def test_suite_is_named_by_position_only(capsys):
     # `verify` names its suite as README shows it, `twocat verify SUITE`
     with pytest.raises(SystemExit) as exc:
