@@ -575,8 +575,8 @@ def test_truncation_too_low_for_a_homology_claim_is_input_error(monkeypatch, cap
     ("--out", ["validate", "--name", "WA"]),
 ], ids=["manifest", "out"])
 def test_unusable_path_is_input_error(tmp_path, capsys, option, argv):
-    # a directory as the manifest or the report ended in an IsADirectoryError
-    # traceback with exit 1, "verification failed"
+    # a path that cannot be read or written is an input error, not a
+    # verification failure (exit 1) or a traceback
     assert main([option, str(tmp_path), *argv]) == 2
     assert json.loads(capsys.readouterr().out) == {
         "status": "input-error", "errors": [f"[Errno 21] Is a directory: {str(tmp_path)!r}"]}
