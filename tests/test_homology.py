@@ -346,7 +346,8 @@ def test_basis_in_level_order(C, N):
     for n in range(1, N + 1):
         assert cc.factors(n) == same.factors(n), n
     assert [homology(cc, i) for i in range(N)] == [homology(same, i) for i in range(N)]
-    assert repr(cc) == repr(same)
+    ranks = [cc.dim(n) for n in range(N + 1)]
+    assert repr(cc) == repr(same) == f"<ChainComplex Diag(NN({C.name})) N={N} ranks={ranks}>"
 
 
 def test_basis_in_level_order_on_every_verified_complex(monkeypatch):
