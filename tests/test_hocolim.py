@@ -1,21 +1,34 @@
+import dataclasses
+import itertools
 import random
 import sys
+from functools import partial
 
+import pytest
+
+from test_violations import loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
+from twocat.cli import bundled_manifest_path
 from twocat.comma import UNDER, representable_diagram
-from twocat.core import (TwoFunctor, check_cell_map, compose_functors, constant_diagram,
-                         functor_equal, functor_is_bijective, renaming_morphism)
+from twocat.core import (CONTRAVARIANT, COVARIANT, TwoCatError, TwoDiagram, TwoFunctor,
+                         check_cell_map, compose_functors, constant_diagram, discrete,
+                         functor_equal, functor_is_bijective, identity_functor,
+                         identity_natural, renaming_morphism, validate_diagram)
 from twocat.hocolim import (build_E, build_E_pull,
                             check_simplicial_two_category,
                             grothendieck_wbar_comparison, hocolim,
                             hocolim_level_product_iso, hocolim_map,
                             hocolim_wbar_comparison, reversal_bridge_report)
 from twocat.homology import is_homology_iso_upto
-from twocat.nerves import (double_nerve, map_dn_simplex, nerve_simplicial_twocat,
+from twocat.manifest import parse
+from twocat.nerves import (_col_degen, _col_face, _col_image, _identity_col, _merge_cols,
+                           double_nerve, hom_chains, map_dn_simplex, nerve_simplicial_twocat,
                            wbar_double_nerve)
-from twocat.simplicial import (check_simplicial_identities,
+from twocat.simplicial import (_table, check_simplicial_identities,
                                check_simplicial_map, simplicial_map, tri_diag,
                                verify_iso)
+
+MANIFEST = parse(bundled_manifest_path())
 
 
 def test_hocolim_level_counts(cx):
@@ -233,3 +246,143 @@ def test_hocolim_checks_fail_on_a_structure_map_between_the_wrong_levels(cx):
     S.faces[(1, 0)] = S.degens[(0, 0)]
     rep = check_simplicial_two_category(S)
     assert rep.violations == ["face d_0 at level 1: wrong source or target"]
+
+
+# -- E's tables against its per-simplex reference rules -----------------------
+#
+# The rules below rebuild every image simplex of E from its cells, with a
+# fresh `hom_chains` per column, and look it up, as E was once built.  Every
+# level and table of E must equal the ones they give.
+
+def _ref_E(D, n_max):
+    """(level, face, degen) of E(D): level(key) lists the level in order, and
+    face(axis, p, n, q, i, x) / degen(...) give the image of the simplex x."""
+    C = D.base
+    cov = D.variance == COVARIANT
+    dn = double_nerve(C, n_max)
+
+    def col_fibre(objs, m):
+        # fibre category hosting column m (1-based)
+        return D.ob[objs[m]] if cov else D.ob[objs[m - 1]]
+
+    def col_endpoints(base, xs, m):
+        objs, fcols, acols = base
+        q = len(fcols[m - 1]) - 1
+        if cov:
+            return D.one[fcols[m - 1][q]].o(xs[m - 1]), xs[m]
+        return xs[m - 1], D.one[fcols[m - 1][0]].o(xs[m])
+
+    def level(key):
+        p, n, q = key
+        out = []
+        for base in dn.level((p, q)):
+            objs = base[0]
+            for xs in itertools.product(*(D.ob[c].objects for c in objs)):
+                cols = [hom_chains(col_fibre(objs, m), *col_endpoints(base, xs, m), n)
+                        for m in range(1, p + 1)]
+                for combo in itertools.product(*cols):
+                    out.append((base, xs, tuple(us for us, _ in combo),
+                                tuple(ph for _, ph in combo)))
+        return out
+
+    def columnwise(objs, ucols, phicols, rule):
+        # rule(m, fibre, column) for each column m, in its hosting fibre
+        cols = [rule(m, col_fibre(objs, m), col) for m, col in enumerate(zip(ucols, phicols), 1)]
+        return tuple(zip(*cols)) or ((), ())
+
+    def face(axis, p, n, q, i, x):
+        base, xs, ucols, phicols = x
+        objs, fcols, acols = base
+        if axis == 0:
+            nbase = dn.face(0, (p, q), i, base)
+            if i == 0:
+                return (nbase, xs[1:], ucols[1:], phicols[1:])
+            if i == p:
+                return (nbase, xs[:-1], ucols[:-1], phicols[:-1])
+            col1, col2 = (ucols[i - 1], phicols[i - 1]), (ucols[i], phicols[i])
+            if cov:
+                us, ph = _merge_cols(D.ob[objs[i + 1]], _col_image(D.one[fcols[i][q]], col1), col2)
+            else:
+                us, ph = _merge_cols(D.ob[objs[i - 1]], col1, _col_image(D.one[fcols[i - 1][0]], col2))
+            return (nbase, xs[:i] + xs[i + 1:], ucols[:i - 1] + (us,) + ucols[i + 1:],
+                    phicols[:i - 1] + (ph,) + phicols[i + 1:])
+        if axis == 1:
+            return (base, xs, *columnwise(objs, ucols, phicols, lambda m, F, col: _col_face(F, col, i)))
+        nbase = dn.face(1, (p, q), i, base)
+        if i != (q if cov else 0):
+            return (nbase, xs, ucols, phicols)
+        # the twisted face: each column merged with the constant column at the
+        # component of the base 2-cell it drops
+        def whiskered(m, F, col):
+            w = (D.two[acols[m - 1][q - 1]].at(xs[m - 1]) if cov
+                 else D.two[acols[m - 1][0]].at(xs[m]))
+            whisk = ((w,) * (n + 1), (F.id2[w],) * n)
+            return _merge_cols(F, whisk, col) if cov else _merge_cols(F, col, whisk)
+
+        return (nbase, xs, *columnwise(objs, ucols, phicols, whiskered))
+
+    def degen(axis, p, n, q, i, x):
+        base, xs, ucols, phicols = x
+        objs = base[0]
+        if axis == 0:
+            us, ph = _identity_col(D.ob[objs[i]], xs[i], n)
+            return (dn.degen(0, (p, q), i, base), xs[:i + 1] + (xs[i],) + xs[i + 1:],
+                    ucols[:i] + (us,) + ucols[i:], phicols[:i] + (ph,) + phicols[i:])
+        if axis == 1:
+            return (base, xs, *columnwise(objs, ucols, phicols, lambda m, F, col: _col_degen(F, col, i)))
+        return (dn.degen(1, (p, q), i, base), xs, ucols, phicols)
+
+    return level, face, degen
+
+
+def _partly_empty_diagram():
+    """A covariant diagram over WA whose fibre over 0 has no objects and whose
+    fibre over 1 is PT."""
+    wa, empty, point = walking_arrow(), discrete(()), pt()
+    fibres = {"0": empty, "1": point}
+    one = {f: (identity_functor(fibres[s]) if s == t else TwoFunctor(empty, point, {}, {}, {}))
+           for f, (s, t) in wa.one_cells.items()}
+    two = {al: identity_natural(one[f]) for al, (f, _) in wa.two_cells.items()}
+    return TwoDiagram(wa, COVARIANT, fibres, one, two, name="empty_0")
+
+
+def E_cases():
+    m = MANIFEST
+    cases = [pytest.param(m.diagrams[name], N, id=f"{name}-{N}")
+             for name in sorted(m.diagrams) for N in (3, 4)]
+    for variance in (COVARIANT, CONTRAVARIANT):
+        D = constant_diagram(walking_arrow(), loop_group(2), variance)
+        cases.append(pytest.param(D, 3, id=f"const(WA,OZ2)-{variance}"))
+    return cases + [pytest.param(constant_diagram(walking_two_cell(), pt()), 3, id="const(WTC,PT)"),
+                    pytest.param(constant_diagram(pt(), walking_arrow()), 3, id="const(PT,WA)"),
+                    pytest.param(_partly_empty_diagram(), 3, id="empty-fibre")]
+
+
+@pytest.mark.parametrize("D,N", E_cases())
+def test_E_tables_equal_reference_rules(D, N):
+    assert validate_diagram(D).ok
+    E = (build_E if D.variance == COVARIANT else build_E_pull)(D, N)
+    level, face, degen = _ref_E(D, N)
+    for key, cells in E.cells.items():
+        assert list(cells) == level(key), key
+    assert any(E.cells.values())
+    for tables, rule, step in ((E.faces, face, -1), (E.degens, degen, 1)):
+        for (axis, key, i), table in tables.items():
+            target = tuple(k + step * (a == axis) for a, k in enumerate(key))
+            want = _table(partial(rule, axis, *key, i), E.cells[key], E.cells[target], repr)
+            assert table == want, (axis, key, i)
+
+
+def test_E_face_leaving_window_raises_at_the_first_simplex():
+    # 1b o f = 1a in the fibre: merging the columns f and 1b of a string
+    # a -> b -> b gives a column from a to a, so d_1 along axis 0 leaves level
+    # (1, 0, 0) at the first simplex whose reference image is not in it
+    C = walking_two_cell()
+    D = constant_diagram(walking_arrow(), dataclasses.replace(C, hcomp1={**C.hcomp1, ("1b", "f"): "1a"}))
+    E = build_E(D, 2)
+    face = _ref_E(D, 2)[1]
+    where = E.cells[(1, 0, 0)].index
+    first = next(x for x in E.level((2, 0, 0)) if face(0, 2, 0, 0, 1, x) not in where)
+    with pytest.raises(TwoCatError) as exc:
+        E.faces[(0, (2, 0, 0), 1)]
+    assert str(exc.value) == f"{E.name}: face axis0 d_1 leaves window at (2, 0, 0) {first!r}"
