@@ -19,12 +19,18 @@ re-whiskered by the top vertical face; contravariant columns run from
 x_{m-1} into the pullback of x_m along the bottom base row and are
 re-whiskered by the bottom vertical face.  Column m, (ucols[m-1],
 phicols[m-1]), is a column of the hosting fibre in the sense of `nerves`,
-and E's rules are `nerves`' column operations: an inner horizontal face
-merges two columns (`_merge_cols`) once one is carried into the other's
-fibre (`_col_image`), the twisted vertical face merges each column with a
-constant whisker column, a horizontal degeneracy inserts an identity column
-(`_identity_col`), and the other vertical maps are `_col_face` and
-`_col_degen` column by column.
+and E is built from codes: a simplex is (b, xs, us), the position of its
+base in the double nerve's level, of each fibre object among its fibre's
+objects, and of each column among its host's depth-n columns
+(`nerves._Strings`).  A level lists the codes in the order of base, objects
+and columns, each column chosen among the host's columns across its ends.
+A table sends codes to codes: the base through the double nerve's own
+tables, an inner horizontal face through `_Columns.image` and
+`_Columns.merge`, the twisted vertical face through a merge with a
+constant whisker column, a horizontal degeneracy through
+`_Columns.identities`, and the other vertical maps through
+`_Strings.face_codes` / `degen_codes` column by column; each image is looked
+up among the target level's codes, so none is rebuilt.
 
 The colimit's checks read the cells of its levels, tagged with their
 dimension, as a simplicial set (`_cells`) and go through the simplicial
@@ -41,8 +47,7 @@ from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    check_cell_map, coproduct, diagram_over_opposite,
                    hom_category, product, discrete, relabel, validate)
 from .grothendieck import grothendieck
-from .nerves import (_col_degen, _col_face, _col_image, _identity_col, _merge_cols,
-                     double_nerve, hom_chains, map_dn_simplex, nerve_category,
+from .nerves import (_Strings, double_nerve, map_dn_simplex, nerve_category,
                      wbar_double_nerve)
 from .simplicial import (SimplicialMap, TruncatedMultisimplicialSet,
                          TruncatedSimplicialSet, bisimplicial_from_family,
@@ -272,96 +277,132 @@ def build_E_pull(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
 
 
 def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
+    """E(D), its levels listed and its tables filled by code (see the module
+    docstring); codes[key] maps the codes of the level key, in order, to
+    their positions."""
     C = D.base
     cov = D.variance == COVARIANT
     dn = double_nerve(C, n_max)
+    own = {F: _Strings(F) for F in dict.fromkeys(D.ob.values())}
+    fibre = {c: own[F] for c, F in D.ob.items()}
+    codes, memo = {}, {}
 
-    def col_fibre(objs, m):
-        # fibre category hosting column m (1-based)
-        return D.ob[objs[m]] if cov else D.ob[objs[m - 1]]
+    def kept(key, make):
+        try:
+            return memo[key]
+        except KeyError:
+            return memo.setdefault(key, make())
 
-    def col_endpoints(base, xs, m):
-        objs, fcols, acols = base
-        q = len(fcols[m - 1]) - 1
-        if cov:
-            src = D.one[fcols[m - 1][q]].o(xs[m - 1])
-            return src, xs[m]
-        tgt = D.one[fcols[m - 1][0]].o(xs[m])
-        return xs[m - 1], tgt
+    def hosts(objs) -> list:
+        # the strings of the fibres hosting the columns over objs, in turn
+        return [fibre[c] for c in (objs[1:] if cov else objs[:-1])]
+
+    def moved(f, n) -> tuple:
+        # (h, g): the transport along the base 1-cell f on objects and columns
+        a, b = C.one_cells[f] if cov else C.one_cells[f][::-1]
+        return kept(("moved", f, n), lambda: fibre[a].cols(n).image(fibre[b].cols(n), D.one[f]))
+
+    def ends(S, n) -> dict:
+        # the depth-n columns of S by (source, target), in order
+        def make():
+            M, out = S.cols(n), {}
+            for c, ab in enumerate(zip(M.dom, M.cod)):
+                out.setdefault(ab, []).append(c)
+            return out
+        return kept(("ends", S, n), make)
 
     def level(key):
         p, n, q = key
-        out = []
-        for base in dn.level((p, q)):
-            objs = base[0]
-            for xs in itertools.product(*(D.ob[c].objects for c in objs)):
-                cols = []
-                for m in range(1, p + 1):
-                    a, b = col_endpoints(base, xs, m)
-                    # chains u^0 => ... => u^n of parallel fibre 1-cells a -> b
-                    cols.append(hom_chains(col_fibre(objs, m), a, b, n))
-                for combo in itertools.product(*cols) if p else [()]:
-                    out.append((base, xs,
-                                tuple(us for us, _ in combo),
-                                tuple(ph for _, ph in combo)))
+        out, index = [], {}
+        for b, base in enumerate(dn.level((p, q))):
+            objs, fcols, _ = base
+            strs, cols = [fibre[c] for c in objs], [S.cols(n) for S in hosts(objs)]
+            by_ends = [ends(S, n) for S in hosts(objs)]
+            hs = [moved(fs[q if cov else 0], n)[0] for fs in fcols]
+            for xs in itertools.product(*(range(len(S.objects)) for S in strs)):
+                xv = tuple(S.objects[x] for S, x in zip(strs, xs))
+                # column m + 1 runs from x_m carried along the top base row, or
+                # into x_{m+1} carried back along the bottom one
+                choices = [e.get((h[xs[m]], xs[m + 1]) if cov else (xs[m], h[xs[m + 1]]), ())
+                           for m, (e, h) in enumerate(zip(by_ends, hs))]
+                for us in itertools.product(*choices):
+                    index[b, xs, us] = len(out)
+                    cells = [M.cells[c] for M, c in zip(cols, us)]
+                    out.append((base, xv, tuple(u for u, _ in cells), tuple(ph for _, ph in cells)))
+        codes[key] = index
         return out
 
-    def face(axis, key, i, x):
+    def columnwise(key, table) -> list:
+        # every column sent through table(S), a code list of its host S
         p, n, q = key
-        base, xs, ucols, phicols = x
-        objs, fcols, acols = base
-        if axis == 0:
-            nbase = dn.face(0, (p, q), i, base)
-            if i == 0:
-                return (nbase, xs[1:], ucols[1:], phicols[1:])
-            if i == p:
-                return (nbase, xs[:-1], ucols[:-1], phicols[:-1])
-            # columns i and i + 1 merged: covariantly in the fibre of column
-            # i + 1, column i transported along the top row of base column
-            # i + 1; contravariantly in the fibre of column i, column i + 1
-            # pulled back along the bottom row of base column i
-            col1, col2 = (ucols[i - 1], phicols[i - 1]), (ucols[i], phicols[i])
-            if cov:
-                us, ph = _merge_cols(D.ob[objs[i + 1]], _col_image(D.one[fcols[i][q]], col1), col2)
-            else:
-                us, ph = _merge_cols(D.ob[objs[i - 1]], col1, _col_image(D.one[fcols[i - 1][0]], col2))
-            return (nbase, xs[:i] + xs[i + 1:],
-                    ucols[:i - 1] + (us,) + ucols[i + 1:],
-                    phicols[:i - 1] + (ph,) + phicols[i + 1:])
+        tabs = [[table(S) for S in hosts(objs)] for objs, _, _ in dn.level((p, q))]
+        return [(b, xs, tuple(t[c] for t, c in zip(tabs[b], us))) for b, xs, us in codes[key]]
+
+    def whiskered(M, al, X, x, c):
+        # column c merged with the constant column at al's component at X's object x
+        try:
+            return memo[M, al, x, c]
+        except KeyError:
+            w = D.two[al].at(X.objects[x])
+            k = M.index.get(((w,) * (M.q + 1), (M.C.id2[w],) * M.q))
+            return memo.setdefault((M, al, x, c), M.merge(k, c) if cov else M.merge(c, k))
+
+    def face(axis, key, i) -> list:
+        p, n, q = key
+        bases, at = dn.level((p, q)), codes[key]
         if axis == 1:
-            cols = [_col_face(col_fibre(objs, m), col, i)
-                    for m, col in enumerate(zip(ucols, phicols), 1)]
-            return (base, xs, *(tuple(zip(*cols)) or ((), ())))
-        # axis 2: the twisted face whiskers each column by the transport of
-        # the base 2-cell it drops, a constant column merged with it
-        nbase = dn.face(1, (p, q), i, base)
+            return columnwise(key, lambda S: S.face_codes(n, i))
+        nb = dn.faces[axis // 2, (p, q), i]
+        if axis == 0 and 0 < i < p:
+            # columns i and i + 1 merged in the fibre hosting the later one
+            # (covariant) or the earlier one, the other carried there
+            ops = [(fibre[objs[i + 1]].cols(n).merge, moved(fcols[i][q], n)[1]) if cov
+                   else (fibre[objs[i - 1]].cols(n).merge, moved(fcols[i - 1][0], n)[1])
+                   for objs, fcols, _ in bases]
+
+            def merged(b, c, d):
+                merge, g = ops[b]
+                return merge(g[c], d) if cov else merge(c, g[d])
+
+            return [(nb[b], xs[:i] + xs[i + 1:],
+                     us[:i - 1] + (merged(b, us[i - 1], us[i]),) + us[i + 1:]) for b, xs, us in at]
+        if axis == 0:
+            rest = slice(1, None) if i == 0 else slice(None, -1)
+            return [(nb[b], xs[rest], us[rest]) for b, xs, us in at]
         if i != (q if cov else 0):
-            return (nbase, xs, ucols, phicols)
-        cols = []
-        for m, col in enumerate(zip(ucols, phicols), 1):
-            fib = col_fibre(objs, m)
-            w = (D.two[acols[m - 1][q - 1]].at(xs[m - 1]) if cov
-                 else D.two[acols[m - 1][0]].at(xs[m]))
-            whisk = ((w,) * (n + 1), (fib.id2[w],) * n)
-            cols.append(_merge_cols(fib, whisk, col) if cov else _merge_cols(fib, col, whisk))
-        return (nbase, xs, *(tuple(zip(*cols)) or ((), ())))
+            return [(nb[b], xs, us) for b, xs, us in at]
+        # the twisted face whiskers each column by the transport of the base
+        # 2-cell it drops
+        twists = [[(fibre[objs[m]].cols(n), acols[m - 1][q - 1], fibre[objs[m - 1]], m - 1) if cov
+                   else (fibre[objs[m - 1]].cols(n), acols[m - 1][0], fibre[objs[m]], m)
+                   for m in range(1, p + 1)] for objs, _, acols in bases]
+        return [(nb[b], xs, tuple(whiskered(M, al, X, xs[j], c)
+                                  for (M, al, X, j), c in zip(twists[b], us))) for b, xs, us in at]
 
-    def degen(axis, key, i, x):
+    def degen(axis, key, i) -> list:
         p, n, q = key
-        base, xs, ucols, phicols = x
-        objs = base[0]
-        if axis == 0:
-            us, ph = _identity_col(D.ob[objs[i]], xs[i], n)
-            return (dn.degen(0, (p, q), i, base), xs[:i + 1] + (xs[i],) + xs[i + 1:],
-                    ucols[:i] + (us,) + ucols[i:], phicols[:i] + (ph,) + phicols[i:])
+        bases, at = dn.level((p, q)), codes[key]
         if axis == 1:
-            cols = [_col_degen(col_fibre(objs, m), col, i)
-                    for m, col in enumerate(zip(ucols, phicols), 1)]
-            return (base, xs, *(tuple(zip(*cols)) or ((), ())))
-        return (dn.degen(1, (p, q), i, base), xs, ucols, phicols)
+            return columnwise(key, lambda S: S.degen_codes(n, i))
+        nb = dn.degens[axis // 2, (p, q), i]
+        if axis == 2:
+            return [(nb[b], xs, us) for b, xs, us in at]
+        ids = [fibre[objs[i]].cols(n).identities for objs, _, _ in bases]
+        return [(nb[b], xs[:i + 1] + xs[i:], us[:i] + (ids[b][xs[i]],) + us[i:])
+                for b, xs, us in at]
 
-    return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
-                               pointwise(degen), name=f"E({D.name})")
+    def coded(images, step):
+        def rule(k, source, target, fail):
+            axis, key, i = k
+            to = codes[key[:axis] + (key[axis] + step,) + key[axis + 1:]]
+            table = [to.get(x) for x in images(axis, key, i)]
+            if None in table:
+                raise TwoCatError(fail(source[table.index(None)]))
+            return table
+        return rule
+
+    return build_trisimplicial((n_max, n_max, n_max), level, coded(face, -1), coded(degen, 1),
+                               name=f"E({D.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ image of the source level's k-th simplex.  A table is built from its table
 rule the first time it is read and kept from then on; the rule checks that
 every image lies in the target level, so every entry is in range.  A
 per-simplex rule becomes a table rule through `pointwise`, which looks each
-image up in the target level's index; the nerves module fills its tables
-without images.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
+image up in the target level's index; `wbar`, the trisimplicial nerve of a
+simplicial 2-category and the cells of a homotopy colimit use it.  The
+double nerves and their diagonals fill their tables without images, and the
+resolution E from integer codes.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
 through the source level's index and return the target level's own
 simplex.
 

@@ -1,7 +1,8 @@
 """Bundled verification suites over a resolved manifest.
 
 Each check produces (name, status, detail) with status "pass", "fail" or
-"error" (the check raised); a suite passes iff every check passes.
+"error" (the check raised); a suite passes iff every check passes.  A
+level past the simplex budget ends the run instead (see `Runner.run`).
 Reports are deterministic: entities are visited in sorted name order and
 all details are plain strings.  A check that builds a construction
 first validates its inputs; if they are invalid it fails with a
@@ -29,7 +30,7 @@ from .manifest import Manifest
 from .nerves import (diag_nn, diag_nn_map, double_nerve, is_category,
                      map_dn_simplex, nerve_category, repackage_staircase,
                      tri_diag_nn, wbar_double_nerve)
-from .simplicial import (aw_map, check_simplicial_identities,
+from .simplicial import (BudgetError, aw_map, check_simplicial_identities,
                          check_simplicial_map, simplicial_map, verify_iso)
 
 SUITES = ("identities", "iso112", "iso114", "retractions", "oplax",
@@ -95,10 +96,14 @@ class Runner:
     def run(self, name, fn):
         """Record fn's (ok, detail) as a pass or a fail; an exception out of
         fn is a crash of the library, not a false claim, and is recorded as
-        an error with the exception as its detail."""
+        an error with the exception as its detail.  A `BudgetError` is
+        neither: a level outgrew the caller's budget, so it ends the run and
+        goes to the caller (`cli.main` reports it as an input error)."""
         try:
             ok, detail = fn()
             status = "pass" if ok else "fail"
+        except BudgetError:
+            raise
         except Exception as exc:  # noqa: BLE001 - any crash marks the check
             status, detail = "error", f"{type(exc).__name__}: {exc}"
         self.checks.append({"name": name, "status": status, "detail": detail})

@@ -507,6 +507,14 @@ def test_cli_budget_aborts_cleanly():
     assert "budget" in out
 
 
+def test_cli_budget_aborts_verify_as_an_input_error(capsys):
+    # a level past the budget used to be reported as a crashed check (exit 1)
+    assert main(["--budget", "50", "verify", "identities"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "input-error",
+        "errors": ["level size 52 exceeds the simplex budget 50; raise it or lower the truncation"]}
+
+
 def test_cli_budget_does_not_outlive_its_call(capsys):
     # the budget of one in-process call must not apply to the next call
     assert main(["--budget", "3", "--trunc", "3", "wbar", "--name", "WTC"]) == 2

@@ -14,7 +14,7 @@ from test_violations import loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, discrete, identity_functor, product
-from twocat.hocolim import hocolim
+from twocat.hocolim import build_E, build_E_pull, hocolim
 from twocat.manifest import parse
 from twocat.nerves import (_identity_col, _merge_cols, _Strings, diag_nn,
                            diag_nn_map, double_nerve, hom_chains, is_category,
@@ -330,10 +330,15 @@ def _every_table(sets):
 
 def test_threads_reading_one_set_get_identical_tables():
     # more threads than cores, switching often, all filling the same lazy
-    # tables and column memos at once
+    # tables and column memos (and E's code memos) at once
     C = product([walking_two_cell(), walking_two_cell()])
-    D = MANIFEST.diagrams["Dcov"]
-    sets = [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3))]
+    D, Drep = MANIFEST.diagrams["Dcov"], MANIFEST.diagrams["Drep"]
+
+    def build():
+        return [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3)),
+                build_E(D, 3), build_E_pull(Drep, 3)]
+
+    sets = build()
     start = threading.Barrier(6)
     seen = [None] * 6
 
@@ -353,8 +358,7 @@ def test_threads_reading_one_set_get_identical_tables():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(a is b for tables in seen for a, b in zip(tables, seen[0], strict=True))
-    fresh = [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3))]
-    assert seen[0] and seen[0] == _every_table(fresh)
+    assert seen[0] and seen[0] == _every_table(build())
 
 
 def test_double_nerve_rule_leaving_window_raises_on_read():
