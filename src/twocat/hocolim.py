@@ -316,13 +316,13 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
         out, index = [], {}
         for b, base in enumerate(dn.level((p, q))):
             objs, fcols, _ = base
-            strs, cols = [fibre[c] for c in objs], [S.cols(n) for S in hosts(objs)]
-            by_ends = [ends(S, n) for S in hosts(objs)]
+            strs, host = [fibre[c] for c in objs], hosts(objs)
+            cols, by_ends = [S.cols(n) for S in host], [ends(S, n) for S in host]
             hs = [moved(fs[q if cov else 0], n)[0] for fs in fcols]
             for xs in itertools.product(*(range(len(S.objects)) for S in strs)):
                 xv = tuple(S.objects[x] for S, x in zip(strs, xs))
-                # column m + 1 runs from x_m carried along the top base row, or
-                # into x_{m+1} carried back along the bottom one
+                # column m + 1 runs from x_m carried along the top base row
+                # (covariant), or into x_{m+1} carried back along the bottom one
                 choices = [e.get((h[xs[m]], xs[m + 1]) if cov else (xs[m], h[xs[m + 1]]), ())
                            for m, (e, h) in enumerate(zip(by_ends, hs))]
                 for us in itertools.product(*choices):

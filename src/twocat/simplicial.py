@@ -14,9 +14,9 @@ per-simplex rule becomes a table rule through `pointwise`, which looks each
 image up in the target level's index; `wbar`, the trisimplicial nerve of a
 simplicial 2-category and the cells of a homotopy colimit use it.  The
 double nerves and their diagonals fill their tables without images, and the
-resolution E from integer codes.  `X.face(n, i, x)`, `f.at(n, x)` and the other lookups go
-through the source level's index and return the target level's own
-simplex.
+resolution E from integer codes.  `X.face(n, i, x)`, `f.at(n, x)` and the
+other lookups go through the source level's index and return the target
+level's own simplex.
 
 A set with two or more axes is a `TruncatedMultisimplicialSet`: levels
 keyed by index tuple, tables keyed (axis, key, i), one builder.  A
