@@ -6,14 +6,17 @@ from functools import partial
 
 import pytest
 
+from conftest import cyclic_group
 from test_violations import loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.comma import UNDER, representable_diagram
-from twocat.core import (CONTRAVARIANT, COVARIANT, TwoCatError, TwoDiagram, TwoFunctor,
-                         check_cell_map, compose_functors, constant_diagram, discrete,
-                         functor_equal, functor_is_bijective, identity_functor,
-                         identity_natural, renaming_morphism, validate_diagram)
+from twocat.core import (CONTRAVARIANT, COVARIANT, DiagramMorphism, TwoCatError,
+                         TwoDiagram, TwoFunctor, check_cell_map, compose_functors,
+                         constant_diagram, discrete, functor_equal, functor_is_bijective,
+                         identity_functor, identity_natural, renaming_morphism,
+                         validate_diagram, validate_diagram_morphism)
+from twocat.grothendieck import grothendieck_morphism
 from twocat.hocolim import (build_E, build_E_pull,
                             check_simplicial_two_category,
                             grothendieck_wbar_comparison, hocolim,
@@ -22,11 +25,12 @@ from twocat.hocolim import (build_E, build_E_pull,
 from twocat.homology import is_homology_iso_upto
 from twocat.manifest import parse
 from twocat.nerves import (_col_degen, _col_face, _col_image, _identity_col, _merge_cols,
-                           double_nerve, hom_chains, map_dn_simplex, nerve_simplicial_twocat,
-                           wbar_double_nerve)
+                           diag_nn_map, double_nerve, hom_chains, map_dn_simplex,
+                           nerve_simplicial_twocat, wbar_double_nerve)
 from twocat.simplicial import (_table, check_simplicial_identities,
                                check_simplicial_map, simplicial_map, tri_diag,
                                verify_iso)
+from twocat.verify import _homology_iso
 
 MANIFEST = parse(bundled_manifest_path())
 
@@ -166,6 +170,44 @@ def test_invariance_homology(cx):
     XE = tri_diag(nerve_simplicial_twocat(SE))
     f = simplicial_map(XD, XE, lambda n, x: map_dn_simplex(maps[n], x))
     assert is_homology_iso_upto(f, 2)
+
+
+def _to_point(D: TwoDiagram) -> DiagramMorphism:
+    """const(B, X) -> const(B, PT), collapsing every fibre cell."""
+    P, X = pt(), D.ob[next(iter(D.base.objects))]
+    (o,), (e,) = P.objects, P.one_cells
+    bang = TwoFunctor(X, P, dict.fromkeys(X.objects, o), dict.fromkeys(X.one_cells, e),
+                      dict.fromkeys(X.two_cells, P.id2[e]), name="bang")
+    return DiagramMorphism(D, constant_diagram(D.base, P, D.variance),
+                           dict.fromkeys(D.base.objects, bang), name=f"bang({D.name})")
+
+
+def invariance_cases():
+    m = MANIFEST
+    cases = [pytest.param(renaming_morphism(m.diagrams[name]), "degrees 0..2", id=f"ren({name})")
+             for name in sorted(m.diagrams)]
+    cases.append(pytest.param(m.diagram_morphisms["collapse"], "degrees 0..2", id="collapse"))
+    for B in (m.two_categories["WA"], m.two_categories["WTC"]):
+        for variance in (COVARIANT, CONTRAVARIANT):
+            g = _to_point(constant_diagram(B, cyclic_group(2), variance))
+            cases.append(pytest.param(g, "H_1: Z/2 -> 0, cone H_1 = 0",
+                                      id=f"const({B.name},BZ2)-{variance}"))
+    return cases
+
+
+@pytest.mark.parametrize("g,detail", invariance_cases())
+def test_invariance_through_the_assembly_agrees_with_hocolim(g, detail):
+    # the Homotopy Colimit Theorem: hocolim g and the assembly of g give the
+    # same answer, through the trisimplicial nerve or the double nerve
+    assert validate_diagram_morphism(g).ok
+    SD, SE = hocolim(g.source, 4), hocolim(g.target, 4)
+    maps = hocolim_map(g, SD, SE)
+    f = simplicial_map(tri_diag(nerve_simplicial_twocat(SD)),
+                       tri_diag(nerve_simplicial_twocat(SE)),
+                       lambda n, x: map_dn_simplex(maps[n], x))
+    verdict = (detail == "degrees 0..2", detail)
+    assert _homology_iso(f, 2) == verdict
+    assert _homology_iso(diag_nn_map(grothendieck_morphism(g), 4), 2) == verdict
 
 
 def test_resolution_base_line_counts(cx):
