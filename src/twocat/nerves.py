@@ -26,9 +26,9 @@ table (vertical face or degeneracy, identity column, merge of two columns,
 a 2-functor's image), and its table is filled from those sums; no simplex
 is rebuilt or looked up.  A column image that is not a column across the
 right objects puts the simplex's image outside its level, which raises with
-the set's usual window text.  The diagonals enumerate only their own levels
-(of the double nerve of S_n for `tri_diag_nn`); `simplicial.diag` and
-`tri_diag` remain for sets that are materialized anyway.
+the set's usual window text.  `diag_nn` enumerates only its own levels;
+`simplicial.diag` and `tri_diag` remain for sets that are materialized
+anyway.
 `repackage_staircase` and `nerve_simplicial_twocat` stay per simplex.
 """
 
@@ -283,19 +283,19 @@ def _weights(table, codes) -> list:
     return [_MISSING if c is None else table[c] for c in codes]
 
 
-# Each of the three fills below takes the strings S of the source and T of
-# the images, the depth tuples ds of the source level and dt of the image
-# level, one column table per source position (g[m][c] the image of the
-# column c at position m among T's columns of its new depth, or None) and
-# the object map h (h[o] among T's objects, or None), and returns the
-# positions in level dt of the images of level ds in order.  A table or map
-# that is None leaves every column or object where it is.
+# Each of the three fills below takes the strings S of the source, the depth
+# tuples ds of the source level and dt of the image level and one column
+# table per source position (g[m][c] the image of the column c at position m
+# among the columns of its new depth, or None), and returns the positions in
+# level dt of the images of level ds in order.  A face or degeneracy ranks
+# its images among the strings S; a map ranks them among the strings T of
+# its target, with the object map h (h[o] among T's objects, or None).  A
+# table or map that is None leaves every column or object where it is.
 
-def _face_positions(S, T, ds, dt, i, g, h, merged) -> list:
+def _face_positions(S, ds, dt, i, g, merged) -> list:
     """The i-th horizontal face: the first or last column dropped, or
     columns i and i + 1 replaced by merged(c_i, c_{i+1})."""
-    start, before, _ = T.ranks(dt)
-    start = _weights(start, h)
+    start, before, _ = S.ranks(dt)
     if i == 0:
         first = [start[b] for b in S.cols(ds[0]).cod]
         return S.fill(ds, [0] * len(S.objects), S.steps(ds, [first] + [
@@ -308,17 +308,17 @@ def _face_positions(S, T, ds, dt, i, g, h, merged) -> list:
     return S.fill(ds, start, steps)
 
 
-def _degen_positions(S, T, ds, dt, i, g, h, ident) -> list:
+def _degen_positions(S, ds, dt, i, g, ident) -> list:
     """The i-th horizontal degeneracy: the column ident[o] inserted after
     the i-th object o."""
-    start, before, _ = T.ranks(dt)
-    idw, ow = _weights(before[i], ident), _weights(start, h)
+    start, before, _ = S.ranks(dt)
+    idw = _weights(before[i], ident)
     weights = [_weights(before[m + (m >= i)], g[m]) for m in range(len(ds))]
     if i == 0:
-        ow = [w + x for w, x in zip(ow, idw)]
+        start = [w + x for w, x in zip(start, idw)]
     else:
         weights[i - 1] = [w + idw[b] for w, b in zip(weights[i - 1], S.cols(ds[i - 1]).cod)]
-    return S.fill(ds, ow, S.steps(ds, weights))
+    return S.fill(ds, start, S.steps(ds, weights))
 
 
 def _map_positions(S, T, ds, dt, g, h) -> list:
@@ -346,11 +346,6 @@ def _ranked(positions):
     return lambda key, source, target, fail: _within(positions(*key), source, target, fail)
 
 
-def _compose(g1, g2) -> list:
-    """g2 after g1, position lists with None where there is no image."""
-    return [None if c is None else g2[c] for c in g1]
-
-
 # ---------------------------------------------------------------------------
 # nerve of a category, double nerve and its diagonal
 # ---------------------------------------------------------------------------
@@ -358,13 +353,13 @@ def _compose(g1, g2) -> list:
 def _string_face(S, p, q, i) -> list:
     """The i-th horizontal face of the strings of p depth-q columns."""
     ds = (q,) * p
-    return _face_positions(S, S, ds, ds[1:], i, [None] * p, None, S.cols(q).merge)
+    return _face_positions(S, ds, ds[1:], i, [None] * p, S.cols(q).merge)
 
 
 def _string_degen(S, p, q, i) -> list:
     """The i-th horizontal degeneracy of the strings of p depth-q columns."""
     ds = (q,) * p
-    return _degen_positions(S, S, ds, ds + (q,), i, [None] * p, None, S.cols(q).identities)
+    return _degen_positions(S, ds, ds + (q,), i, [None] * p, S.cols(q).identities)
 
 
 def nerve_category(A: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
@@ -405,12 +400,12 @@ def _diag_nn(S: _Strings, n_max) -> TruncatedSimplicialSet:
 
     def face(n, i):
         T, g = S.cols(n - 1), S.face_codes(n, i)
-        return _face_positions(S, S, (n,) * n, (n - 1,) * (n - 1), i, [g] * n,
-                               None, lambda c, d: T.merge(g[c], g[d]))
+        return _face_positions(S, (n,) * n, (n - 1,) * (n - 1), i, [g] * n,
+                               lambda c, d: T.merge(g[c], g[d]))
 
     def degen(n, i):
-        return _degen_positions(S, S, (n,) * n, (n + 1,) * (n + 1), i, [S.degen_codes(n, i)] * n,
-                                None, S.cols(n + 1).identities)
+        return _degen_positions(S, (n,) * n, (n + 1,) * (n + 1), i, [S.degen_codes(n, i)] * n,
+                                S.cols(n + 1).identities)
 
     return build_simplicial(n_max, lambda n: S.level((n,) * n), _ranked(face), _ranked(degen),
                             name=f"Diag(NN({S.C.name}))")
@@ -446,12 +441,12 @@ def wbar_double_nerve(C: TwoCategory, n_max: int) -> TruncatedSimplicialSet:
         if 0 < i < n:
             top, M = S.face_codes(i, i), S.cols(i - 1)
             merged = lambda c, d: M.merge(c, top[d])
-        return _face_positions(S, S, stairs(n), stairs(n - 1), i, g, None, merged)
+        return _face_positions(S, stairs(n), stairs(n - 1), i, g, merged)
 
     def degen(n, i):
         # the depth-i identity column inserted, s^v_i beyond
         g = [None if q < i else S.degen_codes(q, i) for q in range(n)]
-        return _degen_positions(S, S, stairs(n), stairs(n + 1), i, g, None, S.cols(i).identities)
+        return _degen_positions(S, stairs(n), stairs(n + 1), i, g, S.cols(i).identities)
 
     return build_simplicial(n_max, lambda n: S.level(stairs(n)), _ranked(face),
                             _ranked(degen), name=f"WbarNN({C.name})")
@@ -529,34 +524,3 @@ def nerve_simplicial_twocat(S) -> TruncatedMultisimplicialSet:
     return build_trisimplicial((n_max, n_max, n_max), level, pointwise(face),
                                pointwise(degen), name=f"NN({S.name})")
 
-
-def tri_diag_nn(S) -> TruncatedSimplicialSet:
-    """Diagonal of `nerve_simplicial_twocat(S)`, made from the double nerves
-    of the levels of S: level n is the (n, n) level of the double nerve of
-    S_n; d_i applies dh_i, then dv_i, then the face 2-functor S.face(n, i)
-    to every cell, and s_i likewise with degeneracies.  Equal to
-    `tri_diag(nerve_simplicial_twocat(S))`, but only the (n, n, n) levels
-    are enumerated."""
-    strings = [_Strings(S.level(p)) for p in range(S.n_max + 1)]
-    square = lambda n: (n,) * n
-
-    def face(n, i):
-        A, T = strings[n], strings[n - 1]
-        h, f = A.cols(n - 1).image(T.cols(n - 1), S.face(n, i))
-        g, M = _compose(A.face_codes(n, i), f), A.cols(n)
-
-        def merged(c, d):
-            k = M.merge(c, d)
-            return None if k is None else g[k]
-
-        return _face_positions(A, T, square(n), square(n - 1), i, [g] * n, h, merged)
-
-    def degen(n, i):
-        A, T = strings[n], strings[n + 1]
-        h, f = A.cols(n + 1).image(T.cols(n + 1), S.degen(n, i))
-        g = _compose(A.degen_codes(n, i), f)
-        return _degen_positions(A, T, square(n), square(n + 1), i, [g] * n, h,
-                                _compose(A.cols(n).identities, g))
-
-    return build_simplicial(S.n_max, lambda n: strings[n].level(square(n)), _ranked(face),
-                            _ranked(degen), name=f"Diag(NN({S.name}))")

@@ -9,21 +9,20 @@ from functools import cache, partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import constant_simplicial, cyclic_group
+from conftest import cyclic_group
 from test_violations import loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, discrete, identity_functor, product
-from twocat.hocolim import build_E, build_E_pull, hocolim
+from twocat.hocolim import build_E, build_E_pull
 from twocat.manifest import parse
 from twocat.nerves import (_identity_col, _merge_cols, _Strings, diag_nn,
                            diag_nn_map, double_nerve, hom_chains, is_category,
-                           map_dn_simplex, nerve_category,
-                           nerve_simplicial_twocat, repackage_staircase,
-                           tri_diag_nn, wbar_double_nerve)
+                           map_dn_simplex, nerve_category, repackage_staircase,
+                           wbar_double_nerve)
 from twocat.simplicial import (BudgetError, _table, check_simplicial_identities,
                                check_simplicial_map, diag, simplex_budget,
-                               simplicial_map, tri_diag, verify_iso, wbar)
+                               simplicial_map, verify_iso, wbar)
 
 MANIFEST = parse(bundled_manifest_path())
 
@@ -171,13 +170,6 @@ def test_direct_diag_nn_equals_diag_of_double_nerve(C, N):
     assert_same_simplicial_set(diag_nn(C, N), diag(double_nerve(C, N)))
 
 
-@pytest.mark.parametrize("N", [3, 4])
-@pytest.mark.parametrize("name", sorted(MANIFEST.diagrams))
-def test_direct_tri_diag_nn_equals_tri_diag_of_nerve(name, N):
-    S = hocolim(MANIFEST.diagrams[name], N)
-    assert_same_simplicial_set(tri_diag_nn(S), tri_diag(nerve_simplicial_twocat(S)))
-
-
 def test_direct_diag_rule_leaving_window_raises_on_read():
     # 1b o f = 1a sends the composite of the columns f and 1b of an (a, b, b)
     # simplex out of the hom from a to b, so d_1 leaves level 1
@@ -269,21 +261,6 @@ def _ref_diag_rules(C):
             lambda n, i, x: sh(n, n + 1, i, sv(n, n, i, x)))
 
 
-def _ref_tri_diag_rules(S):
-    """(level, face, degen) of the diagonal of the trisimplicial nerve of S."""
-    rules = [_ref_double_nerve_rules(S.level(p)) for p in range(S.n_max + 1)]
-
-    def face(n, i, x):
-        _, dh, _, dv, _ = rules[n]
-        return map_dn_simplex(S.face(n, i), dv(n - 1, n, i, dh(n, n, i, x)))
-
-    def degen(n, i, x):
-        _, _, sh, _, sv = rules[n]
-        return map_dn_simplex(S.degen(n, i), sv(n + 1, n, i, sh(n, n, i, x)))
-
-    return lambda n: rules[n][0](n, n), face, degen
-
-
 def _ref_table(rule, key, source, target):
     return _table(partial(rule, *key), source, target, repr)
 
@@ -315,13 +292,6 @@ def test_diag_nn_tables_equal_reference_rules(C, N):
     assert_simplicial_tables_match(diag_nn(C, N), *_ref_diag_rules(C))
 
 
-@pytest.mark.parametrize("N", [3, 4])
-@pytest.mark.parametrize("name", sorted(MANIFEST.diagrams))
-def test_tri_diag_nn_tables_equal_reference_rules(name, N):
-    S = hocolim(MANIFEST.diagrams[name], N)
-    assert_simplicial_tables_match(tri_diag_nn(S), *_ref_tri_diag_rules(S))
-
-
 def _every_table(sets):
     """Every table of every set in `sets`, read in a fixed order."""
     return [tables[key] for X in sets
@@ -335,7 +305,7 @@ def test_threads_reading_one_set_get_identical_tables():
     D, Drep = MANIFEST.diagrams["Dcov"], MANIFEST.diagrams["Drep"]
 
     def build():
-        return [double_nerve(C, 3), diag_nn(C, 3), tri_diag_nn(hocolim(D, 3)),
+        return [double_nerve(C, 3), diag_nn(C, 3), wbar_double_nerve(C, 3),
                 build_E(D, 3), build_E_pull(Drep, 3)]
 
     sets = build()
@@ -372,17 +342,6 @@ def test_double_nerve_rule_leaving_window_raises_on_read():
     with pytest.raises(TwoCatError) as exc:
         B.face(0, (2, 0), 1, B.level((2, 0))[-1])
     assert str(exc.value) == f"NN(WTC): face axis0 d_1 leaves window at (2, 0) {first!r}"
-
-
-def test_tri_diag_nn_rule_leaving_window_raises_on_read():
-    S = constant_simplicial(_bad_wtc(), 2)
-    X = tri_diag_nn(S)
-    assert X.sizes() == tri_diag_nn(constant_simplicial(walking_two_cell(), 2)).sizes()
-    face = _ref_tri_diag_rules(S)[1]
-    first = next(x for x in X.level(2) if face(2, 1, x) not in X.cells[1].index)
-    with pytest.raises(TwoCatError) as exc:
-        X.face(2, 1, X.level(2)[-1])
-    assert str(exc.value) == f"Diag(NN(const)): face d_1 leaves level 1 at {first!r}"
 
 
 # -- the staircase, the nerve of a category and diag_nn_map -------------------
