@@ -752,8 +752,8 @@ class DiagramMorphism:
 def validate_diagram_morphism(G: DiagramMorphism) -> ValidationReport:
     """Whether G's source and target are valid diagrams (`validate_diagram`,
     reported as "source: ..." and "target: ...") and, once both are, whether
-    G's components are 2-functors that commute strictly with the
-    transports."""
+    they share a base and G's components are 2-functors that commute
+    strictly with the transports."""
     return diagram_morphism_report(G, validate_diagram(G.source), validate_diagram(G.target))
 
 
@@ -769,6 +769,9 @@ def diagram_morphism_report(G: DiagramMorphism, source: ValidationReport,
         return r
     D, E = G.source, G.target
     C = D.base
+    if not same_category(C, E.base):
+        r.add("source and target have different bases")
+        return r
     for c in C.objects:
         F = G.comp.get(c)
         if F is None or not (same_category(F.source, D.ob[c])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, TwoNaturalTransformation, DiagramMorphism,
                    composable, composition_tables, identity_functor,
-                   identity_natural)
+                   identity_natural, same_category)
 
 
 class ManifestError(Exception):
@@ -245,6 +245,9 @@ def resolve(doc: dict) -> Manifest:
         D, E = m.diagrams[Dn], m.diagrams[En]
         if D.variance != E.variance:
             errors.append(f"diagram_morphisms.{name}: variance mismatch")
+            continue
+        if not same_category(D.base, E.base):
+            errors.append(f"diagram_morphisms.{name}: base mismatch")
             continue
         comp = {}
         ok = True

@@ -3,11 +3,12 @@ from hypothesis import given, strategies as st
 
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import (check_cell_map, diagram_over_opposite, discrete,
-                         hom_category, identity_functor, opposite, product,
+from twocat.core import (check_cell_map, constant_diagram, diagram_over_opposite,
+                         discrete, hom_category, identity_functor, opposite, product,
                          relabel, renaming_morphism, same_category, validate,
                          validate_diagram, validate_diagram_morphism,
-                         OplaxTransformation, TwoFunctor, TwoNaturalTransformation)
+                         DiagramMorphism, OplaxTransformation, TwoFunctor,
+                         TwoNaturalTransformation)
 from twocat.manifest import Manifest, parse
 from twocat.verify import run_suite
 
@@ -182,6 +183,15 @@ def test_morphism_out_of_an_ill_typed_diagram_reported():
     g = renaming_morphism(_drep_with_phi_into_a_copy())
     assert validate_diagram_morphism(g).violations == [
         "source: transport at 2-cell phi has wrong boundary functors"]
+
+
+def test_morphism_across_bases_reported():
+    # components keyed by WA's objects, target fibres by WTC's: reported,
+    # not a KeyError
+    P = pt()
+    D, E = constant_diagram(walking_arrow(), P), constant_diagram(walking_two_cell(), P)
+    g = DiagramMorphism(D, E, dict.fromkeys(D.base.objects, identity_functor(P)))
+    assert validate_diagram_morphism(g).violations == ["source and target have different bases"]
 
 
 def test_ends_are_where_each_transport_runs():

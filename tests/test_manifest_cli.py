@@ -476,6 +476,24 @@ def test_non_name_or_partial_identity_is_input_error(tmp_path, capsys, path, val
     rep = json.loads(capsys.readouterr().out)
     assert rep["status"] == "input-error" and rep["errors"][0] == error
 
+def test_morphism_across_bases_is_input_error(tmp_path, capsys):
+    # Dpt lies over WA, the new target over WTC: rejected at resolve, as a
+    # variance mismatch is, rather than a KeyError in the suites
+    doc = json.loads(DATA.read_text())
+    doc["diagrams"]["Dwtc"] = {"base": "WTC", "variance": "covariant",
+                               "fibres": {"a": "PT", "b": "PT"},
+                               "on_one_cells": {"f": "id_PT", "g": "id_PT"},
+                               "on_two_cells": {"phi": {"*": "1"}}}
+    doc["diagram_morphisms"]["X"] = {"source": "Dpt", "target": "Dwtc",
+                                     "components": {"0": "id_PT", "1": "id_PT"}}
+    bad = tmp_path / DATA.name
+    bad.write_text(json.dumps(doc))
+    for args in (["validate"], ["verify", "all"]):
+        assert main(["--manifest", str(bad), *args]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "status": "input-error", "errors": ["diagram_morphisms.X: base mismatch"]}
+
+
 def test_cli_report_written(tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli("--out", str(out_path), "verify", "iso112")
