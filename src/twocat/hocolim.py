@@ -539,28 +539,17 @@ def grothendieck_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     rhs = wbar_double_nerve(grothendieck(D), n_max)
 
     def fn(n, TT):
-        if cov:
-            cs = TT[0][0][0][0]
-            xs = {m: TT[m][0][1][0] for m in range(n + 1)}
-            f = {(j, m): TT[j][j][0][1][m - j - 1][j]
-                 for j in range(n) for m in range(j + 1, n + 1)}
-            al = {(j, m): TT[j][j][0][2][m - j - 1][j - 1]
-                  for j in range(1, n) for m in range(j + 1, n + 1)}
-            us = {(k, m): TT[k][k][2][m - k - 1][0]
-                  for k in range(n) for m in range(k + 1, n + 1)}
-            ph = {(k, m): TT[k][k - 1][3][m - k - 1][0]
-                  for k in range(1, n) for m in range(k + 1, n + 1)}
-        else:
-            cs = TT[0][0][0][0]
-            xs = {m: TT[m][0][1][0] for m in range(n + 1)}
-            f = {(j, m): TT[j][0][0][1][m - j - 1][j]
-                 for j in range(n) for m in range(j + 1, n + 1)}
-            al = {(j, m): TT[j][0][0][2][m - j - 1][j - 1]
-                  for j in range(1, n) for m in range(j + 1, n + 1)}
-            us = {(k, m): TT[k][k][2][m - k - 1][k]
-                  for k in range(n) for m in range(k + 1, n + 1)}
-            ph = {(k, m): TT[k][k][3][m - k - 1][k - 1]
-                  for k in range(1, n) for m in range(k + 1, n + 1)}
+        # the two variances differ only in which inner position holds a cell
+        cs = TT[0][0][0][0]
+        xs = {m: TT[m][0][1][0] for m in range(n + 1)}
+        f = {(j, m): TT[j][j if cov else 0][0][1][m - j - 1][j]
+             for j in range(n) for m in range(j + 1, n + 1)}
+        al = {(j, m): TT[j][j if cov else 0][0][2][m - j - 1][j - 1]
+              for j in range(1, n) for m in range(j + 1, n + 1)}
+        us = {(k, m): TT[k][k][2][m - k - 1][0 if cov else k]
+              for k in range(n) for m in range(k + 1, n + 1)}
+        ph = {(k, m): TT[k][k - cov][3][m - k - 1][0 if cov else k - 1]
+              for k in range(1, n) for m in range(k + 1, n + 1)}
         objs = tuple((cs[m], xs[m]) for m in range(n + 1))
         fcols, acols = [], []
         for m in range(1, n + 1):
