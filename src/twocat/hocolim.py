@@ -539,7 +539,6 @@ def grothendieck_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     rhs = wbar_double_nerve(grothendieck(D), n_max)
 
     def fn(n, TT):
-        # the two variances differ only in which inner position holds a cell
         cs = TT[0][0][0][0]
         xs = {m: TT[m][0][1][0] for m in range(n + 1)}
         f = {(j, m): TT[j][j if cov else 0][0][1][m - j - 1][j]
