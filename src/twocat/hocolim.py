@@ -1,8 +1,7 @@
 """The homotopy colimit of a 2-diagram, its auxiliary resolution E (a
 multisimplicial set with three axes, see `build_E`), and the two explicit
 comparison isomorphisms onto the codiagonal models of the colimit nerve and
-of the assembled 2-category; the families over E's axis 0 are bisimplicial
-sets read through the axis view of `simplicial` (`tri_slice`, `transpose`).
+of the assembled 2-category.
 
 A level-p cell of the colimit is (chain, data): for a covariant diagram the
 data is (x, h_1, ..., h_p) with x in the fibre over chain[0] and h_i cells
@@ -32,6 +31,18 @@ constant whisker column, a horizontal degeneracy through
 `_Strings.face_codes` / `degen_codes` column by column; each image is looked
 up among the target level's codes, so none is rebuilt.
 
+The comparisons read families indexed by the colimit level p
+(`bisimplicial_from_family`; E's through `tri_slice`).
+`hocolim_wbar_comparison` maps W-bar of E's diagonal family, whose
+horizontal tables are E's own, onto W-bar of the colimit levels' W-bar
+nerves; it reads each staircase field by one index rule and carries each
+cell down along d_0.  `grothendieck_wbar_comparison` maps W-bar of E's
+levelwise W-bars onto the assembly's.  The W-bar families make new tuples,
+so their rules go through `pointwise`.  A contravariant diagram goes
+through the reversal onto the opposite base: for Drep at N = 3, W-bar of
+E's diagonal family has 3, 7, 13 and 21 simplices against the colimit
+side's 3, 6, 10 and 15, so no direct map is an isomorphism.
+
 The colimit's checks read the cells of its levels, tagged with their
 dimension, as a simplicial set (`_cells`) and go through the simplicial
 identity and map checkers.
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (COVARIANT, CONTRAVARIANT, TwoCategory, TwoDiagram,
                    TwoFunctor, DiagramMorphism, TwoCatError, ValidationReport,
@@ -412,11 +424,17 @@ def _build_aux(D: TwoDiagram, n_max: int) -> TruncatedMultisimplicialSet:
 def _family_diag_E(E: TruncatedMultisimplicialSet) -> TruncatedMultisimplicialSet:
     N = E.bounds[0]
     levels = [diag(tri_slice(E, 0, p)) for p in range(N + 1)]
-    return bisimplicial_from_family(
-        levels,
-        lambda p, i, s, x: E.face(0, (p, s, s), i, x),
-        lambda p, i, s, x: E.degen(0, (p, s, s), i, x),
-        name=f"[p]Diag{E.name}")
+
+    def own(tables):
+        # the family's level (p, s) is E's level (p, s, s), so E's axis-0
+        # tables there are already its horizontal tables
+        def rule(key, *_):
+            p, i, s = key
+            return tables[0, (p, s, s), i]
+        return rule
+
+    return bisimplicial_from_family(levels, own(E.faces), own(E.degens),
+                                    name=f"[p]Diag{E.name}")
 
 
 def _family_wbar_E(E: TruncatedMultisimplicialSet, transposed: bool) -> TruncatedMultisimplicialSet:
@@ -435,51 +453,22 @@ def _family_wbar_E(E: TruncatedMultisimplicialSet, transposed: bool) -> Truncate
     def hmap(move, p, i, s, tup):
         return tuple(move(0, component_key(p, s, pos), i, t) for pos, t in enumerate(tup))
 
-    return bisimplicial_from_family(
-        levels,
-        lambda p, i, s, x: hmap(E.face, p, i, s, x),
-        lambda p, i, s, x: hmap(E.degen, p, i, s, x),
-        name=f"[p]Wbar{E.name}")
+    return bisimplicial_from_family(levels, pointwise(partial(hmap, E.face)),
+                                    pointwise(partial(hmap, E.degen)), name=f"[p]Wbar{E.name}")
 
 
 def _family_wbar_hocolim(S: SimplicialTwoCategory) -> TruncatedMultisimplicialSet:
     N = S.n_max
     levels = [wbar_double_nerve(S.level(p), N) for p in range(N + 1)]
     return bisimplicial_from_family(
-        levels,
-        lambda p, i, s, x: map_dn_simplex(S.face(p, i), x),
-        lambda p, i, s, x: map_dn_simplex(S.degen(p, i), x),
+        levels, pointwise(lambda p, i, s, x: map_dn_simplex(S.face(p, i), x)),
+        pointwise(lambda p, i, s, x: map_dn_simplex(S.degen(p, i), x)),
         name=f"[p]WbarNN{S.name}")
 
 
 # ---------------------------------------------------------------------------
 # the comparison isomorphisms
 # ---------------------------------------------------------------------------
-
-def _extract_resolution_data(T, n):
-    """Read the chain-of-columns data off a staircase tuple of the diagonal
-    family: objects, base rows, fibre objects, and fibre columns."""
-    cs = T[0][0][0]
-    f = {}
-    al = {}
-    xs = {}
-    us = {}
-    ph = {}
-    for j in range(n + 1):
-        base = T[j][0]
-        for m in range(j + 1, n + 1):
-            f[(j, m)] = base[1][m - j - 1][j]
-            if 1 <= j:
-                al[(j, m)] = base[2][m - j - 1][j - 1]
-        xs[j] = T[j][1][0]
-    for m in range(1, n + 1):
-        stage = T[m - 1]
-        for k in range(m):
-            us[(k, m)] = stage[2][0][k]
-        for k in range(1, m):
-            ph[(k, m)] = stage[3][0][k - 1]
-    return cs, f, al, xs, us, ph
-
 
 def hocolim_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     """Explicit simplicial isomorphism between the codiagonal of the diagonal
@@ -498,33 +487,30 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     rhs = wbar(_family_wbar_hocolim(S))
 
     def fn(n, T):
-        cs, f, al, xs, us, ph = _extract_resolution_data(T, n)
-        out = []
-        for s in range(n + 1):
-            p = n - s
-            zs = []
-            for j in range(s + 1):
-                cell = (cs[j:], (xs[j],) + tuple(f[(j, m)] for m in range(j + 1, n + 1)))
-                for lev in range(n - j, p, -1):
-                    cell = S.face(lev, 0).o(cell)
-                zs.append(cell)
-            fcols, acols = [], []
-            for m in range(1, s + 1):
-                col_f, col_a = [], []
-                for k in range(m):
-                    cell = (cs[m:], (us[(k, m)],) + tuple(al[(m, j)] for j in range(m + 1, n + 1)))
-                    for lev in range(n - m, p, -1):
-                        cell = S.face(lev, 0).f1(cell)
-                    col_f.append(cell)
-                for k in range(1, m):
-                    cell = (cs[m:], (ph[(k, m)],) + tuple(al[(m, j)] for j in range(m + 1, n + 1)))
-                    for lev in range(n - m, p, -1):
-                        cell = S.face(lev, 0).f2(cell)
-                    col_a.append(cell)
-                fcols.append(tuple(col_f))
-                acols.append(tuple(col_a))
-            out.append((tuple(zs), tuple(fcols), tuple(acols)))
-        return tuple(out)
+        cs = T[0][0][0]
+        xs = {j: T[j][1][0] for j in range(n + 1)}
+        f = {(j, m): T[j][0][1][m - j - 1][j] for j in range(n) for m in range(j + 1, n + 1)}
+        al = {(j, m): T[j][0][2][m - j - 1][j - 1]
+              for j in range(1, n) for m in range(j + 1, n + 1)}
+        us = {(k, m): T[m - 1][2][0][k] for m in range(1, n + 1) for k in range(m)}
+        ph = {(k, m): T[m - 1][3][0][k - 1] for m in range(2, n + 1) for k in range(1, m)}
+
+        def carried(dim, j, x, p):
+            # x over cs[j] with the base cells of row j (f for an object, al
+            # otherwise): a dim-cell of level n - j, carried to level p along d_0
+            row = f if dim == 0 else al
+            cell = cs[j:], (x,) + tuple(row[j, m] for m in range(j + 1, n + 1))
+            for lev in range(n - j, p, -1):
+                F = S.face(lev, 0)
+                cell = (F.o, F.f1, F.f2)[dim](cell)
+            return cell
+
+        return tuple((tuple(carried(0, j, xs[j], n - s) for j in range(s + 1)),
+                      tuple(tuple(carried(1, m, us[k, m], n - s) for k in range(m))
+                            for m in range(1, s + 1)),
+                      tuple(tuple(carried(2, m, ph[k, m], n - s) for k in range(1, m))
+                            for m in range(1, s + 1)))
+                     for s in range(n + 1))
 
     return simplicial_map(lhs, rhs, fn, name=f"hocolim_cmp({D.name})")
 

@@ -7,16 +7,17 @@ the position of each simplex, made once as the level is enumerated.
 
 Each face and degeneracy table, and each level of a simplicial map, is a
 list of positions: entry k is the position in the target level of the
-image of the source level's k-th simplex.  A table is built from its table
-rule the first time it is read and kept from then on; the rule checks that
-every image lies in the target level, so every entry is in range.  A
-per-simplex rule becomes a table rule through `pointwise`, which looks each
-image up in the target level's index; `wbar`, the trisimplicial nerve of a
-simplicial 2-category and the cells of a homotopy colimit use it.  The
-double nerves and their diagonals fill their tables without images, and the
-resolution E from integer codes.  `X.face(n, i, x)`, `f.at(n, x)` and the
-other lookups go through the source level's index and return the target
-level's own simplex.
+image of the source level's k-th simplex.  Every builder takes table
+rules; a table is built from its rule when first read and kept, and the
+rule checks that every image lies in the target level.  A per-simplex rule
+becomes a table rule through `pointwise`, which looks each image up in the
+target level's index; `wbar`, the trisimplicial nerve of a simplicial
+2-category, the cells of a homotopy colimit and the W-bar families of the
+`hocolim` comparisons use it.  The double nerves and their diagonals fill
+their tables without images, E from integer codes, and E's diagonal family
+passes on E's tables.  `X.face(n, i, x)`, `f.at(n, x)` and the other
+lookups go through the source level's index and return the target level's
+own simplex.
 
 A set with two or more axes is a `TruncatedMultisimplicialSet`: levels
 keyed by index tuple, tables keyed (axis, key, i), one builder.  A
@@ -591,9 +592,9 @@ def bisimplicial_from_family(levels, face_fn, degen_fn, name="") -> TruncatedMul
     """Assemble a bisimplicial set from a family of simplicial sets indexed by
     the horizontal degree, with supplied horizontal structure maps.
 
-    levels[p] provides the column (p, *) with its own vertical tables;
-    face_fn(p, i, q, x), the horizontal d_i, maps a cell of levels[p] at
-    vertical level q into levels[p-1]; degen_fn likewise upward.
+    levels[p] is the column (p, *) with its own levels and vertical tables;
+    face_fn and degen_fn are table rules (see `pointwise`) keyed (p, i, q),
+    the horizontal d_i and s_i out of levels[p] at vertical level q.
     """
 
     def tables(vertical, horizontal):
@@ -601,7 +602,7 @@ def bisimplicial_from_family(levels, face_fn, degen_fn, name="") -> TruncatedMul
             axis, (p, q), i = k
             if axis:
                 return vertical(levels[p])[(q, i)]
-            return _table(partial(horizontal, p, i, q), source, target, fail)
+            return horizontal((p, i, q), source, target, fail)
         return rule
 
     return build_bisimplicial(len(levels) - 1, min(X.n_max for X in levels),
