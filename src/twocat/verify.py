@@ -219,6 +219,9 @@ def _claims(m: Manifest, gates: Gates):
     for name, g in _sorted(m.diagram_morphisms):
         side = OVER if g.source.variance == COVARIANT else UNDER
         for c in sorted(g.source.base.objects, key=repr):
+            if c not in g.target.ob:  # across bases: one claim, failed by its morphism gate
+                yield f"retraction[{name},{c},{side}]", lambda g=g: gates.morphism(g), None
+                continue
             for y in sorted(g.target.ob[c].objects, key=repr):
                 def build(g=g, c=c, y=y):
                     K, L, R, sec, wit = retraction_R(g, c, y)

@@ -12,9 +12,10 @@ import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
 from twocat.comma import OVER, UNDER
-from twocat.core import COVARIANT, OplaxTransformation, validate_diagram
+from twocat.core import (COVARIANT, DiagramMorphism, OplaxTransformation, constant_diagram,
+                         identity_functor, validate_diagram)
 from twocat.grothendieck import grothendieck
-from twocat.manifest import ManifestError, parse, resolve
+from twocat.manifest import Manifest, ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
 
 DATA = Path(bundled_manifest_path())
@@ -493,6 +494,20 @@ def test_morphism_across_bases_is_input_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == {
             "status": "input-error", "errors": ["diagram_morphisms.X: base mismatch"]}
 
+
+
+@pytest.mark.parametrize("suite", ["retractions", "oplax"])
+def test_morphism_across_bases_fails_its_gate_past_the_parser(suite):
+    # a hand-built manifest skips resolve: Dpt (over WA) into a diagram over
+    # WTC lists one claim per object of WA, each failed by its morphism gate
+    m = parse(DATA)
+    Dpt, P = m.diagrams["Dpt"], m.two_categories["PT"]
+    target = constant_diagram(m.two_categories["WTC"], P)
+    g = DiagramMorphism(Dpt, target, dict.fromkeys(Dpt.base.objects, identity_functor(P)), "X")
+    checks = run_suite(Manifest(diagram_morphisms={"X": g}), suite, 3)["checks"]
+    gate = "precondition: diagram_morphism: source and target have different bases"
+    assert [(c["name"], c["status"], c["detail"]) for c in checks] == [
+        (f"retraction[X,{c},over]", "fail", gate) for c in sorted(Dpt.base.objects)]
 
 def test_cli_report_written(tmp_path):
     out_path = tmp_path / "report.json"
