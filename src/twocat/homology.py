@@ -12,9 +12,10 @@ d_{i+1}.  `invariant_factors` finds them by sparse elimination on +-1
 pivots and hands the small non-unit remainder to the dense
 `smith_normal_form`, which pivots on a least entry and then orders its
 diagonal by gcd/lcm; a `ChainComplex` computes the factors of each
-boundary once, on first read.  `is_homology_iso_upto` reads the homology
-of the mapping cone, so it also needs nothing but invariant factors.  No
-transformation matrix is tracked anywhere.
+boundary once, on first read.  `first_homology_difference` decides whether
+a map is a homology isomorphism from source, target and mapping cone, and
+`is_homology_iso_upto` asks it, so they too need nothing but invariant
+factors.  No transformation matrix is tracked anywhere.
 """
 
 from __future__ import annotations
@@ -291,7 +292,16 @@ def mapping_cone(src: ChainComplex, tgt: ChainComplex, mats, top: int) -> ChainC
 
 
 def is_homology_iso_upto(f: SimplicialMap, k: int) -> bool:
-    """True iff the induced map is an isomorphism on H_i for all i <= k.
+    """True iff the induced map is an isomorphism on H_i for all i <= k,
+    that is iff `first_homology_difference(f, k)` finds no degree."""
+    return first_homology_difference(f, k) is None
+
+
+def first_homology_difference(f: SimplicialMap, k: int):
+    """Why f is not a homology isomorphism in degrees <= k: the least
+    degree i <= k where source and target differ or the mapping cone is
+    not 0, as `H_i: <source> -> <target>, cone H_i = <cone>`; None if
+    there is none, exactly when f is an isomorphism on H_i for all i <= k.
 
     By the long exact sequence of the mapping cone, H_i(Cone f) = 0 for
     i <= k says that f is onto in degrees <= k and one-to-one in degrees
@@ -299,21 +309,6 @@ def is_homology_iso_upto(f: SimplicialMap, k: int) -> bool:
     target are abstractly isomorphic (finitely generated abelian groups are
     Hopfian, so a surjection between isomorphic groups is an isomorphism).
     """
-    src, tgt, mats = chain_map(f)
-    if k < 0:
-        return True
-    hs, ht = homology(src, k), homology(tgt, k)
-    if (hs.betti, hs.torsion) != (ht.betti, ht.torsion):
-        return False
-    cone = mapping_cone(src, tgt, mats, k + 1)
-    return all(homology(cone, i) == HomologyResult(i, 0, ()) for i in range(k + 1))
-
-
-def first_homology_difference(f: SimplicialMap, k: int):
-    """Why f is not a homology isomorphism in degrees <= k: the least
-    degree i <= k where source and target differ or the mapping cone is
-    not 0, as `H_i: <source> -> <target>, cone H_i = <cone>`; None if
-    there is no such degree."""
     src, tgt, mats = chain_map(f)
     if k >= 0:
         homology(src, k)  # past the truncation, this raises before the cone is built

@@ -5,6 +5,7 @@ import math
 import random
 import signal
 from collections import namedtuple
+import itertools
 from itertools import combinations
 
 import pytest
@@ -256,6 +257,20 @@ def test_failing_invariance_check_says_why(monkeypatch):
 def test_automorphism_of_cyclic_group_is_iso():
     assert is_homology_iso_upto(diag_nn_map(group_map(4, 4, 3), 4), 2)
 
+
+
+def test_multiplication_maps_of_cyclic_groups_match_the_closed_form():
+    # g -> a g on B(Z/n) -> B(Z/m) is a homology iso in degrees <= d <= 2
+    # iff d = 0, or it is an automorphism of Z/n: H_1 is Z/n -> Z/m, H_2 = 0
+    verdicts, expected = {}, {}
+    for n, m in itertools.product(range(1, 7), repeat=2):
+        for a in (a for a in range(m) if a * n % m == 0):
+            f = diag_nn_map(group_map(n, m, a), 3)
+            for d in range(3):
+                verdicts[n, m, a, d] = is_homology_iso_upto(f, d)
+                expected[n, m, a, d] = d == 0 or (n == m and math.gcd(a, n) == 1)
+    assert len(verdicts) == 183
+    assert verdicts == expected
 
 def test_point_homology():
     cc = normalized_chain_complex(nerve_category(pt(), 4))
