@@ -393,16 +393,11 @@ def section_jz_iz(F: TwoFunctor, D: TwoDiagram, c, z):
         jz_on_two[t] = cell
     j_z = TwoFunctor(K0, GFD, jz_obj, jz_on_one, jz_on_two, name=f"j_{z}")
 
+    # pibar keeps the base part of each entry: objects, 1-cells and the ends of 2-cells
+    base = lambda cell: tuple(x[0] for x in cell)
     pibar = TwoFunctor(
-        K1, K0,
-        {o: (o[0][0], o[1][0]) for o in K1.objects},
-        {m: (m[0][0], m[1][0], m[2][0], m[3][0]) for m in K1.one_cells},
-        {t: forced_two_cell(K0, t[0][0],
-                            (K1.two_cells[t][0][0][0], K1.two_cells[t][0][1][0],
-                             K1.two_cells[t][0][2][0], K1.two_cells[t][0][3][0]),
-                            (K1.two_cells[t][1][0][0], K1.two_cells[t][1][1][0],
-                             K1.two_cells[t][1][2][0], K1.two_cells[t][1][3][0]))
-         for t in K1.two_cells},
+        K1, K0, {o: base(o) for o in K1.objects}, {m: base(m) for m in K1.one_cells},
+        {t: forced_two_cell(K0, t[0][0], *map(base, K1.two_cells[t])) for t in K1.two_cells},
         name=f"pibar({F.name},{c},{z})")
 
     def iz_obj(o):
