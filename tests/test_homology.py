@@ -1,11 +1,11 @@
 import dataclasses
 import heapq
 import importlib
+import itertools
 import math
 import random
 import signal
 from collections import namedtuple
-import itertools
 from itertools import combinations
 
 import pytest
@@ -258,7 +258,6 @@ def test_automorphism_of_cyclic_group_is_iso():
     assert is_homology_iso_upto(diag_nn_map(group_map(4, 4, 3), 4), 2)
 
 
-
 def test_multiplication_maps_of_cyclic_groups_match_the_closed_form():
     # g -> a g on B(Z/n) -> B(Z/m) is a homology iso in degrees <= d <= 2
     # iff d = 0, or it is an automorphism of Z/n: H_1 is Z/n -> Z/m, H_2 = 0
@@ -271,6 +270,7 @@ def test_multiplication_maps_of_cyclic_groups_match_the_closed_form():
                 expected[n, m, a, d] = d == 0 or (n == m and math.gcd(a, n) == 1)
     assert len(verdicts) == 183
     assert verdicts == expected
+
 
 def test_point_homology():
     cc = normalized_chain_complex(nerve_category(pt(), 4))

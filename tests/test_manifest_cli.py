@@ -495,7 +495,6 @@ def test_morphism_across_bases_is_input_error(tmp_path, capsys):
             "status": "input-error", "errors": ["diagram_morphisms.X: base mismatch"]}
 
 
-
 @pytest.mark.parametrize("suite", ["retractions", "oplax"])
 def test_morphism_across_bases_fails_its_gate_past_the_parser(suite):
     # a hand-built manifest skips resolve: Dpt (over WA) into a diagram over
@@ -508,6 +507,7 @@ def test_morphism_across_bases_fails_its_gate_past_the_parser(suite):
     gate = "precondition: diagram_morphism: source and target have different bases"
     assert [(c["name"], c["status"], c["detail"]) for c in checks] == [
         (f"retraction[X,{c},over]", "fail", gate) for c in sorted(Dpt.base.objects)]
+
 
 def test_cli_report_written(tmp_path):
     out_path = tmp_path / "report.json"
