@@ -413,8 +413,11 @@ class OplaxTransformation:
 
 
 def identity_natural(F: TwoFunctor) -> TwoNaturalTransformation:
+    """The identity of F, with components at the objects F maps, in source
+    order: a partial F is left for its validation to report."""
     B = F.target
-    return TwoNaturalTransformation(F, F, {c: B.id1[F.o(c)] for c in F.source.objects})
+    return TwoNaturalTransformation(F, F, {c: B.id1[F.o(c)] for c in F.source.objects
+                                           if c in F.on_obj})
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,15 @@ The comparisons read families indexed by the colimit level p
 (`bisimplicial_from_family`; E's through `tri_slice`).
 `hocolim_wbar_comparison` maps W-bar of E's diagonal family, whose
 horizontal tables are E's own, onto W-bar of the colimit levels' W-bar
-nerves; it reads each staircase field by one index rule and carries each
-cell down along d_0.  `grothendieck_wbar_comparison` maps W-bar of E's
-levelwise W-bars onto the assembly's.  The W-bar families make new tuples,
-so their rules go through `pointwise`.  A contravariant diagram goes
-through the reversal onto the opposite base: for Drep at N = 3, W-bar of
-E's diagonal family has 3, 7, 13 and 21 simplices against the colimit
-side's 3, 6, 10 and 15, so no direct map is an isomorphism.
+nerves, level p built up to N - p, all that W-bar reads; it reads each
+staircase field by one index rule and carries each cell down along d_0.
+`grothendieck_wbar_comparison` maps W-bar of E's levelwise W-bars onto the
+assembly's.  The W-bar families make new tuples, so their rules go through
+`pointwise`.  A contravariant diagram goes through the reversal onto the
+opposite base, whose check reads the two colimits the comparison builds:
+for Drep at N = 3, W-bar of E's diagonal family has 3, 7, 13 and 21
+simplices against the colimit side's 3, 6, 10 and 15, so no direct map is
+an isomorphism.
 
 The colimit's checks read the cells of its levels, tagged with their
 dimension, as a simplicial set (`_cells`) and go through the simplicial
@@ -458,8 +460,9 @@ def _family_wbar_E(E: TruncatedMultisimplicialSet, transposed: bool) -> Truncate
 
 
 def _family_wbar_hocolim(S: SimplicialTwoCategory) -> TruncatedMultisimplicialSet:
+    # W-bar of the family reads level p only up to N - p
     N = S.n_max
-    levels = [wbar_double_nerve(S.level(p), N) for p in range(N + 1)]
+    levels = [wbar_double_nerve(S.level(p), N - p) for p in range(N + 1)]
     return bisimplicial_from_family(
         levels, pointwise(lambda p, i, s, x: map_dn_simplex(S.face(p, i), x)),
         pointwise(lambda p, i, s, x: map_dn_simplex(S.degen(p, i), x)),
@@ -474,14 +477,17 @@ def hocolim_wbar_comparison(D: TwoDiagram, n_max: int) -> SimplicialMap:
     """Explicit simplicial isomorphism between the codiagonal of the diagonal
     resolution family and the codiagonal of the levelwise codiagonal nerves
     of the colimit.  For contravariant diagrams the comparison runs over the
-    opposite base after the certified reversal identification."""
+    opposite base after the certified reversal identification, each colimit
+    built once."""
+    S = hocolim(D, n_max)
     if D.variance == CONTRAVARIANT:
-        rep = reversal_bridge_report(D, n_max)
+        R = diagram_over_opposite(D)
+        SR = hocolim(R, n_max)
+        rep = _reversal_report(D, S, SR)
         if not rep.ok:
             raise TwoCatError("hocolim_wbar_comparison: reversal bridge failed: "
                               + "; ".join(rep.violations[:3]))
-        return hocolim_wbar_comparison(diagram_over_opposite(D), n_max)
-    S = hocolim(D, n_max)
+        D, S = R, SR
     E = build_E(D, n_max)
     lhs = wbar(_family_diag_E(E))
     rhs = wbar(_family_wbar_hocolim(S))
@@ -552,14 +558,17 @@ def reversal_bridge_report(D: TwoDiagram, n_max: int) -> ValidationReport:
     """Certify that the contravariant colimit is the order reversal of the
     covariant colimit of the same diagram over the opposite base: the
     reindexing is a levelwise isomorphism exchanging d_i with d_{p-i}."""
-    r = ValidationReport()
     if D.variance != CONTRAVARIANT:
-        r.add("reversal bridge only applies to contravariant diagrams")
-        return r
-    S1 = hocolim(D, n_max)
-    S2 = hocolim(diagram_over_opposite(D), n_max)
+        return ValidationReport(["reversal bridge only applies to contravariant diagrams"])
+    return _reversal_report(D, hocolim(D, n_max), hocolim(diagram_over_opposite(D), n_max))
+
+
+def _reversal_report(D: TwoDiagram, S1, S2) -> ValidationReport:
+    """`reversal_bridge_report` of D from S1 and S2, the colimits of D and of
+    D over the opposite base."""
+    r = ValidationReport()
     flip = lambda cell: (cell[0][::-1], cell[1][::-1])
-    for p in range(n_max + 1):
+    for p in range(S1.n_max + 1):
         src = S1.level(p)
         R = TwoFunctor(src, S2.level(p), {o: flip(o) for o in src.objects},
                        {f: flip(f) for f in src.one_cells},

@@ -594,7 +594,10 @@ def bisimplicial_from_family(levels, face_fn, degen_fn, name="") -> TruncatedMul
 
     levels[p] is the column (p, *) with its own levels and vertical tables;
     face_fn and degen_fn are table rules (see `pointwise`) keyed (p, i, q),
-    the horizontal d_i and s_i out of levels[p] at vertical level q.
+    the horizontal d_i and s_i out of levels[p] at vertical level q.  Both
+    bounds are N = len(levels) - 1, and the family is read only on the
+    triangle p + q <= N, all that `wbar` reads: levels[p] need reach only
+    level N - p, and is empty past its own bound.
     """
 
     def tables(vertical, horizontal):
@@ -605,7 +608,7 @@ def bisimplicial_from_family(levels, face_fn, degen_fn, name="") -> TruncatedMul
             return horizontal((p, i, q), source, target, fail)
         return rule
 
-    return build_bisimplicial(len(levels) - 1, min(X.n_max for X in levels),
+    return build_bisimplicial(len(levels) - 1, len(levels) - 1,
                               lambda key: levels[key[0]].level(key[1]),
                               tables(lambda X: X.faces, face_fn),
                               tables(lambda X: X.degens, degen_fn), name=name)

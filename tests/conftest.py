@@ -31,6 +31,24 @@ def cyclic_group(n):
         lambda b, a: f"e{(int(b[1:]) + int(a[1:])) % n}")
 
 
+def loop_group(n):
+    """Omega(Z/n): one object, one 1-cell, 2-cells x0..x(n-1) adding mod n."""
+    add = lambda b, a: f"x{(int(b[1:]) + int(a[1:])) % n}"
+    return make_two_category(f"OZ{n}", ["*"], {"1": ("*", "*")},
+                             {f"x{i}": ("1", "1") for i in range(n)},
+                             {"*": "1"}, {"1": "x0"}, lambda g, f: "1", add, add)
+
+
+def circle():
+    """S1: two objects, two parallel 1-cells f, g: a -> b, and only
+    identity 2-cells."""
+    ones = {"1a": ("a", "a"), "1b": ("b", "b"), "f": ("a", "b"), "g": ("a", "b")}
+    unit = lambda g, f: f if g in ("1a", "1b") else g  # one of the two is an identity
+    return make_two_category("S1", ["a", "b"], ones, {f"e{f}": (f, f) for f in ones},
+                             {"a": "1a", "b": "1b"}, {f: f"e{f}" for f in ones}, unit,
+                             lambda b, a: b, lambda b, a: "e" + unit(b[1:], a[1:]))
+
+
 def constant_simplicial(C, n_max):
     """The constant simplicial 2-category at C."""
     one = identity_functor(C)

@@ -6,8 +6,7 @@ from functools import partial
 
 import pytest
 
-from conftest import cyclic_group
-from test_violations import loop_group
+from conftest import cyclic_group, loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.comma import UNDER, representable_diagram
@@ -151,6 +150,36 @@ def test_comparison_isos_contravariant(cx):
     g = grothendieck_wbar_comparison(cx.Drep, 3)
     assert check_simplicial_map(g).ok
     assert verify_iso(g)
+
+
+def test_comparison_builds_each_colimit_once(cx, monkeypatch):
+    # the contravariant comparison hands both colimits to its reversal
+    # check, and the colimit side's W-bar family builds level p only up to
+    # N - p, all that W-bar of the family reads
+    module = sys.modules["twocat.hocolim"]  # the package's `hocolim` is the function
+    built = {"hocolim": [], "diagram_over_opposite": 0, "simplices": 0}
+    real_hocolim, real_opposite, real_wbar = (
+        module.hocolim, module.diagram_over_opposite, module.wbar_double_nerve)
+
+    def opposite(D):
+        built["diagram_over_opposite"] += 1
+        return real_opposite(D)
+
+    def wbar_nerve(C, n):
+        X = real_wbar(C, n)
+        built["simplices"] += sum(len(X.level(q)) for q in range(n + 1))
+        return X
+
+    monkeypatch.setattr(module, "hocolim", lambda D, n: built["hocolim"].append(D.name)
+                        or real_hocolim(D, n))
+    monkeypatch.setattr(module, "diagram_over_opposite", opposite)
+    monkeypatch.setattr(module, "wbar_double_nerve", wbar_nerve)
+    assert verify_iso(hocolim_wbar_comparison(cx.Dcov, 3))
+    assert built == {"hocolim": ["Dcov"], "diagram_over_opposite": 0, "simplices": 106}
+    built.update(hocolim=[], simplices=0)
+    assert verify_iso(hocolim_wbar_comparison(cx.Drep, 3))
+    assert built["hocolim"] == ["Drep", "Drep_redux"]
+    assert built["diagram_over_opposite"] == 1
 
 
 def test_comparison_isos_degenerate_cases():

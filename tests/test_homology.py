@@ -10,18 +10,18 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cyclic_group
+from conftest import circle, cyclic_group, loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
-from twocat.core import (TwoCatError, TwoFunctor, check_cell_map, discrete,
-                         identity_functor, product)
+from twocat.core import (TwoCatError, TwoFunctor, check_cell_map, coproduct, discrete,
+                         identity_functor, opposite, product)
 from twocat import verify
 from twocat.homology import (HomologyResult, chain_map, first_homology_difference,
                              homology, invariant_factors, is_homology_iso_upto,
                              mapping_cone, nondegenerate_levels,
                              normalized_chain_complex, smith_normal_form)
 from twocat.manifest import parse
-from twocat.nerves import diag_nn, diag_nn_map, nerve_category
+from twocat.nerves import diag_nn, diag_nn_map, nerve_category, wbar_double_nerve
 from twocat.simplicial import TruncatedSimplicialSet, simplicial_map
 
 
@@ -397,6 +397,71 @@ def test_basis_keeps_each_level_as_stored():
 def test_cyclic_group_homology_closed_form(n, j):
     cc = ladder_complex(n, j)
     assert [homology(cc, i).group for i in range(4)] == ["Z", f"Z/{n}", "0", f"Z/{n}"]
+
+
+def invariant_form(summands):
+    """(rank, invariant factors d_1 | d_2 | ...) of the direct sum of the
+    cyclic groups Z/k in `summands`, with k = 0 for Z."""
+    rank, torsion = summands.count(0), [k for k in summands if k > 1]
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            a, b = torsion[i], torsion[j]
+            torsion[i], torsion[j] = math.gcd(a, b), a * b // math.gcd(a, b)
+    return rank, tuple(k for k in torsion if k > 1)
+
+
+def wbar_homology(C):
+    """H_0, H_1, H_2 of C through W-bar at N = 4, each as (rank, invariant
+    factors)."""
+    cc = normalized_chain_complex(wbar_double_nerve(C, 4))
+    return [(h.betti, h.torsion) for h in (homology(cc, i) for i in range(3))]
+
+
+def cyclic_summands(group):
+    rank, torsion = group
+    return [0] * rank + list(torsion)
+
+
+def kunneth(hc, hd, n):
+    """H_n of a product from the factors' groups: the tensor products in
+    degree n and the Tor terms in degree n - 1; Z/a (x) Z/b and Tor(Z/a, Z/b)
+    are Z/gcd(a, b), and Z (x) G is G."""
+    tensor = [b if a == 0 else a if b == 0 else math.gcd(a, b)
+              for i in range(n + 1) for a in hc[i] for b in hd[n - i]]
+    tor = [math.gcd(a, b) for i in range(n) for a in hc[i] for b in hd[n - 1 - i] if a and b]
+    return invariant_form(tensor + tor)
+
+
+METAMORPHIC = [
+    pytest.param(lambda: cyclic_group(2), lambda: cyclic_group(2), id="BZ2xBZ2"),
+    pytest.param(lambda: cyclic_group(2), lambda: cyclic_group(3), id="BZ2xBZ3"),
+    pytest.param(circle, lambda: cyclic_group(2), id="S1xBZ2"),
+    pytest.param(circle, circle, id="S1xS1"),
+    pytest.param(lambda: loop_group(2), lambda: cyclic_group(2), id="OmZ2xBZ2"),
+    pytest.param(lambda: cyclic_group(4), walking_two_cell, id="BZ4xWTC"),
+]
+
+
+@pytest.mark.parametrize("left,right", METAMORPHIC)
+def test_homology_of_products_coproducts_and_opposites_from_the_parts(left, right):
+    # three laws give H of a product (Kuenneth), a coproduct (the direct
+    # sum) and an opposite (unchanged) from the parts, with no answer
+    # written per input
+    C, D = left(), right()
+    hc, hd = ([cyclic_summands(g) for g in wbar_homology(X)] for X in (C, D))
+    assert wbar_homology(product([C, D])) == [kunneth(hc, hd, n) for n in range(3)]
+    assert wbar_homology(coproduct({"l": C, "r": D})) == [
+        invariant_form(a + b) for a, b in zip(hc, hd)]
+    for X in (C, D, product([C, D])):
+        assert wbar_homology(opposite(X)) == wbar_homology(X), X.name
+
+
+def test_metamorphic_cases_include_nontrivial_homology():
+    # the laws above are not checked on zeros alone: H_1 of B(Z/2) x B(Z/3)
+    # is Z/6, and H_2 is Z/2 for S1 x B(Z/2) and Z for S1 x S1
+    assert wbar_homology(product([cyclic_group(2), cyclic_group(3)]))[1] == (0, (6,))
+    assert wbar_homology(product([circle(), cyclic_group(2)]))[2] == (0, (2,))
+    assert wbar_homology(product([circle(), circle()]))[2] == (1, ())
 
 
 @pytest.mark.parametrize("n,j", LADDER)

@@ -9,8 +9,7 @@ from functools import cache, partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cyclic_group
-from test_violations import loop_group
+from conftest import cyclic_group, loop_group
 from twocat.builders import pt, walking_arrow, walking_two_cell
 from twocat.cli import bundled_manifest_path
 from twocat.core import TwoCatError, discrete, identity_functor, product

@@ -11,18 +11,9 @@ corrupted in B(Z/3).
 
 import pytest
 
-from conftest import cyclic_group
+from conftest import cyclic_group, loop_group
 from twocat.builders import walking_two_cell
-from twocat.core import (TwoCategory, TwoFunctor, check_cell_map,
-                         make_two_category, validate)
-
-
-def loop_group(n):
-    """Omega(Z/n): one object, one 1-cell, 2-cells x0..x(n-1) adding mod n."""
-    add = lambda b, a: f"x{(int(b[1:]) + int(a[1:])) % n}"
-    return make_two_category(f"OZ{n}", ["*"], {"1": ("*", "*")},
-                             {f"x{i}": ("1", "1") for i in range(n)},
-                             {"*": "1"}, {"1": "x0"}, lambda g, f: "1", add, add)
+from twocat.core import TwoCategory, TwoFunctor, check_cell_map, validate
 
 
 def corrupt(C: TwoCategory, table, key, value=None) -> TwoCategory:
