@@ -2,8 +2,10 @@
 bundled verification suites.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 input error.
-A construction command asks `verify.Gates` for the one gate on its input,
-the same gate the suites use, before it builds anything.
+Every command runs its checks through one `verify.Runner`, as the suites
+do: a construction command's check passes the gate on its input, the same
+gate the suites use, before it builds anything, and a crash of the library
+inside a check is an `error` check with exit 1, not a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import sys
 from importlib import resources
 
-from .core import TwoCatError, identity_functor, validate, validate_diagram
+from .core import identity_functor, validate, validate_diagram
 from .comma import OVER, UNDER, comma
 from .grothendieck import grothendieck
 from .hocolim import hocolim
@@ -22,7 +24,7 @@ from .homology import homology, normalized_chain_complex
 from .manifest import Manifest, ManifestError, parse
 from .nerves import diag_nn, is_category, nerve_category, wbar_double_nerve
 from .simplicial import BudgetError, simplex_budget
-from .verify import LEAST_TRUNC, SUITES, Gates, run_suite
+from .verify import LEAST_TRUNC, SUITES, Runner, gated, run_suite
 
 
 def bundled_manifest_path():
@@ -55,73 +57,54 @@ def _require(m: Manifest, kind: str, name: str):
     return pool[name]
 
 
+def _violations(rep):
+    """(ok, detail) of a validation report, naming its first five violations."""
+    return rep.ok, "ok" if rep.ok else "; ".join(map(str, rep.violations[:5]))
+
+
 def cmd_validate(args):
-    m = load_manifest(args)
-    checks = []
-    names = [args.name] if args.name else sorted(m.two_categories)
-    for name in names:
-        rep = validate(_require(m, "two_categories", name))
-        checks.append({"name": f"validate[{name}]",
-                       "status": "pass" if rep.ok else "fail",
-                       "detail": "ok" if rep.ok else "; ".join(map(str, rep.violations[:5]))})
-    for name in (sorted(m.diagrams) if not args.name else []):
-        rep = validate_diagram(m.diagrams[name])
-        checks.append({"name": f"diagram[{name}]",
-                       "status": "pass" if rep.ok else "fail",
-                       "detail": "ok" if rep.ok else "; ".join(map(str, rep.violations[:5]))})
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    return emit(args, {"suite": "validate", "truncation": args.trunc,
-                       "checks": checks, "status": status})
+    m, r = load_manifest(args), Runner()
+    for name in [args.name] if args.name else sorted(m.two_categories):
+        C = _require(m, "two_categories", name)
+        r.run(f"validate[{name}]", lambda C=C: _violations(validate(C)))
+    for name, D in [] if args.name else sorted(m.diagrams.items()):
+        r.run(f"diagram[{name}]", lambda D=D: _violations(validate_diagram(D)))
+    return emit(args, r.report("validate", args.trunc))
 
 
-def _report(args, suite, names, bad, checks):
-    """The command's report, one check per name in `names`.  If `bad`, the
-    `precondition:` detail of a failed gate, every check fails with it and
-    nothing is built; otherwise `checks()` gives each check's (status,
-    detail)."""
-    results = [("fail", bad)] * len(names) if bad else checks()
-    return emit(args, {"suite": suite, "truncation": args.trunc,
-                       "checks": [{"name": name, "status": status, "detail": detail}
-                                  for name, (status, detail) in zip(names, results)],
-                       "status": "pass" if all(s == "pass" for s, _ in results) else "fail"})
+def _run(args, suite, gate, checks):
+    """The command's report: one `Runner` runs each (name, check) of
+    `checks` behind `gate`, as the suites do; both take the runner.  If the
+    gate finds the input invalid, every check fails with its `precondition:`
+    detail and nothing is built."""
+    r = Runner()
+    for name, check in checks:
+        r.run(name, gated(lambda: gate(r), lambda check=check: check(r)))
+    return emit(args, r.report(suite, args.trunc))
 
 
 def _levels(args, suite, build):
     """The level sizes of build(C, truncation), C the named 2-category."""
     C = _require(load_manifest(args), "two_categories", args.name)
-    return _report(args, suite, [f"levels[{args.name}]"], Gates().category(C),
-                   lambda: [("pass", str(build(C, args.trunc).sizes()))])
-
-
-def cmd_nerve(args):
-    return _levels(args, "nerve", lambda C, n: (nerve_category if is_category(C)
-                                                 else diag_nn)(C, n))
-
-
-def cmd_wbar(args):
-    return _levels(args, "wbar", wbar_double_nerve)
-
-
-def cmd_diag(args):
-    return _levels(args, "diag", diag_nn)
+    return _run(args, suite, lambda r: r.category(C), [
+        (f"levels[{args.name}]", lambda r: (True, str(build(C, args.trunc).sizes())))])
 
 
 def cmd_groth(args):
     D = _require(load_manifest(args), "diagrams", args.name)
 
-    def checks():
+    def check(r):
         G = grothendieck(D)
-        rep = validate(G)
-        return [("pass", f"cells {G.counts()}") if rep.ok
-                else ("fail", "; ".join(map(str, rep.violations[:5])))]
+        ok, detail = _violations(validate(G))
+        return ok, f"cells {G.counts()}" if ok else detail
 
-    return _report(args, "groth", [f"groth[{args.name}]"], Gates().diagram(D), checks)
+    return _run(args, "groth", lambda r: r.diagram(D), [(f"groth[{args.name}]", check)])
 
 
 def cmd_hocolim(args):
     D = _require(load_manifest(args), "diagrams", args.name)
-    return _report(args, "hocolim", [f"hocolim[{args.name}]"], Gates().diagram(D),
-                   lambda: [("pass", str([L.counts() for L in hocolim(D, args.trunc).levels]))])
+    return _run(args, "hocolim", lambda r: r.diagram(D), [(f"hocolim[{args.name}]", lambda r: (
+        True, str([L.counts() for L in hocolim(D, args.trunc).levels])))])
 
 
 def _comma(m: Manifest, parts):
@@ -143,12 +126,12 @@ def _comma(m: Manifest, parts):
 def cmd_comma(args):
     F, obj, side = _comma(load_manifest(args), [args.functor, args.object, args.side])
 
-    def checks():
+    def check(r):
         K = comma(F, obj, side)
-        return [("pass" if validate(K).ok else "fail", f"cells {K.counts()}")]
+        return validate(K).ok, f"cells {K.counts()}"
 
-    return _report(args, "comma", [f"comma[{args.functor},{args.object},{args.side}]"],
-                   Gates().functor(F), checks)
+    return _run(args, "comma", lambda r: r.functor(F),
+                [(f"comma[{args.functor},{args.object},{args.side}]", check)])
 
 
 def cmd_homology(args):
@@ -157,19 +140,16 @@ def cmd_homology(args):
         parts = args.comma.rsplit(":", 2)
         # a leading "id" is the id: of an id:CAT short of its OBJECT or SIDE
         F, obj, side = _comma(m, [args.comma] if parts[0] == "id" else parts)
-        bad, label = Gates().functor(F), args.comma
-        build = lambda: comma(F, obj, side)
+        gate, label = (lambda r: r.functor(F)), args.comma
+        build = lambda r: r.made(comma, F, obj, side)
     else:
         C = _require(m, "two_categories", args.name)
-        bad, label = Gates().category(C), args.name
-        build = lambda: C
+        gate, label = (lambda r: r.category(C)), args.name
+        build = lambda r: C
     degrees = [args.degree] if args.degree is not None else list(range(args.trunc))
-
-    def checks():
-        cc = normalized_chain_complex(diag_nn(build(), args.trunc))
-        return [("pass", str(homology(cc, i))) for i in degrees]
-
-    return _report(args, "homology", [f"H_{i}[{label}]" for i in degrees], bad, checks)
+    chains = lambda r: r.made(normalized_chain_complex, r.made(diag_nn, build(r), args.trunc))
+    return _run(args, "homology", gate, [
+        (f"H_{i}[{label}]", lambda r, i=i: (True, str(homology(chains(r), i)))) for i in degrees])
 
 
 def cmd_verify(args):
@@ -206,10 +186,11 @@ def main(argv=None) -> int:
     p.add_argument("--name")
     p.set_defaults(fn=cmd_validate, default_trunc=3)
 
-    for cname, fn in (("nerve", cmd_nerve), ("wbar", cmd_wbar), ("diag", cmd_diag)):
+    nerve = lambda C, n: (nerve_category if is_category(C) else diag_nn)(C, n)
+    for cname, build in (("nerve", nerve), ("wbar", wbar_double_nerve), ("diag", diag_nn)):
         p = add_parser(cname, help=f"{cname} level sizes of a named 2-category")
         p.add_argument("--name", required=True)
-        p.set_defaults(fn=fn, default_trunc=3)
+        p.set_defaults(fn=functools.partial(_levels, suite=cname, build=build), default_trunc=3)
 
     p = add_parser("groth", help="assemble a named diagram and validate it")
     p.add_argument("--name", required=True)
@@ -261,9 +242,6 @@ def main(argv=None) -> int:
         return 2
     except (BudgetError, OSError) as exc:
         return _input_error(str(exc))
-    except TwoCatError as exc:
-        print(json.dumps({"status": "fail", "errors": [str(exc)]}))
-        return 1
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ import twocat
 from twocat import verify
 from twocat.cli import bundled_manifest_path, main
 from twocat.comma import OVER, UNDER
-from twocat.core import (COVARIANT, DiagramMorphism, OplaxTransformation, constant_diagram,
-                         identity_functor, validate_diagram)
+from twocat.core import (COVARIANT, DiagramMorphism, OplaxTransformation, TwoCatError,
+                         constant_diagram, identity_functor, validate_diagram)
 from twocat.grothendieck import grothendieck
 from twocat.manifest import Manifest, ManifestError, parse, resolve
 from twocat.verify import Runner, run_suite
@@ -395,6 +395,48 @@ def test_raising_check_is_an_error(monkeypatch, capsys):
         {"name": "crashes", "status": "error", "detail": "KeyError: 'missing'"}]
 
 
+@pytest.mark.parametrize("exc", [KeyError("x"), TwoCatError("x")], ids=["KeyError", "TwoCatError"])
+@pytest.mark.parametrize("patched,argv,check", [
+    ("validate", ["validate", "--name", "WA"], "validate[WA]"),
+    ("diag_nn", ["diag", "--name", "WTC"], "levels[WTC]"),
+    ("wbar_double_nerve", ["wbar", "--name", "WTC"], "levels[WTC]"),
+    ("grothendieck", ["groth", "--name", "Dcov"], "groth[Dcov]"),
+    ("hocolim", ["hocolim", "--name", "Dcov"], "hocolim[Dcov]"),
+    ("comma", ["comma", "--functor", "F", "--object", "b"], "comma[F,b,over]"),
+    ("normalized_chain_complex", ["homology", "--name", "WTC", "--degree", "1"], "H_1[WTC]"),
+], ids=["validate", "diag", "wbar", "groth", "hocolim", "comma", "homology"])
+def test_library_crash_in_a_command_is_an_error_check(monkeypatch, capsys, patched, argv,
+                                                      check, exc):
+    # as in `verify`, a crash of the library is reported apart from a false
+    # claim: one `error` check naming the exception, and exit 1; it used to
+    # be a traceback, or for a TwoCatError a report with no checks
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(f"twocat.cli.{patched}", crash)
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["status"] == "fail"
+    assert rep["checks"] == [{"name": check, "status": "error",
+                              "detail": f"{type(exc).__name__}: {exc}"}]
+
+
+def test_partial_transport_fails_validation_without_crashes(tmp_path, capsys):
+    # Dcov omits its identity 2-cell transports, so the parser makes them
+    # from its transport push; with a missing from push's object map, every
+    # command used to end in a KeyError traceback
+    doc = json.loads(DATA.read_text())
+    del doc["two_functors"]["push"]["on_objects"]["a"]
+    bad = tmp_path / DATA.name
+    bad.write_text(json.dumps(doc))
+    assert main(["--manifest", str(bad), "validate"]) == 1
+    assert [c for c in json.loads(capsys.readouterr().out)["checks"] if c["status"] != "pass"] \
+        == [{"name": "diagram[Dcov]", "status": "fail", "detail": "object map misses a"}]
+    assert main(["--manifest", str(bad), "verify", "all"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 153 and {c["status"] for c in checks} == {"pass", "fail"}
+
+
 def _set(doc, path, value):
     *keys, last = path
     for key in keys:
@@ -752,8 +794,9 @@ def test_each_diagram_validated_once_per_suite(monkeypatch, suite):
     ids = [id(D) for D in calls["validate_diagram"]]
     assert len(set(ids)) == len(ids) == len(m.diagrams) + copies == 3 + copies
     assert {id(D) for D in m.diagrams.values()} <= set(ids)
-    # invariance also assembles each diagram for the homology of its nerve
-    assert calls["grothendieck"] == len(m.diagrams) * (2 if suite in ("invariance", "all") else 1)
+    # the homology of each assembly's nerve, in invariance, reads the run's
+    # assembly too: each diagram is assembled once in every suite
+    assert calls["grothendieck"] == len(m.diagrams)
 
 
 def _partial_functor_manifests(tmp_path):
