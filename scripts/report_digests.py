@@ -1,5 +1,5 @@
-"""Print a digest of every `twocat verify` report this checkout writes, so
-that two checkouts can be compared by diffing this script's output.
+"""Print a digest of every report this checkout's CLI writes, so that two
+checkouts can be compared by diffing this script's output.
 
     python scripts/report_digests.py > digests.txt
 
@@ -8,7 +8,10 @@ with `PYTHONHASHSEED=0`: the input (`corpus` or a bundled mutant's file
 name), the arguments (a mutant's path relative to the checkout), the exit
 code and the sha256 of stdout.  The runs are every suite on the corpus and
 on each bundled mutant, then `verify invariance` on the corpus at
-`--trunc` 2, 3 and 5."""
+`--trunc` 2, 3 and 5, then the construction commands at their default
+truncation: `validate`, on the corpus and on each mutant, and on each input
+that parses, `validate --name` of each 2-category and every construction
+command on every entity (`construction_argvs`)."""
 
 from __future__ import annotations
 
@@ -25,15 +28,44 @@ SUITES = ("identities", "iso112", "iso114", "retractions", "oplax",
           "contractibility", "invariance", "all")
 
 
+def construction_argvs(m):
+    """Every construction command on every entity of the manifest `m`."""
+    for name in sorted(m.two_categories):
+        yield ["validate", "--name", name]
+    for name in sorted(m.two_categories):
+        for command in ("nerve", "wbar", "diag", "homology"):
+            yield [command, "--name", name]
+    for name in sorted(m.diagrams):
+        for command in ("groth", "hocolim"):
+            yield [command, "--name", name]
+    for name, F in sorted(m.two_functors.items()):
+        for obj in sorted(F.target.objects, key=repr):
+            for side in ("over", "under"):
+                yield ["comma", "--functor", name, "--object", str(obj), "--side", side]
+                yield ["homology", "--comma", f"{name}:{obj}:{side}"]
+
+
 def runs():
     """(input, arguments) of each run, in order."""
-    inputs = [("corpus", [])] + [(p.name, ["--manifest", str(p.relative_to(ROOT))])
-                                 for p in sorted(MUTANTS.glob("*.manifest.json"))]
-    for name, manifest in inputs:
+    sys.path.insert(0, str(SRC))
+    from twocat.manifest import ManifestError, parse
+
+    inputs = [("corpus", [], SRC / "twocat" / "data" / "corpus.manifest.json")]
+    inputs += [(p.name, ["--manifest", str(p.relative_to(ROOT))], p)
+               for p in sorted(MUTANTS.glob("*.manifest.json"))]
+    for name, manifest, _ in inputs:
         for suite in SUITES:
             yield name, manifest + ["verify", suite]
     for trunc in (2, 3, 5):
         yield "corpus", ["--trunc", str(trunc), "verify", "invariance"]
+    for name, manifest, path in inputs:
+        yield name, manifest + ["validate"]
+        try:
+            m = parse(path)
+        except ManifestError:
+            continue
+        for argv in construction_argvs(m):
+            yield name, manifest + argv
 
 
 def main() -> int:
